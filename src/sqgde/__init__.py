@@ -17,6 +17,7 @@ from .algos import (
     sqg_mutant,
 )
 from .core import (
+    STREAM_VERSION,
     BudgetedEvaluator,
     BudgetExhausted,
     Individual,

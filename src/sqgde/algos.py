@@ -9,10 +9,22 @@ Three DE mutation strategies are supported under one generational loop:
 * ``sqgbin``: a quasi-gradient mutant built from fitness differences over
   ``w`` member pairs around the population best, with binomial crossover.
 
+The DE loop is synchronous: every donor of a generation reads only the
+previous generation, so a generation is built with whole-array kernels
+(all N index draws, donors, crossover masks, one objective call and the
+selection at once). The per-member functions (``mutate_rand1``,
+``sqg_donor``, ``crossover_binomial``, ...) are one-row calls into the
+same kernels.
+
 ``run_sqg`` is a standalone normalized quasi-gradient descent with a warm
 start drawn from a uniform sample. All loops stop exactly at the
 evaluation budget; a generation interrupted mid-way keeps the selections
 already decided and discards the rest.
+
+A NaN or infinite fitness ranks as +inf (see ``core.ranked_fitness``):
+such a member is never the best and always loses greedy selection, and a
+quasi-gradient pair with a non-finite fitness gap is left out of the
+weighted sum.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from .core import (
     best_index,
     init_population,
     make_rng,
+    ranked_fitness,
 )
 
 __all__ = [
@@ -38,13 +51,22 @@ __all__ = [
     "STRATEGIES",
     "DEConfig",
     "SQGConfig",
+    "distinct_indices",
     "sample_distinct_indices",
+    "rand1_donors",
+    "best2_donors",
+    "sqg_pairs",
+    "sqg_steps",
+    "sqg_donors",
     "mutate_rand1",
     "mutate_best2",
     "sqg_mutant",
     "sqg_donor",
+    "binomial_masks",
+    "exponential_masks",
     "crossover_binomial",
     "crossover_exponential",
+    "select_trials",
     "greedy_select",
     "sqg_gradient_estimate",
     "run_de",
@@ -122,83 +144,158 @@ class SQGConfig:
             raise ValueError("warm_start_samples must be at least 1")
 
 
+def distinct_indices(blocked: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
+    """k distinct indices per row that avoid the row's blocked columns.
+
+    ``blocked`` is a boolean (n, pop_size) mask. Each row draws a uniform
+    key per column and takes its k unblocked columns with the smallest
+    keys, in key order, so every row is a uniform ordered sample without
+    replacement. Raises InsufficientPopulation if a row has fewer than k
+    unblocked columns.
+    """
+    blocked = np.asarray(blocked, dtype=bool)
+    available = blocked.shape[1] - int(blocked.sum(axis=1).max(initial=0))
+    if k > available:
+        raise InsufficientPopulation(f"need {k} distinct indices but only {available} are available")
+    keys = np.array(rng.random(blocked.shape), dtype=float)
+    keys[blocked] = np.inf
+    return np.argsort(keys, axis=1)[:, :k]
+
+
+def _others(rows, pop_size: int) -> np.ndarray:
+    """Blocked mask that keeps each target row from drawing itself."""
+    rows = np.asarray(rows)
+    blocked = np.zeros((rows.size, pop_size), dtype=bool)
+    blocked[np.arange(rows.size), rows] = True
+    return blocked
+
+
 def sample_distinct_indices(pop_size: int, k: int, exclude: set[int], rng: RngStream) -> list[int]:
     """k distinct indices from range(pop_size) avoiding ``exclude``.
 
-    Uniform over the valid index subsets; raises InsufficientPopulation if
-    fewer than k candidates remain.
+    Uniform over the valid ordered selections; raises InsufficientPopulation
+    if fewer than k candidates remain.
     """
-    candidates = [i for i in range(pop_size) if i not in exclude]
-    if k > len(candidates):
-        raise InsufficientPopulation(
-            f"need {k} distinct indices but only {len(candidates)} are available"
-        )
-    picked = rng.choice(len(candidates), size=k, replace=False)
-    return [candidates[int(j)] for j in picked]
+    blocked = np.zeros((1, pop_size), dtype=bool)
+    blocked[0, list(exclude)] = True
+    return distinct_indices(blocked, k, rng)[0].tolist()
+
+
+def rand1_donors(X: np.ndarray, idx: np.ndarray, F: float) -> np.ndarray:
+    """x_a + F (x_b - x_c) for each row (a, b, c) of the (n, 3) index array."""
+    return X[idx[:, 0]] + F * (X[idx[:, 1]] - X[idx[:, 2]])
+
+
+def best2_donors(X: np.ndarray, best: int, idx: np.ndarray, F: float) -> np.ndarray:
+    """x_best + F ((x_a - x_b) + (x_c - x_d)) for each row of the (n, 4) index array."""
+    return X[best] + F * ((X[idx[:, 0]] - X[idx[:, 1]]) + (X[idx[:, 2]] - X[idx[:, 3]]))
+
+
+def sqg_steps(x_best: np.ndarray, diffs: np.ndarray, gaps: np.ndarray, F: float, eps_den=0.0) -> np.ndarray:
+    """Fitness-difference weighted mutants around the population best.
+
+    Row i has w difference vectors ``diffs[i]`` = x_b - x_c, shape (n, w, D),
+    and fitness gaps ``gaps[i]`` = y_b - y_c, shape (n, w). Each pair
+    contributes its difference vector weighted by the fitness gap per unit
+    distance. The weighted sum S is rescaled by
+    phi = (||sum of differences|| / w) / ||S||, so the step length always
+    equals the mean difference-vector length regardless of the fitness
+    scale, and the direction descends the quasi-gradient:
+
+        donor = x_best - F * phi * S
+
+    A pair with a non-finite gap (or zero length) is left out of S. When
+    ||S|| is at or below ``eps_den`` (all fitness gaps cancel, or no pair
+    is left), the mutant falls back to a plain mean-difference step from
+    x_best. ``eps_den`` may be given per row.
+    """
+    w = diffs.shape[1]
+    dist = np.linalg.norm(diffs, axis=2)
+    usable = np.isfinite(gaps) & (dist > 0.0)
+    weights = np.divide(gaps, dist, out=np.zeros_like(dist), where=usable)
+    s = np.einsum("nw,nwd->nd", weights, diffs)
+    sum_diff = diffs.sum(axis=1)
+    norm_s = np.linalg.norm(s, axis=1)
+    plain = norm_s <= eps_den
+    phi = (np.linalg.norm(sum_diff, axis=1) / w) / np.where(plain, 1.0, norm_s)
+    return np.where(plain[:, None], x_best + (F / w) * sum_diff, x_best - (F * phi)[:, None] * s)
+
+
+def sqg_pairs(X: np.ndarray, rows, w: int, rng: RngStream, eps_pair: float = 0.0):
+    """w member pairs per target row, all 2 w members distinct and non-target.
+
+    A pair whose points coincide (length within ``eps_pair``) is redrawn
+    from the members its row does not use, up to pop_size times; pairs are
+    repaired in order, and a row whose pair stays degenerate (e.g. a
+    converged population) stops there. Returns the (n, w) index arrays b
+    and c and the boolean mask of those degenerate rows.
+    """
+    pop_size = len(X)
+    blocked = _others(rows, pop_size)
+    idx = distinct_indices(blocked, 2 * w, rng)
+    b, c = idx[:, 0::2], idx[:, 1::2]  # views: repairs write through to idx
+    bad = np.linalg.norm(X[b] - X[c], axis=2) <= eps_pair
+    degenerate = np.zeros(len(idx), dtype=bool)
+    for k in np.flatnonzero(bad.any(axis=0)):
+        redo = np.flatnonzero(bad[:, k] & ~degenerate)
+        for _ in range(pop_size):
+            # members in use by the row, except the pair being redrawn
+            used = blocked[redo]
+            r = np.arange(redo.size)
+            used[r[:, None], idx[redo]] = True
+            used[r, b[redo, k]] = False
+            used[r, c[redo, k]] = False
+            short = used.sum(axis=1) > pop_size - 2
+            degenerate[redo[short]] = True
+            redo = redo[~short]
+            new = distinct_indices(used[~short], 2, rng)
+            b[redo, k], c[redo, k] = new[:, 0], new[:, 1]
+            redo = redo[np.linalg.norm(X[b[redo, k]] - X[c[redo, k]], axis=1) <= eps_pair]
+            if redo.size == 0:
+                break
+        else:
+            degenerate[redo] = True
+    return b, c, degenerate
+
+
+def sqg_donors(
+    pop: Population,
+    rows,
+    best: int,
+    w: int,
+    F: float,
+    rng: RngStream,
+    eps_pair: float = 0.0,
+    eps_den: float = 0.0,
+) -> np.ndarray:
+    """Quasi-gradient donors for the target rows; degenerate rows take the plain step."""
+    X = pop.genomes
+    b, c, degenerate = sqg_pairs(X, rows, w, rng, eps_pair)
+    with np.errstate(invalid="ignore"):  # inf - inf gaps are left out as NaN
+        gaps = pop.fitness[b] - pop.fitness[c]
+    return sqg_steps(X[best], X[b] - X[c], gaps, F, np.where(degenerate, np.inf, eps_den))
 
 
 def mutate_rand1(pop: Population, target: int, F: float, rng: RngStream) -> np.ndarray:
     """Donor x_a + F (x_b - x_c) over three distinct non-target members."""
-    a, b, c = sample_distinct_indices(pop.size, 3, {target}, rng)
-    m = pop.members
-    return m[a].genome + F * (m[b].genome - m[c].genome)
+    return rand1_donors(pop.genomes, distinct_indices(_others([target], pop.size), 3, rng), F)[0]
 
 
 def mutate_best2(pop: Population, target: int, F: float, rng: RngStream) -> np.ndarray:
     """Donor x_best + F ((x_a - x_b) + (x_c - x_d)), indices distinct, non-target."""
-    a, b, c, d = sample_distinct_indices(pop.size, 4, {target}, rng)
-    m = pop.members
-    x_best = m[best_index(pop)].genome
-    return x_best + F * ((m[a].genome - m[b].genome) + (m[c].genome - m[d].genome))
-
-
-def _pair_sums(pairs):
-    """Weighted sum S and plain difference sum over ((x_b, y_b), (x_c, y_c)) pairs."""
-    (xb0, _), _ = pairs[0]
-    s = np.zeros_like(np.asarray(xb0, dtype=float))
-    sum_diff = np.zeros_like(s)
-    for (xb, yb), (xc, yc) in pairs:
-        diff = np.asarray(xb, dtype=float) - np.asarray(xc, dtype=float)
-        dist = float(np.linalg.norm(diff))
-        if dist == 0.0:
-            raise ValueError("quasi-gradient pair has identical points")
-        s += ((float(yb) - float(yc)) / dist) * diff
-        sum_diff += diff
-    return s, sum_diff
-
-
-def _sqg_fallback(x_best: np.ndarray, pairs, F: float) -> np.ndarray:
-    # Plain difference-sum step; safe even when fitness gaps vanish.
-    sum_diff = np.zeros_like(np.asarray(x_best, dtype=float))
-    for (xb, _), (xc, _) in pairs:
-        sum_diff += np.asarray(xb, dtype=float) - np.asarray(xc, dtype=float)
-    return np.asarray(x_best, dtype=float) + (F / len(pairs)) * sum_diff
+    idx = distinct_indices(_others([target], pop.size), 4, rng)
+    return best2_donors(pop.genomes, best_index(pop), idx, F)[0]
 
 
 def sqg_mutant(x_best: np.ndarray, pairs, F: float, eps_den: float = 0.0) -> np.ndarray:
-    """Fitness-difference weighted mutant around the population best.
-
-    Each pair ((x_b, y_b), (x_c, y_c)) contributes its difference vector
-    weighted by the fitness gap per unit distance. The weighted sum S is
-    rescaled by phi = (||sum of differences|| / w) / ||S||, so the step
-    length always equals the mean difference-vector length regardless of
-    the fitness scale, and the direction descends the quasi-gradient:
-
-        donor = x_best - F * phi * S
-
-    When ||S|| is at or below ``eps_den`` (all fitness gaps cancel), the
-    mutant falls back to a plain mean-difference step from x_best.
-    """
-    x_best = np.asarray(x_best, dtype=float)
+    """One quasi-gradient mutant from ((x_b, y_b), (x_c, y_c)) pairs; see :func:`sqg_steps`."""
     if not pairs:
         raise ValueError("at least one pair is required")
-    w = len(pairs)
-    s, sum_diff = _pair_sums(pairs)
-    norm_s = float(np.linalg.norm(s))
-    if norm_s <= eps_den:
-        return x_best + (F / w) * sum_diff
-    phi = (float(np.linalg.norm(sum_diff)) / w) / norm_s
-    return x_best - F * phi * s
+    diffs = np.array([[np.asarray(xb, dtype=float) - np.asarray(xc, dtype=float) for (xb, _), (xc, _) in pairs]])
+    if np.any(np.linalg.norm(diffs, axis=2) == 0.0):
+        raise ValueError("quasi-gradient pair has identical points")
+    gaps = np.array([[float(yb) - float(yc) for (_, yb), (_, yc) in pairs]])
+    return sqg_steps(np.asarray(x_best, dtype=float), diffs, gaps, F, eps_den)[0]
 
 
 def sqg_donor(
@@ -211,84 +308,59 @@ def sqg_donor(
     eps_pair: float = 0.0,
     eps_den: float = 0.0,
 ) -> np.ndarray:
-    """Sample w member pairs and build the quasi-gradient donor.
+    """Sample w member pairs and build the quasi-gradient donor of one target.
 
-    A pair whose points coincide (within ``eps_pair``) is resampled up to
-    pop_size times while keeping all pair members distinct; if degenerate
-    pairs persist (e.g. a converged population), the fallback
-    mean-difference step is used instead.
+    Degenerate pairs are resampled as in :func:`sqg_pairs`; if they persist,
+    the plain mean-difference step is used instead.
     """
-    m = pop.members
-    x_best = m[best].genome
-    idx = sample_distinct_indices(pop.size, 2 * w, {target}, rng)
-    pair_idx = [(idx[2 * k], idx[2 * k + 1]) for k in range(w)]
-    used = set(idx) | {target}
+    return sqg_donors(pop, [target], best, w, F, rng, eps_pair, eps_den)[0]
 
-    def pair_length(p):
-        return float(np.linalg.norm(m[p[0]].genome - m[p[1]].genome))
 
-    degenerate = False
-    for k in range(w):
-        retries = 0
-        while pair_length(pair_idx[k]) <= eps_pair:
-            if retries >= pop.size:
-                degenerate = True
-                break
-            b, c = pair_idx[k]
-            used.discard(b)
-            used.discard(c)
-            try:
-                nb, nc = sample_distinct_indices(pop.size, 2, used, rng)
-            except InsufficientPopulation:
-                used.add(b)
-                used.add(c)
-                degenerate = True
-                break
-            used.add(nb)
-            used.add(nc)
-            pair_idx[k] = (nb, nc)
-            retries += 1
-        if degenerate:
-            break
+def binomial_masks(n: int, d: int, CR: float, rng: RngStream) -> np.ndarray:
+    """Donor-gene masks of n binomial crossovers.
 
-    pairs = [((m[b].genome, m[b].fitness), (m[c].genome, m[c].fitness)) for b, c in pair_idx]
-    if degenerate:
-        return _sqg_fallback(x_best, pairs, F)
-    return sqg_mutant(x_best, pairs, F, eps_den=eps_den)
+    Each gene comes from the donor with probability CR; the forced index
+    j_rand of each row always does.
+    """
+    j_rand = rng.integers(d, size=n)
+    take = rng.random((n, d)) < CR
+    take[np.arange(n), j_rand] = True
+    return take
+
+
+def exponential_masks(n: int, d: int, CR: float, rng: RngStream) -> np.ndarray:
+    """Donor-gene masks of n exponential crossovers: contiguous cyclic blocks.
+
+    A block starts at a uniform index and grows while successive uniform
+    draws stay below CR, capped at the full length. CR = 0 copies exactly
+    one gene; CR = 1 copies the whole donor.
+    """
+    start = rng.integers(d, size=n)
+    grow = rng.random((n, d - 1)) < CR
+    length = 1 + np.cumprod(grow, axis=1).sum(axis=1)
+    return (np.arange(d) - start[:, None]) % d < length[:, None]
 
 
 def crossover_binomial(target: np.ndarray, donor: np.ndarray, CR: float, rng: RngStream) -> np.ndarray:
     """Per-gene mixing; the forced index j_rand always comes from the donor."""
-    d = target.size
-    j_rand = int(rng.integers(d))
-    take = rng.random(d) < CR
-    take[j_rand] = True
-    return np.where(take, donor, target)
+    return np.where(binomial_masks(1, target.size, CR, rng)[0], donor, target)
 
 
 def crossover_exponential(target: np.ndarray, donor: np.ndarray, CR: float, rng: RngStream) -> np.ndarray:
-    """Copy a contiguous cyclic block from the donor.
+    """Copy a contiguous cyclic block from the donor; see :func:`exponential_masks`."""
+    return np.where(exponential_masks(1, target.size, CR, rng)[0], donor, target)
 
-    The block starts at a uniform index and grows while successive uniform
-    draws stay below CR, capped at the full length. CR = 0 copies exactly
-    one gene; CR = 1 copies the whole donor.
-    """
-    d = target.size
-    start = int(rng.integers(d))
-    length = 1
-    while length < d and rng.random() < CR:
-        length += 1
-    trial = np.array(target, dtype=float, copy=True)
-    idx = (start + np.arange(length)) % d
-    trial[idx] = donor[idx]
-    return trial
+
+def select_trials(target_fitness, trial_fitness) -> np.ndarray:
+    """Where each trial replaces its target: ranked fitness no worse; ties go to the trial."""
+    return ranked_fitness(trial_fitness) <= ranked_fitness(target_fitness)
 
 
 def greedy_select(target: Individual, trial: Individual) -> Individual:
     """Keep the better of target and trial; ties go to the trial."""
     if target.fitness is None or trial.fitness is None:
         raise ValueError("greedy selection needs evaluated individuals")
-    return trial if trial.fitness <= target.fitness else target
+    return trial if select_trials(target.fitness, trial.fitness) else target
 
 
 def sqg_gradient_estimate(
@@ -297,36 +369,30 @@ def sqg_gradient_estimate(
     """Stochastic quasi-gradient from r uniform perturbation directions.
 
     xi = sum_k ((f(x + delta z_k) - f(x)) / delta) z_k with z_k uniform in
-    [-1, 1]^D. Costs r + 1 evaluations; f(x) is evaluated once and reused.
+    [-1, 1]^D. Costs r + 1 evaluations, made as one batch: f(x), then the
+    r perturbed points. Raises BudgetExhausted if the budget cuts the batch.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
     x = np.asarray(x, dtype=float)
-    fx = evaluator.evaluate(x)
-    xi = np.zeros_like(x)
-    for _ in range(r):
-        z = rng.uniform(-1.0, 1.0, x.size)
-        fz = evaluator.evaluate(x + delta * z)
-        xi += ((fz - fx) / delta) * z
-    return xi
+    z = np.asarray(rng.uniform(-1.0, 1.0, (r, x.size)), dtype=float)
+    values = evaluator.evaluate_batch(np.vstack([x, x + delta * z]))
+    if values.size < r + 1:
+        raise BudgetExhausted(f"budget of {evaluator.t_max} evaluations spent")
+    return ((values[1:] - values[0]) / delta) @ z
 
 
-def _make_donor(
-    config: DEConfig,
-    pop: Population,
-    target: int,
-    best: int,
-    rng: RngStream,
-    eps_pair: float,
-    eps_den: float,
-) -> np.ndarray:
+def _donors(config: DEConfig, pop: Population, rng: RngStream, eps: float) -> np.ndarray:
+    """The donors of every member of one generation."""
+    rows = np.arange(pop.size)
+    if config.strategy == "sqgbin":
+        return sqg_donors(pop, rows, best_index(pop), config.w, config.F, rng, eps, eps)
     if config.strategy == "rand1exp":
-        return mutate_rand1(pop, target, config.F, rng)
-    if config.strategy == "best2bin":
-        return mutate_best2(pop, target, config.F, rng)
-    return sqg_donor(pop, target, best, config.w, config.F, rng, eps_pair, eps_den)
+        return rand1_donors(pop.genomes, distinct_indices(_others(rows, pop.size), 3, rng), config.F)
+    idx = distinct_indices(_others(rows, pop.size), 4, rng)
+    return best2_donors(pop.genomes, best_index(pop), idx, config.F)
 
 
 def run_de(config: DEConfig, fn, t_max: int, seed: int) -> RunTrace:
@@ -341,39 +407,20 @@ def run_de(config: DEConfig, fn, t_max: int, seed: int) -> RunTrace:
     evaluator = BudgetedEvaluator(fn, t_max, rng)
     space = fn.space
     pop = init_population(space, config.pop_size, rng)
+    values = evaluator.evaluate_batch(pop.genomes)
+    if values.size < pop.size:
+        return evaluator.trace()
+    pop.fitness = ranked_fitness(values)
 
-    evaluated: list[Individual] = []
-    for ind in pop.members:
-        try:
-            ind.fitness = evaluator.evaluate(ind.genome)
-        except BudgetExhausted:
-            return evaluator.trace()
-        evaluated.append(ind)
-    pop = Population(evaluated, generation=0)
-
-    eps_pair = 1e-12 * space.mean_range
-    eps_den = 1e-12 * space.mean_range
-
+    eps = 1e-12 * space.mean_range
+    masks = exponential_masks if config.strategy == "rand1exp" else binomial_masks
     while not evaluator.exhausted:
-        best = best_index(pop)
-        new_members = list(pop.members)
-        interrupted = False
-        for i in range(pop.size):
-            donor = _make_donor(config, pop, i, best, rng, eps_pair, eps_den)
-            donor = space.clip(donor)
-            if config.strategy == "rand1exp":
-                trial_genome = crossover_exponential(pop.members[i].genome, donor, config.CR, rng)
-            else:
-                trial_genome = crossover_binomial(pop.members[i].genome, donor, config.CR, rng)
-            try:
-                trial_fitness = evaluator.evaluate(trial_genome)
-            except BudgetExhausted:
-                interrupted = True
-                break
-            new_members[i] = greedy_select(pop.members[i], Individual(trial_genome, trial_fitness))
-        pop = Population(new_members, generation=pop.generation + 1)
-        if interrupted:
-            break
+        donors = space.clip(_donors(config, pop, rng, eps))
+        trials = np.where(masks(pop.size, space.dim, config.CR, rng), donors, pop.genomes)
+        values = evaluator.evaluate_batch(trials)
+        won = np.flatnonzero(select_trials(pop.fitness[: values.size], values))
+        pop.genomes[won] = trials[won]
+        pop.fitness[won] = ranked_fitness(values[won])
     return evaluator.trace()
 
 
@@ -381,25 +428,19 @@ def run_sqg(config: SQGConfig, fn, t_max: int, seed: int) -> RunTrace:
     """Budgeted quasi-gradient descent from the best of a uniform sample.
 
     Iterates x <- clip(x - rho_t * xi / ||xi||) with rho_t decaying
-    geometrically from step0 times the mean bound range. A zero estimate
-    skips the step but still advances the schedule.
+    geometrically from step0 times the mean bound range. A zero or
+    non-finite estimate skips the step but still advances the schedule.
     """
     rng = make_rng(seed)
     evaluator = BudgetedEvaluator(fn, t_max, rng)
     space = fn.space
 
-    best_x: np.ndarray | None = None
-    best_f = float("inf")
-    for _ in range(config.warm_start_samples):
-        x = space.sample_uniform(rng)
-        try:
-            f = evaluator.evaluate(x)
-        except BudgetExhausted:
-            return evaluator.trace()
-        if f < best_f:
-            best_f, best_x = f, x
+    warm = space.sample_uniform(rng, config.warm_start_samples)
+    values = evaluator.evaluate_batch(warm)
+    if values.size < len(warm):
+        return evaluator.trace()
 
-    x = best_x
+    x = warm[int(np.argmin(ranked_fitness(values)))]
     step_scale = config.step0 * space.mean_range
     t = 0
     while True:
@@ -408,6 +449,6 @@ def run_sqg(config: SQGConfig, fn, t_max: int, seed: int) -> RunTrace:
         except BudgetExhausted:
             return evaluator.trace()
         norm = float(np.linalg.norm(xi))
-        if norm > 0.0:
+        if np.isfinite(norm) and norm > 0.0:
             x = space.clip(x - (step_scale * config.decay ** t) * (xi / norm))
         t += 1

@@ -8,18 +8,20 @@ a hard evaluation budget, and explicit seeded random streams.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
+    "STREAM_VERSION",
     "RngStream",
     "BudgetExhausted",
     "make_rng",
     "derive_seed",
     "SearchSpace",
     "Individual",
+    "ranked_fitness",
     "Population",
     "init_population",
     "best_index",
@@ -30,6 +32,12 @@ __all__ = [
 # All randomness flows through explicitly seeded generators so that a run is
 # fully determined by its seed.
 RngStream = np.random.Generator
+
+# Version of the order in which runs draw from their streams. Results of
+# different versions differ for the same seed and must not be mixed.
+# Version 2 draws whole generations at once (batched donors, crossover
+# masks and objective calls).
+STREAM_VERSION = 2
 
 
 class BudgetExhausted(Exception):
@@ -83,8 +91,10 @@ class SearchSpace:
     def contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
-    def sample_uniform(self, rng: RngStream) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper)
+    def sample_uniform(self, rng: RngStream, n: int | None = None) -> np.ndarray:
+        """One point, or an (n, dim) batch of points, uniform in the box."""
+        size = None if n is None else (n, self.dim)
+        return rng.uniform(self.lower, self.upper, size)
 
     @property
     def mean_range(self) -> float:
@@ -99,33 +109,72 @@ class Individual:
     fitness: float | None = None
 
 
-@dataclass
+def ranked_fitness(values) -> np.ndarray:
+    """Fitness as it ranks: a NaN or infinite value ranks as +inf (worst)."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isfinite(values), values, np.inf)
+
+
+class _Member:
+    """One row of a population; setting ``fitness`` writes through."""
+
+    __slots__ = ("_pop", "_i")
+
+    def __init__(self, pop: "Population", i: int):
+        self._pop = pop
+        self._i = i
+
+    @property
+    def genome(self) -> np.ndarray:
+        return self._pop.genomes[self._i]
+
+    @property
+    def fitness(self) -> float | None:
+        value = self._pop.fitness[self._i]
+        return None if np.isnan(value) else float(value)
+
+    @fitness.setter
+    def fitness(self, value: float | None) -> None:
+        self._pop.fitness[self._i] = np.nan if value is None else ranked_fitness(value)
+
+
 class Population:
-    members: list[Individual]
-    generation: int = 0
+    """N members as an (N, D) genome array plus a fitness vector.
+
+    The fitness vector holds ranked fitness (see :func:`ranked_fitness`);
+    NaN marks a member whose evaluation is pending.
+    """
+
+    def __init__(self, genomes, fitness=None):
+        self.genomes = np.array(genomes, dtype=float)
+        if self.genomes.ndim != 2:
+            raise ValueError("genomes must be an (N, D) array")
+        n = len(self.genomes)
+        self.fitness = np.full(n, np.nan) if fitness is None else ranked_fitness(fitness)
+        if self.fitness.shape != (n,):
+            raise ValueError("fitness must hold one value per member")
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.genomes)
 
-    def fitness_values(self) -> np.ndarray:
-        vals = [m.fitness for m in self.members]
-        if any(v is None for v in vals):
-            raise ValueError("population has pending (unevaluated) members")
-        return np.asarray(vals, dtype=float)
+    @property
+    def members(self) -> list[_Member]:
+        return [_Member(self, i) for i in range(self.size)]
 
 
 def init_population(space: SearchSpace, pop_size: int, rng: RngStream) -> Population:
     """Uniform random population inside the box; fitness left pending."""
     if pop_size < 1:
         raise ValueError("pop_size must be at least 1")
-    members = [Individual(space.sample_uniform(rng)) for _ in range(pop_size)]
-    return Population(members, generation=0)
+    return Population(space.sample_uniform(rng, pop_size))
 
 
 def best_index(pop: Population) -> int:
-    """Index of the lowest fitness; ties go to the lowest index."""
-    return int(np.argmin(pop.fitness_values()))
+    """Index of the lowest ranked fitness; ties go to the lowest index."""
+    if np.isnan(pop.fitness).any():
+        raise ValueError("population has pending (unevaluated) members")
+    return int(np.argmin(pop.fitness))
 
 
 @dataclass(frozen=True)
@@ -179,9 +228,12 @@ class RunTrace:
 class BudgetedEvaluator:
     """Wraps an objective with a hard evaluation budget and improvement log.
 
-    The wrapped callable is invoked as ``fn(genome, rng)``; the stream is
-    used for stochastic objectives (noise draws). Once ``t_max`` evaluations
-    have been spent, every further request raises :class:`BudgetExhausted`.
+    An objective that carries a ``space`` (a :class:`TestFunction` or a
+    wrapper of one) is called once per batch as ``fn(X, rng)`` with an
+    (n, D) array and returns n values; any other callable is called as
+    ``fn(genome, rng)`` once per row. The stream is used for stochastic
+    objectives (noise draws). Once ``t_max`` evaluations have been spent,
+    :meth:`evaluate` raises :class:`BudgetExhausted`.
     """
 
     def __init__(self, fn: Callable, t_max: int, rng: RngStream | None = None):
@@ -193,6 +245,7 @@ class BudgetedEvaluator:
         self.used = 0
         self.best_so_far = float("inf")
         self._points: list[tuple[int, float]] = []
+        self._batched = hasattr(fn, "space")
 
     @property
     def exhausted(self) -> bool:
@@ -202,15 +255,35 @@ class BudgetedEvaluator:
     def remaining(self) -> int:
         return self.t_max - self.used
 
+    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        """Evaluate the rows of ``X`` that fit in the budget, in order.
+
+        Only ``X[:remaining]`` is evaluated, so the result may be shorter
+        than ``X``. Improvements are logged in row order, as if the rows
+        had been evaluated one by one.
+        """
+        X = np.asarray(X, dtype=float)[: self.remaining]
+        if not self._batched or len(X) == 0:
+            return np.array([self.evaluate(x) for x in X], dtype=float)
+        values = np.asarray(self.fn(X, self.rng), dtype=float)
+        if values.shape != (len(X),):
+            raise ValueError(f"objective returned shape {values.shape} for {len(X)} points")
+        self._log(values.tolist())
+        return values
+
     def evaluate(self, genome: np.ndarray) -> float:
         if self.used >= self.t_max:
             raise BudgetExhausted(f"budget of {self.t_max} evaluations spent")
         value = float(self.fn(genome, self.rng))
-        self.used += 1
-        if value < self.best_so_far:
-            self.best_so_far = value
-            self._points.append((self.used, value))
+        self._log((value,))
         return value
+
+    def _log(self, values) -> None:
+        for value in values:
+            self.used += 1
+            if value < self.best_so_far:  # never true for NaN
+                self.best_so_far = value
+                self._points.append((self.used, value))
 
     def trace(self) -> RunTrace:
         points = list(self._points)

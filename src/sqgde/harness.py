@@ -8,7 +8,8 @@ directory can be resumed (completed records are skipped by key).
 
 Artifacts under the output directory:
 
-* ``spec.json``      the benchmark spec that produced everything below
+* ``spec.json``      the benchmark spec that produced everything below, plus
+                     the RNG ``stream_version`` of the code that ran it
 * ``rse.csv``        random-search reference targets per function and dim
 * ``runs.csv``       one row per run (sorted by key, full float precision)
 * ``traces/``        per-run best-so-far traces, ``eval,best`` per line
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .algos import DEConfig, SQGConfig, run_de, run_sqg
-from .core import RunTrace, derive_seed
+from .core import STREAM_VERSION, RunTrace, derive_seed
 from .metrics import (
     ErtResult,
     NormalizationUndefined,
@@ -336,9 +337,29 @@ def _run_task(algo: AlgorithmSpec, desc: FunctionDescriptor, dim: int, rep: int,
     return (algo.name, desc.label, dim, rep, seed, trace.final_evals, trace.final_best, trace.points)
 
 
+def _check_stream_version(out: Path) -> None:
+    """Refuse to add to a directory whose spec.json records another stream version.
+
+    Results drawn under different RNG stream versions differ for the same
+    seeds, so a resume must not mix them. A spec.json without a version
+    predates versioning (stream version 1).
+    """
+    path = out / "spec.json"
+    if not path.exists():
+        return
+    found = json.loads(path.read_text()).get("stream_version")
+    if found != STREAM_VERSION:
+        raise ValueError(
+            f"{path} records RNG stream version {found if found is not None else 'none (1)'}, but this "
+            f"code draws stream version {STREAM_VERSION}; resuming would mix results of the two. "
+            "Write to a new output directory."
+        )
+
+
 def ensure_rse_targets(spec: BenchmarkSpec, progress: bool = False) -> dict[tuple[str, int], RseTarget]:
     """Compute (or load) the random-search targets for every function/dim cell."""
     out = Path(spec.output_dir)
+    _check_stream_version(out)
     out.mkdir(parents=True, exist_ok=True)
     rse_path = out / "rse.csv"
     targets = _load_rse(rse_path)
@@ -363,13 +384,16 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False)
     """Execute the full matrix, skipping runs already recorded on disk.
 
     The final runs.csv is sorted by run key and byte-identical across
-    re-runs, resumptions, and worker counts.
+    re-runs, resumptions, and worker counts. A directory written under
+    another RNG stream version is refused (see ``core.STREAM_VERSION``).
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     out = Path(spec.output_dir)
+    _check_stream_version(out)
     (out / "traces").mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / "spec.json", spec.to_json())
+    record = {**spec.to_dict(), "stream_version": STREAM_VERSION}
+    _atomic_write_text(out / "spec.json", json.dumps(record, indent=2) + "\n")
 
     # Build every instance up front so a bad descriptor fails fast.
     for desc in spec.functions:

@@ -12,7 +12,7 @@ a seed fully reproduces the function.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -26,7 +26,6 @@ __all__ = [
     "base_eval",
     "random_rotation",
     "Transform",
-    "SingleBody",
     "CompositionComponent",
     "Composition",
     "composition_weights",
@@ -46,44 +45,47 @@ __all__ = [
 NOISE_MULT_GAUSSIAN = "multiplicative_gaussian"
 
 
-def _sphere(z: np.ndarray) -> float:
-    return float(np.sum(z * z))
+# Base landscapes reduce over the last axis, so each takes one point (D,)
+# or a batch (n, D) and returns a scalar or n values.
 
 
-def _schwefel12(z: np.ndarray) -> float:
-    c = np.cumsum(z)
-    return float(np.sum(c * c))
+def _sphere(z: np.ndarray) -> np.ndarray:
+    return np.sum(z * z, axis=-1)
 
 
-def _elliptic(z: np.ndarray) -> float:
-    d = z.size
-    if d == 1:
-        return float(z[0] * z[0])
-    weights = np.power(1e6, np.arange(d) / (d - 1))
-    return float(np.sum(weights * z * z))
+def _schwefel12(z: np.ndarray) -> np.ndarray:
+    c = np.cumsum(z, axis=-1)
+    return np.sum(c * c, axis=-1)
 
 
-def _rosenbrock(z: np.ndarray) -> float:
-    return float(np.sum(100.0 * (z[:-1] ** 2 - z[1:]) ** 2 + (z[:-1] - 1.0) ** 2))
+def _elliptic(z: np.ndarray) -> np.ndarray:
+    d = z.shape[-1]
+    weights = np.power(1e6, np.arange(d) / max(d - 1, 1))
+    return np.sum(weights * z * z, axis=-1)
 
 
-def _rastrigin(z: np.ndarray) -> float:
-    return float(10.0 * z.size + np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z)))
+def _rosenbrock(z: np.ndarray) -> np.ndarray:
+    head, tail = z[..., :-1], z[..., 1:]
+    return np.sum(100.0 * (head**2 - tail) ** 2 + (head - 1.0) ** 2, axis=-1)
 
 
-def _ackley(z: np.ndarray) -> float:
-    d = z.size
-    return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(z * z) / d))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * z)) / d)
+def _rastrigin(z: np.ndarray) -> np.ndarray:
+    return 10.0 * z.shape[-1] + np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z), axis=-1)
+
+
+def _ackley(z: np.ndarray) -> np.ndarray:
+    d = z.shape[-1]
+    return (
+        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(z * z, axis=-1) / d))
+        - np.exp(np.sum(np.cos(2.0 * np.pi * z), axis=-1) / d)
         + 20.0
         + np.e
     )
 
 
-def _griewank(z: np.ndarray) -> float:
-    i = np.arange(1, z.size + 1, dtype=float)
-    return float(np.sum(z * z) / 4000.0 - np.prod(np.cos(z / np.sqrt(i))) + 1.0)
+def _griewank(z: np.ndarray) -> np.ndarray:
+    i = np.arange(1, z.shape[-1] + 1, dtype=float)
+    return np.sum(z * z, axis=-1) / 4000.0 - np.prod(np.cos(z / np.sqrt(i)), axis=-1) + 1.0
 
 
 _W_A = 0.5
@@ -91,42 +93,35 @@ _W_B = 3.0
 _W_KMAX = 20
 
 
-def _weierstrass(z: np.ndarray) -> float:
-    k = np.arange(_W_KMAX + 1)
-    ak = _W_A ** k
-    bk = _W_B ** k
-    total = float(np.sum(ak * np.cos(2.0 * np.pi * np.outer(z + 0.5, bk))))
-    # Constant term places the global minimum value exactly at 0.
-    floor = float(z.size * np.sum(ak * np.cos(np.pi * bk)))
-    return total - floor
+def _weierstrass_sum(u: np.ndarray) -> np.ndarray:
+    """sum_k a^k cos(b^k u) per coordinate, one term at a time so the
+    temporaries stay the size of u."""
+    total = np.zeros_like(u)
+    for k in range(_W_KMAX + 1):
+        total += _W_A**k * np.cos(_W_B**k * u)
+    return total
 
 
-def _rosenbrock2(u: float, v: float) -> float:
-    return 100.0 * (u * u - v) ** 2 + (u - 1.0) ** 2
+# The per-coordinate sum at the optimum (u = pi), computed by the same code,
+# so the global minimum value is exactly 0.
+_W_FLOOR = float(_weierstrass_sum(np.array(np.pi)))
 
 
-def _griewank1(u: float) -> float:
-    return u * u / 4000.0 - np.cos(u) + 1.0
+def _weierstrass(z: np.ndarray) -> np.ndarray:
+    return np.sum(_weierstrass_sum(2.0 * np.pi * (z + 0.5)) - _W_FLOOR, axis=-1)
 
 
-def _griewank_rosenbrock(z: np.ndarray) -> float:
+def _griewank_rosenbrock(z: np.ndarray) -> np.ndarray:
     # Cyclic pairwise expansion, including the wrap-around pair (z_D, z_1).
-    total = 0.0
-    for i in range(z.size):
-        total += _griewank1(_rosenbrock2(z[i], z[(i + 1) % z.size]))
-    return float(total)
+    nxt = np.roll(z, -1, axis=-1)
+    r = 100.0 * (z * z - nxt) ** 2 + (z - 1.0) ** 2
+    return np.sum(r * r / 4000.0 - np.cos(r) + 1.0, axis=-1)
 
 
-def _schaffer_f6_pair(u: float, v: float) -> float:
-    s = u * u + v * v
-    return 0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2
-
-
-def _schaffer_f6(z: np.ndarray) -> float:
-    total = 0.0
-    for i in range(z.size):
-        total += _schaffer_f6_pair(z[i], z[(i + 1) % z.size])
-    return float(total)
+def _schaffer_f6(z: np.ndarray) -> np.ndarray:
+    nxt = np.roll(z, -1, axis=-1)
+    s = z * z + nxt * nxt
+    return np.sum(0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -140,7 +135,7 @@ class BaseFunction:
     """
 
     name: str
-    fn: Callable[[np.ndarray], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     half_range: float
     optimum_offset: float = 0.0
     min_dim: int = 1
@@ -170,7 +165,7 @@ def base_eval(kind: str, z) -> float:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or z.size < base.min_dim:
         raise ValueError(f"{kind} needs a 1-d point with at least {base.min_dim} components")
-    return base.fn(z)
+    return float(base.fn(z))
 
 
 def random_rotation(dim: int, rng: RngStream) -> np.ndarray:
@@ -190,44 +185,35 @@ def random_rotation(dim: int, rng: RngStream) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Transform:
-    """Shift and optional rotation mapping a point to canonical coordinates."""
+    """Shift, scale and optional rotation mapping to canonical coordinates."""
 
     shift: np.ndarray
     rotation: np.ndarray | None = None
     bias: float = 0.0
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, lam: float = 1.0) -> np.ndarray:
+        """z = R (x - shift) / lam for a point (D,) or each row of a batch (n, D)."""
         z = x - self.shift
+        if lam != 1.0:
+            z = z / lam
         if self.rotation is not None:
-            z = self.rotation @ z
+            z = z @ self.rotation.T
         return z
 
 
 @dataclass(frozen=True)
-class SingleBody:
-    kind: str
-    transform: Transform
-
-    def value(self, x: np.ndarray) -> float:
-        base = BASE_FUNCTIONS[self.kind]
-        z = self.transform.apply(x)
-        if base.optimum_offset != 0.0:
-            z = z + base.optimum_offset
-        return base.fn(z)
-
-
-@dataclass(frozen=True)
 class CompositionComponent:
+    """A transformed base landscape; a single-body function uses lam = 1."""
+
     kind: str
     transform: Transform
     sigma: float = 1.0
     lam: float = 1.0
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray):
+        """Base value at x: a scalar for a point (D,), n values for a batch (n, D)."""
         base = BASE_FUNCTIONS[self.kind]
-        z = (x - self.transform.shift) / self.lam
-        if self.transform.rotation is not None:
-            z = self.transform.rotation @ z
+        z = self.transform.apply(x, self.lam)
         if base.optimum_offset != 0.0:
             z = z + base.optimum_offset
         return base.fn(z)
@@ -251,32 +237,42 @@ class Composition:
 def composition_weights(comp: Composition, x: np.ndarray) -> np.ndarray:
     """Normalized Gaussian mixture weights based on distance to each shift.
 
-    If every unnormalized weight underflows to zero, the nearest component
-    takes weight 1.
+    Takes a point (D,) and returns (K,) weights, or a batch (n, D) and
+    returns (n, K). If every unnormalized weight of a point underflows to
+    zero, the nearest component takes weight 1.
     """
     x = np.asarray(x, dtype=float)
-    d = x.size
-    sq_dists = np.array([float(np.sum((x - c.transform.shift) ** 2)) for c in comp.components])
+    X = np.atleast_2d(x)
+    d = X.shape[1]
+    sq_dists = np.stack([np.sum((X - c.transform.shift) ** 2, axis=1) for c in comp.components], axis=1)
     sigmas = np.array([c.sigma for c in comp.components])
-    w = np.exp(-sq_dists / (2.0 * d * sigmas ** 2))
-    total = w.sum()
-    if total <= 0.0:
-        w = np.zeros(len(comp.components))
-        w[int(np.argmin(sq_dists))] = 1.0
-        return w
-    return w / total
+    w = np.exp(-sq_dists / (2.0 * d * sigmas**2))
+    total = w.sum(axis=1)
+    dead = total <= 0.0
+    w /= np.where(dead, 1.0, total)[:, None]
+    if dead.any():
+        w[np.flatnonzero(dead), np.argmin(sq_dists[dead], axis=1)] = 1.0
+    return w[0] if x.ndim == 1 else w
 
 
-def compose_eval(comp: Composition, x: np.ndarray) -> float:
-    """Mixture value: sum_i w_i(x) * (component_i value + component_i bias)."""
+def compose_eval(comp: Composition, x: np.ndarray):
+    """Mixture value: sum_i w_i(x) * (component_i value + component_i bias).
+
+    A scalar for a point (D,), n values for a batch (n, D).
+    """
     w = composition_weights(comp, x)
-    vals = np.array([c.value(x) + c.transform.bias for c in comp.components])
-    return float(np.dot(w, vals))
+    vals = np.stack([c.value(x) + c.transform.bias for c in comp.components], axis=-1)
+    return np.sum(w * vals, axis=-1)
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """A concrete box-bounded objective, evaluated as ``fn(x, rng)``.
+
+    ``x`` is one point of shape (D,), which gives a float, or a batch of
+    shape (n, D), which gives n values (one noise draw per row). A body
+    that is a plain callable (see :func:`custom_function`) takes one point
+    and is called once per row.
 
     ``noise`` multiplies the zero-normalized value by (1 + 0.4 |N(0, 1)|)
     before the bias is added, so noisy values never fall below the noiseless
@@ -285,32 +281,35 @@ class TestFunction:
 
     label: str
     space: SearchSpace
-    body: SingleBody | Composition | Callable[[np.ndarray], float]
+    body: CompositionComponent | Composition | Callable[[np.ndarray], float]
     noise: str | None = None
 
-    def __call__(self, x, rng: RngStream | None = None) -> float:
+    def __call__(self, x, rng: RngStream | None = None):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.space.dim,):
-            raise ValueError(f"expected a point of dimension {self.space.dim}")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.space.dim:
+            raise ValueError(f"expected a point of dimension {self.space.dim} or an (n, {self.space.dim}) batch")
+        X = np.atleast_2d(x)
         bias = 0.0
-        if isinstance(self.body, SingleBody):
-            raw = self.body.value(x)
+        if isinstance(self.body, CompositionComponent):
+            raw = self.body.value(X)
             bias = self.body.transform.bias
         elif isinstance(self.body, Composition):
-            raw = compose_eval(self.body, x)
+            raw = compose_eval(self.body, X)
         else:
-            raw = float(self.body(x))
+            raw = np.array([float(self.body(row)) for row in X])
         if self.noise is not None:
             if self.noise != NOISE_MULT_GAUSSIAN:
                 raise ValueError(f"unknown noise model: {self.noise!r}")
             if rng is None:
                 raise ValueError("a noisy function needs an rng stream")
-            raw *= 1.0 + 0.4 * abs(rng.standard_normal())
-        return raw + bias
+            raw = raw * (1.0 + 0.4 * np.abs(rng.standard_normal(len(X))))
+        values = raw + bias
+        return float(values[0]) if x.ndim == 1 else values
 
 
 def custom_function(label: str, space: SearchSpace, fn: Callable[[np.ndarray], float]) -> TestFunction:
-    """Wrap an arbitrary callable so it can be used wherever a TestFunction is."""
+    """Wrap a scalar callable ``fn(x) -> float`` so it can be used wherever a
+    TestFunction is; batches call it once per row."""
     return TestFunction(label=label, space=space, body=fn)
 
 
@@ -454,7 +453,9 @@ def make_test_function(
     if single:
         shift = _sample_shift(space, rng, desc.shifted, desc.optimum_on_bounds)
         rotation = random_rotation(dim, rng) if desc.rotated else None
-        body: SingleBody | Composition = SingleBody(desc.kind, Transform(shift, rotation, desc.bias))
+        body: CompositionComponent | Composition = CompositionComponent(
+            desc.kind, Transform(shift, rotation, desc.bias)
+        )
     else:
         comps = []
         for c in desc.composition:

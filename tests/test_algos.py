@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqgde.algos import (
+    STRATEGIES,
     DEConfig,
     InsufficientPopulation,
     SQGConfig,
@@ -21,37 +22,36 @@ from sqgde.algos import (
     sqg_mutant,
 )
 from sqgde.core import BudgetedEvaluator, Individual, Population, best_index, make_rng
-from sqgde.testfuncs import FunctionDescriptor, make_test_function
+from sqgde.testfuncs import FunctionDescriptor, custom_function, make_test_function
 
 
 def _pop(genomes, fitnesses):
-    return Population([
-        Individual(np.asarray(g, dtype=float), f) for g, f in zip(genomes, fitnesses)
-    ])
+    return Population(np.asarray(genomes, dtype=float), list(fitnesses))
 
 
 class ScriptedRng:
-    """Stand-in stream returning pre-seeded draws, for walkthrough tests."""
+    """Stand-in stream returning pre-seeded draws, for walkthrough tests.
 
-    def __init__(self, choices=None, integers=None, randoms=None, uniforms=None):
-        self._choices = list(choices or [])
+    Each call pops the next scripted draw and shapes it to the requested size.
+    """
+
+    def __init__(self, integers=None, randoms=None, uniforms=None):
         self._integers = list(integers or [])
         self._randoms = list(randoms or [])
         self._uniforms = list(uniforms or [])
 
-    def choice(self, n, size, replace):
-        return np.asarray(self._choices.pop(0))
+    @staticmethod
+    def _shaped(value, size):
+        return value if size is None else np.asarray(value).reshape(size)
 
-    def integers(self, n):
-        return self._integers.pop(0)
+    def integers(self, n, size=None):
+        return self._shaped(self._integers.pop(0), size)
 
     def random(self, size=None):
-        if size is None:
-            return self._randoms.pop(0)
-        return np.asarray(self._randoms.pop(0))
+        return self._shaped(self._randoms.pop(0), size)
 
     def uniform(self, lo, hi, size=None):
-        return np.asarray(self._uniforms.pop(0))
+        return self._shaped(self._uniforms.pop(0), size)
 
 
 # --- configs ---------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_sample_distinct_property():
 
 def test_rand1_hand_value():
     pop = _pop([(0, 0), (1, 2), (1, 0), (9, 9)], [1, 2, 3, 4])
-    rng = ScriptedRng(choices=[[0, 1, 2]])  # a, b, c = members 0, 1, 2
+    rng = ScriptedRng(randoms=[[0.1, 0.2, 0.3, 0.9]])  # smallest keys: a, b, c = members 0, 1, 2
     npt.assert_allclose(mutate_rand1(pop, 3, 0.8, rng), [0.0, 1.6])
 
 
@@ -126,15 +126,15 @@ def test_rand1_zero_amplification_returns_a_member():
 
 def test_rand1_duplicate_difference_vanishes():
     pop = _pop([(3, 1), (2, 2), (2, 2), (9, 9)], [1, 2, 3, 4])
-    rng = ScriptedRng(choices=[[0, 1, 2]])
+    rng = ScriptedRng(randoms=[[0.1, 0.2, 0.3, 0.9]])
     npt.assert_array_equal(mutate_rand1(pop, 3, 1.7, rng), [3.0, 1.0])
 
 
 def test_best2_hand_value():
     genomes = [(5, 5), (1, 1), (2, 0), (0, 0), (0, 0), (0, 1)]
     pop = _pop(genomes, [50, 0, 10, 11, 12, 13])
-    # candidates excluding target 0 are [1..5]; positions 1..4 pick members 2..5
-    rng = ScriptedRng(choices=[[1, 2, 3, 4]])
+    # the target's own key is ignored; the smallest keys pick members 2..5 in order
+    rng = ScriptedRng(randoms=[[0.0, 0.8, 0.1, 0.2, 0.3, 0.4]])
     npt.assert_allclose(mutate_best2(pop, 0, 0.5, rng), [2.0, 0.5])
 
 
@@ -148,7 +148,7 @@ def test_best2_cancellation():
     genomes = [(9, 9), (1, 1), (2, 3), (0, 0), (2, 3), (0, 0)]
     pop = _pop(genomes, [99, 0, 1, 2, 3, 4])
     # (x_a - x_b) = -(x_c - x_d): a=2, b=3, c=5, d=4
-    rng = ScriptedRng(choices=[[1, 2, 4, 3]])
+    rng = ScriptedRng(randoms=[[0.0, 0.9, 0.1, 0.2, 0.4, 0.3]])
     npt.assert_allclose(mutate_best2(pop, 0, 0.8, rng), [1.0, 1.0])
 
 
@@ -225,6 +225,38 @@ def test_sqg_mutant_rejects_bad_pairs():
         sqg_mutant(np.zeros(2), [((same, 1.0), (same.copy(), 2.0))], 0.8)
 
 
+def test_sqg_mutant_skips_non_finite_gaps():
+    finite = ((np.array([1.0, 0.0]), 2.0), (np.array([0.0, 0.0]), 0.0))
+    infinite = ((np.array([0.0, 1.0]), float("inf")), (np.array([0.0, 0.0]), 0.0))
+    donor = sqg_mutant(np.zeros(2), [finite, infinite], 1.0)
+    # S comes from the finite pair alone; the step length is still the
+    # mean difference-vector length over both pairs
+    npt.assert_allclose(donor, [-np.sqrt(2.0) / 2.0, 0.0], atol=1e-15)
+    nan_pair = ((np.array([0.0, 1.0]), float("nan")), (np.array([0.0, 0.0]), 0.0))
+    # no finite pair left: the plain mean-difference step
+    npt.assert_allclose(sqg_mutant(np.zeros(2), [infinite, nan_pair], 1.0), [0.0, 1.0], atol=1e-15)
+
+
+def test_sqg_donor_finite_with_non_finite_members():
+    rng = make_rng(12)
+    fitness = rng.standard_normal(12)
+    fitness[[2, 5]] = np.inf
+    fitness[7] = np.nan
+    pop = _pop(rng.standard_normal((12, 3)), fitness)
+    for target in range(12):
+        assert np.all(np.isfinite(sqg_donor(pop, target, best_index(pop), 5, 0.8, rng)))
+
+
+def test_run_de_survives_nan_objective():
+    sphere = _sphere_fn(dim=4)
+    fn = custom_function("holes", sphere.space, lambda x: np.nan if x[0] > 0.0 else sphere(x))
+    for strategy in STRATEGIES:
+        trace = run_de(DEConfig(strategy, pop_size=12, w=2), fn, 300, seed=3)
+        assert trace.final_evals == 300
+        assert np.isfinite(trace.final_best)
+        assert trace.final_best < trace.best_at(12)
+
+
 def test_sqg_donor_converged_population_falls_back_to_best():
     genome = np.array([2.0, -1.0])
     pop = _pop([genome] * 8, range(8))
@@ -278,7 +310,8 @@ def test_exponential_cr_one_copies_donor():
 def test_exponential_scripted_walkthrough():
     target = np.array([1.0, 2.0, 3.0, 4.0])
     donor = np.array([-1.0, -2.0, -3.0, -4.0])
-    rng = ScriptedRng(integers=[2], randoms=[0.3, 0.8])
+    # the block grows while draws stay below CR: 0.3 grows it, 0.8 stops it
+    rng = ScriptedRng(integers=[2], randoms=[[0.3, 0.8, 0.1]])
     trial = crossover_exponential(target, donor, 0.5, rng)
     npt.assert_array_equal(trial, [1.0, 2.0, -3.0, -4.0])
 
@@ -286,7 +319,7 @@ def test_exponential_scripted_walkthrough():
 def test_exponential_block_is_cyclic():
     target = np.zeros(4)
     donor = np.ones(4)
-    rng = ScriptedRng(integers=[3], randoms=[0.1, 0.9])
+    rng = ScriptedRng(integers=[3], randoms=[[0.1, 0.9, 0.2]])
     trial = crossover_exponential(target, donor, 0.5, rng)
     npt.assert_array_equal(trial, [1.0, 0.0, 0.0, 1.0])
 
@@ -320,6 +353,13 @@ def test_greedy_select_rules():
     assert greedy_select(better, worse) is better
     tied = Individual(np.full(1, 5.0), 1.0)
     assert greedy_select(better, tied) is tied
+
+
+def test_greedy_select_non_finite_ranks_last():
+    good = Individual(np.zeros(1), 5.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        assert greedy_select(Individual(np.ones(1), bad), good) is good
+        assert greedy_select(good, Individual(np.ones(1), bad)) is good
 
 
 def test_greedy_select_rejects_pending():

@@ -1,0 +1,188 @@
+"""Reference checks for the batched kernels.
+
+Every batch kernel is compared with a plain per-row formula written out
+here, on the same inputs (index arrays, points), with tolerances fixed in
+advance: objective values to rtol 1e-12, donors to 1e-12.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+from scipy.stats import chisquare
+
+from sqgde.algos import (
+    best2_donors,
+    distinct_indices,
+    rand1_donors,
+    sqg_donors,
+    sqg_pairs,
+    sqg_steps,
+)
+from sqgde.core import BudgetedEvaluator, Population, make_rng
+from sqgde.testfuncs import BASE_FUNCTIONS, default_suite, make_test_function, suite_by_label
+
+RTOL = 1e-12
+
+
+# --- objectives --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [2, 10, 50])
+@pytest.mark.parametrize("desc", default_suite(), ids=lambda d: d.label)
+def test_batch_objective_matches_per_row(desc, dim):
+    fn = make_test_function(replace(desc, noisy=False), dim=dim)
+    X = fn.space.sample_uniform(make_rng(dim), 25)
+    batch = fn(X)
+    assert batch.shape == (25,)
+    npt.assert_allclose(batch, [fn(x) for x in X], rtol=RTOL, atol=0.0)
+
+
+def _cyclic_pair_sum(pair_fn, z):
+    """The expanded functions as a loop over the cyclic pairs (z_i, z_{i+1})."""
+    return sum(pair_fn(z[i], z[(i + 1) % z.size]) for i in range(z.size))
+
+
+def _griewank_of_rosenbrock(u, v):
+    r = 100.0 * (u * u - v) ** 2 + (u - 1.0) ** 2
+    return r * r / 4000.0 - np.cos(r) + 1.0
+
+
+def _schaffer_f6_pair(u, v):
+    s = u * u + v * v
+    return 0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2
+
+
+@pytest.mark.parametrize(
+    "kind,pair_fn", [("griewank_rosenbrock", _griewank_of_rosenbrock), ("schaffer_f6", _schaffer_f6_pair)]
+)
+def test_expanded_bases_match_pair_loop(kind, pair_fn):
+    Z = make_rng(10).uniform(-3.0, 3.0, (20, 7))
+    batch = BASE_FUNCTIONS[kind].fn(Z)
+    npt.assert_allclose(batch, [_cyclic_pair_sum(pair_fn, z) for z in Z], rtol=RTOL, atol=0.0)
+
+
+def test_noisy_objective_draws_one_normal_per_row():
+    noisy = make_test_function(suite_by_label()["hybrid_rotated_noisy"], dim=10)
+    clean = make_test_function(replace(suite_by_label()["hybrid_rotated_noisy"], noisy=False), dim=10)
+    X = noisy.space.sample_uniform(make_rng(1), 7)
+    rng, ref = make_rng(2), make_rng(2)
+    values = noisy(X, rng)
+    z = ref.standard_normal(7)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    npt.assert_allclose(values, clean(X) * (1.0 + 0.4 * np.abs(z)), rtol=RTOL)
+
+
+def test_budget_cut_batch_draws_noise_only_for_evaluated_rows():
+    fn = make_test_function(suite_by_label()["shifted_schwefel12_noisy"], dim=5)
+    rng, ref = make_rng(3), make_rng(3)
+    ev = BudgetedEvaluator(fn, 4, rng)
+    assert ev.evaluate_batch(fn.space.sample_uniform(make_rng(4), 9)).size == 4
+    ref.standard_normal(4)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# --- donors --------------------------------------------------------------------
+
+
+def _population(seed, n=20, d=6):
+    rng = make_rng(seed)
+    return Population(rng.standard_normal((n, d)), rng.standard_normal(n))
+
+
+def _self_blocked(n):
+    return np.eye(n, dtype=bool)
+
+
+def test_rand1_and_best2_donors_match_per_row_formula():
+    pop = _population(1)
+    X, n = pop.genomes, pop.size
+    idx = distinct_indices(_self_blocked(n), 4, make_rng(2))
+    best = int(np.argmin(pop.fitness))
+    rand1 = rand1_donors(X, idx[:, :3], 0.7)
+    best2 = best2_donors(X, best, idx, 0.7)
+    for i, (a, b, c, d) in enumerate(idx):
+        npt.assert_allclose(rand1[i], X[a] + 0.7 * (X[b] - X[c]), rtol=RTOL, atol=RTOL)
+        npt.assert_allclose(best2[i], X[best] + 0.7 * ((X[a] - X[b]) + (X[c] - X[d])), rtol=RTOL, atol=RTOL)
+
+
+def _sqg_reference(x_best, pairs, F, eps_den=0.0):
+    """The per-pair quasi-gradient formula, one pair at a time."""
+    s = np.zeros_like(x_best)
+    sum_diff = np.zeros_like(x_best)
+    for (xb, yb), (xc, yc) in pairs:
+        diff = xb - xc
+        s += ((yb - yc) / np.linalg.norm(diff)) * diff
+        sum_diff += diff
+    w = len(pairs)
+    if np.linalg.norm(s) <= eps_den:
+        return x_best + (F / w) * sum_diff
+    phi = (np.linalg.norm(sum_diff) / w) / np.linalg.norm(s)
+    return x_best - F * phi * s
+
+
+def test_sqg_donors_match_per_pair_formula():
+    pop = _population(3, n=30, d=8)
+    X, y = pop.genomes, pop.fitness
+    rows = np.arange(pop.size)
+    best = int(np.argmin(y))
+    # the same stream gives sqg_donors the same index arrays as sqg_pairs
+    b, c, degenerate = sqg_pairs(X, rows, 5, make_rng(4))
+    donors = sqg_donors(pop, rows, best, 5, 0.8, make_rng(4))
+    assert not degenerate.any()
+    for i in rows:
+        pairs = [((X[p], y[p]), (X[q], y[q])) for p, q in zip(b[i], c[i])]
+        npt.assert_allclose(donors[i], _sqg_reference(X[best], pairs, 0.8), rtol=RTOL, atol=RTOL)
+
+
+def test_sqg_steps_plain_fallback_matches_per_pair_formula():
+    x_best = np.array([1.0, -1.0, 0.5])
+    diffs = make_rng(5).standard_normal((1, 3, 3))
+    pairs = [((x_best + dv, 4.0), (x_best, 4.0)) for dv in diffs[0]]
+    step = sqg_steps(x_best, diffs, np.zeros((1, 3)), 0.8)
+    npt.assert_allclose(step[0], _sqg_reference(x_best, pairs, 0.8), rtol=RTOL, atol=RTOL)
+
+
+def test_sqg_pairs_resamples_only_degenerate_rows():
+    rng = make_rng(6)
+    X = rng.standard_normal((14, 3))
+    X[1] = X[0]  # members 0 and 1 coincide
+    b, c, degenerate = sqg_pairs(X, np.arange(14), 3, rng, eps_pair=1e-12)
+    assert not degenerate.any()
+    lengths = np.linalg.norm(X[b] - X[c], axis=2)
+    assert np.all(lengths > 1e-12)
+    for i in range(14):
+        used = np.concatenate([b[i], c[i]])
+        assert len(set(used)) == 6 and i not in used
+
+
+def test_sqg_pairs_converged_rows_are_degenerate():
+    X = np.ones((10, 2))
+    _, _, degenerate = sqg_pairs(X, np.arange(10), 2, make_rng(7), eps_pair=1e-12)
+    assert degenerate.all()
+
+
+# --- index sampling ------------------------------------------------------------------
+
+
+def test_distinct_indices_rows_distinct_and_exclude_self():
+    n, k = 12, 10
+    idx = distinct_indices(_self_blocked(n), k, make_rng(8))
+    assert idx.shape == (n, k)
+    for i, row in enumerate(idx):
+        assert len(set(row)) == k
+        assert i not in row
+
+
+def test_distinct_indices_each_role_uniform_over_others():
+    n, k, draws = 8, 4, 4000
+    rows = np.tile(np.arange(n), draws)
+    blocked = np.zeros((rows.size, n), dtype=bool)
+    blocked[np.arange(rows.size), rows] = True
+    idx = distinct_indices(blocked, k, make_rng(9))
+    assert not np.any(idx == rows[:, None])
+    for target in range(n):
+        for role in range(k):
+            counts = np.delete(np.bincount(idx[rows == target, role], minlength=n), target)
+            assert chisquare(counts).pvalue > 0.001, (target, role, counts)

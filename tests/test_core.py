@@ -87,7 +87,7 @@ def test_init_population_same_seed_identical():
 
 
 def _pop(fitnesses):
-    return Population([Individual(np.zeros(1), f) for f in fitnesses])
+    return Population(np.zeros((len(fitnesses), 1)), fitnesses)
 
 
 def test_best_index_minimum():
@@ -107,6 +107,13 @@ def test_best_index_rejects_pending():
     pop.members[1].fitness = None
     with pytest.raises(ValueError):
         best_index(pop)
+
+
+def test_best_index_ranks_non_finite_last():
+    pop = init_population(SearchSpace.box(1, 0.0, 1.0), 5, make_rng(0))
+    for member, f in zip(pop.members, [float("nan"), 2.0, float("inf"), 1.0, float("-inf")]):
+        member.fitness = f
+    assert best_index(pop) == 3
 
 
 def test_evaluator_single_budget():
@@ -165,6 +172,41 @@ def test_run_trace_queries():
     assert trace.best_at(399) == 50.0
     assert trace.best_at(1000) == 10.0
     assert RunTrace((), 0).final_best == float("inf")
+
+
+def test_evaluate_batch_stops_at_budget_and_logs_in_row_order():
+    ev = BudgetedEvaluator(sphere, 4)
+    ev.evaluate(np.array([3.0]))
+    values = ev.evaluate_batch(np.array([[4.0], [2.0], [1.0], [0.5], [0.0]]))
+    npt.assert_array_equal(values, [16.0, 4.0, 1.0])  # only the rows the budget allows
+    assert ev.exhausted
+    assert ev.trace().points == ((1, 9.0), (3, 4.0), (4, 1.0))
+    assert ev.evaluate_batch(np.zeros((2, 1))).size == 0
+
+
+def test_evaluate_batch_calls_objectives_with_a_space_once():
+    calls = []
+
+    class Batched:
+        space = SearchSpace.box(2, -1.0, 1.0)
+
+        def __call__(self, x, rng):
+            calls.append(np.shape(x))
+            return np.sum(np.asarray(x) ** 2, axis=-1)
+
+    ev = BudgetedEvaluator(Batched(), 10)
+    ev.evaluate_batch(np.ones((3, 2)))
+    assert calls == [(3, 2)]
+    bare = []
+    ev = BudgetedEvaluator(lambda x, rng: bare.append(np.shape(x)) or 0.0, 10)
+    ev.evaluate_batch(np.ones((3, 2)))
+    assert bare == [(2,)] * 3
+
+
+def test_evaluate_batch_nan_never_improves():
+    ev = BudgetedEvaluator(lambda x, rng: float(x[0]), 5)
+    ev.evaluate_batch(np.array([[np.nan], [2.0], [np.nan], [1.0]]))
+    assert ev.trace().points == ((2, 2.0), (4, 1.0))
 
 
 @given(

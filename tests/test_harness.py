@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from sqgde.algos import DEConfig, SQGConfig
-from sqgde.core import RunTrace
+from sqgde.core import STREAM_VERSION, RunTrace
 from sqgde.harness import (
     ALGORITHM_PRESETS,
     AlgorithmSpec,
@@ -186,6 +188,28 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         (tmp_path / "resumed" / "runs.csv").read_bytes()
         == (tmp_path / "fresh" / "runs.csv").read_bytes()
     )
+
+
+def test_spec_records_stream_version(tmp_path):
+    run_benchmark(small_spec(tmp_path))
+    assert json.loads((tmp_path / "spec.json").read_text())["stream_version"] == STREAM_VERSION
+
+
+@pytest.mark.parametrize("recorded", [None, 1])
+def test_resume_refuses_other_stream_version(tmp_path, recorded):
+    # a directory written before stream versions existed: spec.json without
+    # a version (or with an older one), plus results
+    spec = small_spec(tmp_path)
+    record = json.loads(spec.to_json())
+    if recorded is not None:
+        record["stream_version"] = recorded
+    (tmp_path / "spec.json").write_text(json.dumps(record))
+    (tmp_path / "rse.csv").write_text("function,dim,budget,reps,value\nsphere2,2,60,5,1.5\n")
+    with pytest.raises(ValueError, match="stream version"):
+        ensure_rse_targets(spec)
+    with pytest.raises(ValueError, match="stream version"):
+        run_benchmark(spec)
+    assert not (tmp_path / "runs.csv").exists()
 
 
 def test_workers_do_not_change_results(tmp_path):
