@@ -127,7 +127,11 @@ def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quie
 @click.option("--budget", type=int, default=1000, show_default=True)
 @click.option("--reps", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=12345, show_default=True, help="Master seed.")
-@click.option("--out", default=None, help="If given, merge results into <out>/rse.csv.")
+@click.option(
+    "--out",
+    default=None,
+    help="If given, merge results into <out>/rse.csv; refused if the directory holds another budget or stream version.",
+)
 def rse(function_label, dim, budget, reps, seed, out):
     """Estimate the uniform random-search target per function."""
     descs = [_resolve_function(function_label)] if function_label else default_suite()
@@ -139,11 +143,10 @@ def rse(function_label, dim, budget, reps, seed, out):
         targets[(desc.label, dim)] = target
         click.echo(f"{desc.label},{dim},{budget},{reps},{target.value!r}")
     if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        merged = harness._load_rse(out_dir / "rse.csv")
-        merged.update(targets)
-        harness._write_rse(out_dir / "rse.csv", merged)
+        try:
+            harness.merge_rse_targets(out, targets)
+        except ValueError as err:
+            raise click.ClickException(str(err)) from err
 
 
 @main.command(name="summarize")

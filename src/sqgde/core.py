@@ -33,11 +33,13 @@ __all__ = [
 # fully determined by its seed.
 RngStream = np.random.Generator
 
-# Version of the order in which runs draw from their streams. Results of
-# different versions differ for the same seed and must not be mixed.
+# Version of what a run computes from its seed: the order in which it draws
+# from its streams, and the numerics of the objectives. Results of different
+# versions differ for the same seed and must not be mixed.
 # Version 2 draws whole generations at once (batched donors, crossover
-# masks and objective calls).
-STREAM_VERSION = 2
+# masks and objective calls). Version 3 sums the Weierstrass terms by a cube
+# recurrence, which changes its values in the last bits.
+STREAM_VERSION = 3
 
 
 class BudgetExhausted(Exception):

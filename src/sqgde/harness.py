@@ -51,6 +51,8 @@ __all__ = [
     "RunRecord",
     "execute_run",
     "run_benchmark",
+    "ensure_rse_targets",
+    "merge_rse_targets",
     "summarize",
     "SummaryResult",
     "BNFV_GRID_STEP",
@@ -337,32 +339,92 @@ def _run_task(algo: AlgorithmSpec, desc: FunctionDescriptor, dim: int, rep: int,
     return (algo.name, desc.label, dim, rep, seed, trace.final_evals, trace.final_best, trace.points)
 
 
-def _check_stream_version(out: Path) -> None:
-    """Refuse to add to a directory whose spec.json records another stream version.
+def _recorded_spec(out: Path) -> dict | None:
+    """The spec.json of a results directory, or None if it has none.
 
-    Results drawn under different RNG stream versions differ for the same
-    seeds, so a resume must not mix them. A spec.json without a version
-    predates versioning (stream version 1).
+    Results computed under different stream versions differ for the same
+    seeds, so a directory that records another version (or none: it
+    predates versioning, stream version 1) is refused.
     """
     path = out / "spec.json"
     if not path.exists():
-        return
-    found = json.loads(path.read_text()).get("stream_version")
+        return None
+    record = json.loads(path.read_text())
+    found = record.get("stream_version")
     if found != STREAM_VERSION:
         raise ValueError(
             f"{path} records RNG stream version {found if found is not None else 'none (1)'}, but this "
             f"code draws stream version {STREAM_VERSION}; resuming would mix results of the two. "
             "Write to a new output directory."
         )
+    return record
+
+
+def _check_budgets(path: Path, budgets: list[tuple[str, int]]) -> None:
+    """Refuse when the (source, budget) pairs disagree on the evaluation budget."""
+    if len({budget for _, budget in budgets}) > 1:
+        found = ", ".join(sorted({f"{source} {budget}" for source, budget in budgets}))
+        raise ValueError(
+            f"budget mismatch for {path}: {found}; random-search targets and runs of "
+            "different budgets must not be mixed. Write to a new output directory."
+        )
+
+
+def _check_resume(out: Path, spec: BenchmarkSpec) -> dict | None:
+    """Refuse to add ``spec``'s results to a directory recorded for another benchmark.
+
+    Besides the stream version, the recorded budget and master seed must
+    match, and so must every algorithm config and function descriptor that
+    both specs name. Adding algorithms, functions, dims or reps resumes.
+    Returns the recorded spec.json, if any.
+    """
+    record = _recorded_spec(out)
+    if record is None:
+        return None
+    clashes = [
+        f"{field} {record[field]} != {getattr(spec, field)}"
+        for field in ("budget", "master_seed")
+        if record[field] != getattr(spec, field)
+    ]
+    new = json.loads(spec.to_json())
+    for group, key in (("algorithms", "name"), ("functions", "label")):
+        recorded = {entry[key]: entry for entry in record[group]}
+        for entry in new[group]:
+            if entry[key] in recorded and recorded[entry[key]] != entry:
+                clashes.append(f"{group[:-1]} {entry[key]!r} changed")
+    if clashes:
+        raise ValueError(
+            f"{out / 'spec.json'} records another benchmark ({'; '.join(clashes)}); resuming "
+            "would mix results of the two. Write to a new output directory."
+        )
+    return record
+
+
+def _merged_record(record: dict | None, spec: BenchmarkSpec) -> dict:
+    """spec.json content covering both the recorded runs and ``spec``'s."""
+    new = {**spec.to_dict(), "stream_version": STREAM_VERSION}
+    if record is None:
+        return new
+    for group, key in (("algorithms", "name"), ("functions", "label")):
+        names = {entry[key] for entry in record[group]}
+        new[group] = record[group] + [e for e in new[group] if e[key] not in names]
+    new["dims"] = record["dims"] + [d for d in new["dims"] if d not in record["dims"]]
+    new["reps"] = max(record["reps"], new["reps"])
+    return new
 
 
 def ensure_rse_targets(spec: BenchmarkSpec, progress: bool = False) -> dict[tuple[str, int], RseTarget]:
-    """Compute (or load) the random-search targets for every function/dim cell."""
+    """Compute (or load) the random-search targets for every function/dim cell.
+
+    A directory recorded for another benchmark, or whose stored targets
+    were estimated under another budget, is refused with ``ValueError``.
+    """
     out = Path(spec.output_dir)
-    _check_stream_version(out)
+    _check_resume(out, spec)
     out.mkdir(parents=True, exist_ok=True)
     rse_path = out / "rse.csv"
     targets = _load_rse(rse_path)
+    _check_budgets(rse_path, [("spec", spec.budget)] + [("rse.csv", t.budget) for t in targets.values()])
     missing = [
         (desc, dim)
         for desc in spec.functions
@@ -380,20 +442,49 @@ def ensure_rse_targets(spec: BenchmarkSpec, progress: bool = False) -> dict[tupl
     return targets
 
 
+def merge_rse_targets(
+    output_dir: str | Path, targets: dict[tuple[str, int], RseTarget]
+) -> dict[tuple[str, int], RseTarget]:
+    """Merge random-search targets into ``<output_dir>/rse.csv``.
+
+    New targets replace stored ones of the same (function, dim) cell. The
+    directory gets the same guard as a resume: a spec.json of another
+    stream version, or a budget that differs from the recorded spec's or
+    from the stored targets', raises ``ValueError`` and leaves rse.csv as
+    it was. Returns the merged targets.
+    """
+    out = Path(output_dir)
+    record = _recorded_spec(out)
+    rse_path = out / "rse.csv"
+    merged = _load_rse(rse_path)
+    budgets = [("rse.csv", t.budget) for t in merged.values()]
+    budgets += [("new target", t.budget) for t in targets.values()]
+    if record is not None:
+        budgets.append(("spec.json", record["budget"]))
+    _check_budgets(rse_path, budgets)
+    out.mkdir(parents=True, exist_ok=True)
+    merged.update(targets)
+    _write_rse(rse_path, merged)
+    return merged
+
+
 def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False) -> list[RunRecord]:
     """Execute the full matrix, skipping runs already recorded on disk.
 
     The final runs.csv is sorted by run key and byte-identical across
-    re-runs, resumptions, and worker counts. A directory written under
-    another RNG stream version is refused (see ``core.STREAM_VERSION``).
+    re-runs, resumptions, and worker counts. A directory recorded for
+    another benchmark is refused: another RNG stream version (see
+    ``core.STREAM_VERSION``), budget or master seed, or a changed algorithm
+    config or function descriptor under a recorded name. spec.json then
+    records everything the directory holds: recorded and new algorithms,
+    functions and dims, and the larger reps.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     out = Path(spec.output_dir)
-    _check_stream_version(out)
+    record = _check_resume(out, spec)
     (out / "traces").mkdir(parents=True, exist_ok=True)
-    record = {**spec.to_dict(), "stream_version": STREAM_VERSION}
-    _atomic_write_text(out / "spec.json", json.dumps(record, indent=2) + "\n")
+    _atomic_write_text(out / "spec.json", json.dumps(_merged_record(record, spec), indent=2) + "\n")
 
     # Build every instance up front so a bad descriptor fails fast.
     for desc in spec.functions:

@@ -88,18 +88,42 @@ def _griewank(z: np.ndarray) -> np.ndarray:
     return np.sum(z * z, axis=-1) / 4000.0 - np.prod(np.cos(z / np.sqrt(i)), axis=-1) + 1.0
 
 
+# Weierstrass with a = 0.5, b = 3, k = 0..20 (CEC 2005). The kernel relies on
+# b being the integer 3.
 _W_A = 0.5
-_W_B = 3.0
 _W_KMAX = 20
+_W_COEF = _W_A ** np.arange(1, _W_KMAX + 1)
+# Coordinates per pass: a population batch (100 x 50) is one pass, and a
+# larger batch reuses the same small buffers instead of growing them.
+_W_BLOCK = 8192
 
 
 def _weierstrass_sum(u: np.ndarray) -> np.ndarray:
-    """sum_k a^k cos(b^k u) per coordinate, one term at a time so the
-    temporaries stay the size of u."""
-    total = np.zeros_like(u)
-    for k in range(_W_KMAX + 1):
-        total += _W_A**k * np.cos(_W_B**k * u)
-    return total
+    """sum_k a^k cos(3^k u) per coordinate, from one complex exponential.
+
+    With z = exp(i u), cos(3^k u) = Re z^(3^k), so each term's z is the cube
+    of the previous one's: one trig call instead of 21, and none at the huge
+    arguments 3^k u (past about 4e8 for k >= 16 cos needs its slow range
+    reduction). Cubing carries the rounding of exp(i u) up by 3^k, which a^k
+    more than damps: the sum stays within 1e-12 of the exact one, closer
+    than the direct cos(3^k u) for |u| > 1.
+    """
+    u = np.asarray(u, dtype=float)
+    flat = u.reshape(-1)
+    total = np.empty_like(flat)
+    z = np.empty(min(flat.size, _W_BLOCK), dtype=complex)
+    sq = np.empty_like(z)
+    for lo in range(0, flat.size, _W_BLOCK):
+        part = total[lo : lo + _W_BLOCK]
+        zb, sb = z[: part.size], sq[: part.size]
+        np.multiply(flat[lo : lo + _W_BLOCK], 1j, out=zb)
+        np.exp(zb, out=zb)
+        part[:] = zb.real
+        for a_k in _W_COEF:
+            np.square(zb, out=sb)
+            zb *= sb
+            part += a_k * zb.real
+    return total.reshape(u.shape)
 
 
 # The per-coordinate sum at the optimum (u = pi), computed by the same code,

@@ -4,7 +4,7 @@ from click.testing import CliRunner
 
 from sqgde.cli import main
 from sqgde.core import derive_seed
-from sqgde.harness import AlgorithmSpec, BenchmarkSpec
+from sqgde.harness import AlgorithmSpec, BenchmarkSpec, run_benchmark
 from sqgde.algos import DEConfig, SQGConfig
 from sqgde.metrics import estimate_rse_target
 from sqgde.testfuncs import FunctionDescriptor, make_test_function, suite_by_label
@@ -104,6 +104,26 @@ def test_rse_command_matches_direct_estimate(tmp_path):
     assert repr(expected.value) in res.output
     assert (tmp_path / "rse.csv").exists()
     assert repr(expected.value) in (tmp_path / "rse.csv").read_text()
+
+
+def test_rse_command_refuses_merge_of_another_budget(tmp_path):
+    spec = BenchmarkSpec(
+        algorithms=[AlgorithmSpec("sqg_small", SQGConfig(r=2, warm_start_samples=10))],
+        functions=[suite_by_label()["shifted_sphere"]],
+        dims=[3],
+        budget=50,
+        reps=2,
+        output_dir=str(tmp_path),
+    )
+    run_benchmark(spec)
+    before = (tmp_path / "rse.csv").read_text()
+    res = CliRunner().invoke(
+        main,
+        ["rse", "--function", "shifted_sphere", "--dim", "3", "--budget", "10", "--reps", "2", "--out", str(tmp_path)],
+    )
+    assert res.exit_code != 0
+    assert "budget" in res.output
+    assert (tmp_path / "rse.csv").read_text() == before
 
 
 def test_wilcoxon_command(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,11 +17,12 @@ from sqgde.harness import (
     default_benchmark_spec,
     ensure_rse_targets,
     execute_run,
+    merge_rse_targets,
     run_benchmark,
     run_seed,
     summarize,
 )
-from sqgde.metrics import ErtResult
+from sqgde.metrics import ErtResult, RseTarget
 from sqgde.testfuncs import FunctionDescriptor, make_test_function
 
 
@@ -210,6 +212,71 @@ def test_resume_refuses_other_stream_version(tmp_path, recorded):
     with pytest.raises(ValueError, match="stream version"):
         run_benchmark(spec)
     assert not (tmp_path / "runs.csv").exists()
+
+
+def test_resume_refuses_changed_budget_and_master_seed(tmp_path):
+    spec = replace(small_spec(tmp_path, reps=2, seed=1), budget=50)
+    run_benchmark(spec)
+    before = {name: (tmp_path / name).read_bytes() for name in ("spec.json", "rse.csv", "runs.csv")}
+    changed = replace(spec, budget=400, master_seed=2)
+    with pytest.raises(ValueError, match="budget 50 != 400; master_seed 1 != 2"):
+        run_benchmark(changed)
+    with pytest.raises(ValueError, match="budget"):
+        ensure_rse_targets(changed)
+    for field, value in (("budget", 400), ("master_seed", 2)):
+        with pytest.raises(ValueError, match=field):
+            run_benchmark(replace(spec, **{field: value}))
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+
+def test_resume_refuses_changed_algorithm_or_function(tmp_path):
+    spec = small_spec(tmp_path, reps=2)
+    run_benchmark(spec)
+    tuned = AlgorithmSpec("de_small", DEConfig("rand1exp", F=0.5, pop_size=10))
+    with pytest.raises(ValueError, match="algorithm 'de_small' changed"):
+        run_benchmark(replace(spec, algorithms=[tuned]))
+    reseeded = FunctionDescriptor(label="sphere2", kind="sphere", seed=4)
+    with pytest.raises(ValueError, match="function 'sphere2' changed"):
+        ensure_rse_targets(replace(spec, functions=[reseeded]))
+
+
+def test_rse_targets_of_another_budget_are_refused(tmp_path):
+    # rse.csv written without a spec.json (as by `sqgde rse --out`)
+    (tmp_path / "rse.csv").write_text("function,dim,budget,reps,value\nsphere2,2,50,5,1.5\n")
+    with pytest.raises(ValueError, match="rse.csv 50, spec 60"):
+        ensure_rse_targets(small_spec(tmp_path))
+
+
+def test_resume_adds_algorithms_functions_dims_and_reps(tmp_path):
+    spec = small_spec(tmp_path, reps=3)
+    run_benchmark(replace(spec, algorithms=spec.algorithms[:1]))
+    wider = replace(
+        spec,
+        algorithms=spec.algorithms[1:],
+        functions=spec.functions + [FunctionDescriptor(label="rast2", kind="rastrigin", seed=5)],
+        dims=[2, 3],
+        reps=2,
+    )
+    records = run_benchmark(wider)
+    assert len(records) == 3 + 2 * 2 * 2
+    recorded = BenchmarkSpec.from_json((tmp_path / "spec.json").read_text())
+    assert [a.name for a in recorded.algorithms] == ["de_small", "sqg_small"]
+    assert [f.label for f in recorded.functions] == ["sphere2", "rast2"]
+    assert (recorded.dims, recorded.reps) == ([2, 3], 3)
+    # the recorded spec still guards the algorithm the second call left out
+    with pytest.raises(ValueError, match="de_small"):
+        run_benchmark(replace(spec, algorithms=[AlgorithmSpec("de_small", DEConfig("best2bin", pop_size=10))]))
+
+
+def test_merge_rse_targets_guards_budget(tmp_path):
+    run_benchmark(small_spec(tmp_path, reps=2))
+    before = (tmp_path / "rse.csv").read_text()
+    with pytest.raises(ValueError, match="new target 10"):
+        merge_rse_targets(tmp_path, {("sphere2", 3): RseTarget("sphere2", 10, 2, 0.5)})
+    assert (tmp_path / "rse.csv").read_text() == before
+    merged = merge_rse_targets(tmp_path, {("sphere2", 3): RseTarget("sphere2", 60, 2, 0.5)})
+    assert set(merged) == {("sphere2", 2), ("sphere2", 3)}
+    assert (tmp_path / "rse.csv").read_text().endswith("sphere2,3,60,2,0.5\n")
 
 
 def test_workers_do_not_change_results(tmp_path):

@@ -22,6 +22,7 @@ from sqgde.testfuncs import (
     random_rotation,
     save_suite,
     suite_by_label,
+    _weierstrass_sum,
 )
 
 
@@ -80,6 +81,32 @@ def test_weierstrass_matches_direct_sum():
             total += a ** k * np.cos(2 * np.pi * b ** k * (zi + 0.5))
     total -= z.size * sum(a ** k * np.cos(np.pi * b ** k) for k in range(kmax + 1))
     assert base_eval("weierstrass", z) == pytest.approx(total, abs=1e-9)
+
+
+def test_weierstrass_sum_matches_high_precision_reference():
+    mpmath = pytest.importorskip("mpmath")
+    # A suite coordinate z has |z| <= sqrt(50) (a rotated unit-box offset; a
+    # composition divides a 10-wide offset by lam = 10), so u = 2 pi (z + 0.5)
+    # stays inside [-50, 50].
+    u = np.concatenate([[0.0, np.pi, -np.pi], make_rng(2005).uniform(-50.0, 50.0, 253)])
+    with mpmath.workdps(50):
+        reference = [
+            float(sum(mpmath.mpf(0.5) ** k * mpmath.cos(3**k * mpmath.mpf(x)) for k in range(21)))
+            for x in u
+        ]
+    npt.assert_allclose(_weierstrass_sum(u), reference, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 10, 30, 50])
+def test_weierstrass_exactly_zero_at_optimum_alone_and_in_batch(dim):
+    fn = make_test_function(suite_by_label()["shifted_rotated_weierstrass"], dim=dim)
+    shift = fn.body.transform.shift
+    assert fn(shift) == 0.0
+    X = fn.space.sample_uniform(make_rng(dim), 7)
+    X[3] = shift
+    values = fn(X)
+    assert values[3] == 0.0
+    assert np.all(np.delete(values, 3) > 0.0)
 
 
 def test_expanded_functions_cyclic_and_zero_at_optimum():
