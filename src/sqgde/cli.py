@@ -70,7 +70,7 @@ def run(algo, function_label, dim, budget, seed, out):
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{spec.name}__{desc.label}__d{dim}__s{seed}.csv"
-        harness._write_trace(path, trace)
+        harness.write_trace(path, trace)
         click.echo(f"trace written to {path}")
 
 

@@ -53,6 +53,7 @@ __all__ = [
     "run_benchmark",
     "ensure_rse_targets",
     "merge_rse_targets",
+    "write_trace",
     "summarize",
     "SummaryResult",
     "BNFV_GRID_STEP",
@@ -242,7 +243,8 @@ def _trace_rel_path(algorithm: str, function: str, dim: int, rep: int) -> str:
     return f"traces/{algorithm}__{function}__d{dim}__r{rep:04d}.csv"
 
 
-def _write_trace(path: Path, trace: RunTrace) -> None:
+def write_trace(path: Path, trace: RunTrace) -> None:
+    """Write a run's best-so-far trace as ``eval,best`` CSV lines."""
     rows = [(e, f) for e, f in trace.points]
     _atomic_write_text(path, _csv_text(["eval", "best"], rows))
 
@@ -416,11 +418,16 @@ def _merged_record(record: dict | None, spec: BenchmarkSpec) -> dict:
 def ensure_rse_targets(spec: BenchmarkSpec, progress: bool = False) -> dict[tuple[str, int], RseTarget]:
     """Compute (or load) the random-search targets for every function/dim cell.
 
+    Targets are estimated with the reps the directory records (the larger
+    of the recorded and the given reps), and a stored target of fewer reps
+    is estimated again. The reps draw in turn from one seed, so a directory
+    resumed with more reps gets the targets of an uninterrupted run.
     A directory recorded for another benchmark, or whose stored targets
     were estimated under another budget, is refused with ``ValueError``.
     """
     out = Path(spec.output_dir)
-    _check_resume(out, spec)
+    record = _check_resume(out, spec)
+    reps = max(spec.reps, record["reps"]) if record else spec.reps
     out.mkdir(parents=True, exist_ok=True)
     rse_path = out / "rse.csv"
     targets = _load_rse(rse_path)
@@ -429,12 +436,12 @@ def ensure_rse_targets(spec: BenchmarkSpec, progress: bool = False) -> dict[tupl
         (desc, dim)
         for desc in spec.functions
         for dim in spec.dims
-        if (desc.label, dim) not in targets
+        if (desc.label, dim) not in targets or targets[(desc.label, dim)].reps < reps
     ]
     for desc, dim in missing:
         fn = make_test_function(desc, dim=dim)
         seed = derive_seed(spec.master_seed, "rse", desc.label, dim)
-        target = estimate_rse_target(fn, spec.budget, spec.reps, seed)
+        target = estimate_rse_target(fn, spec.budget, reps, seed)
         targets[(desc.label, dim)] = target
         if progress:
             print(f"rse  {desc.label} d={dim}  target={target.value:.6g}")
@@ -516,7 +523,7 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False)
         def handle(result):
             name, label, dim, rep, seed, evals_used, best, points = result
             rel = _trace_rel_path(name, label, dim, rep)
-            _write_trace(out / rel, RunTrace(tuple(points), evals_used))
+            write_trace(out / rel, RunTrace(tuple(points), evals_used))
             rec = RunRecord(name, label, dim, rep, seed, evals_used, best, rel)
             new_records.append(rec)
             fh.write(

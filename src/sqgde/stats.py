@@ -3,7 +3,8 @@
 Zero differences are dropped, tied absolute differences get average ranks,
 and the p-value is exact (full enumeration over sign assignments) up to a
 cutoff sample size, beyond which a tie-corrected normal approximation with
-continuity correction is used.
+continuity correction is used. The ranks are computed in numpy, so the
+package imports no scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = ["WilcoxonResult", "wilcoxon_signed_rank", "EXACT_CUTOFF", "ALPHA"]
 
@@ -27,6 +27,24 @@ class WilcoxonResult:
     p_value: float
     method: str
     significant: bool
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks.
+
+    Equals ``scipy.stats.rankdata(x)``, NaN included: any NaN makes every
+    rank NaN.
+    """
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], xs.size]
+    ranks = np.empty(x.size)
+    # A tie group at sorted positions start..end-1 holds ranks start+1..end.
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def _exact_two_sided(ranks: np.ndarray, w_plus: float) -> float:
@@ -89,7 +107,7 @@ def wilcoxon_signed_rank(a, b, exact_cutoff: int = EXACT_CUTOFF) -> WilcoxonResu
     if n == 0:
         return WilcoxonResult(0.0, 0, 1.0, "exact_enumeration", False)
     d_abs = np.abs(d)
-    ranks = rankdata(d_abs)
+    ranks = _average_ranks(d_abs)
     w_plus = float(np.sum(ranks[d > 0]))
     if n <= exact_cutoff:
         p = _exact_two_sided(ranks, w_plus)

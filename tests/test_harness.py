@@ -11,7 +11,6 @@ from sqgde.harness import (
     AlgorithmSpec,
     BenchmarkSpec,
     _read_trace,
-    _write_trace,
     algorithm_preset,
     build_summary_rows,
     default_benchmark_spec,
@@ -21,6 +20,7 @@ from sqgde.harness import (
     run_benchmark,
     run_seed,
     summarize,
+    write_trace,
 )
 from sqgde.metrics import ErtResult, RseTarget
 from sqgde.testfuncs import FunctionDescriptor, make_test_function
@@ -140,7 +140,7 @@ def test_execute_run_dispatch():
 def test_trace_roundtrip(tmp_path):
     trace = RunTrace(((1, 5.0), (7, 1.25), (30, 0.1)), 30)
     path = tmp_path / "t.csv"
-    _write_trace(path, trace)
+    write_trace(path, trace)
     again = _read_trace(path)
     assert again.points == trace.points
     assert again.final_evals == 30
@@ -190,6 +190,16 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         (tmp_path / "resumed" / "runs.csv").read_bytes()
         == (tmp_path / "fresh" / "runs.csv").read_bytes()
     )
+
+
+def test_resume_with_more_reps_matches_uninterrupted_rse_and_ert(tmp_path):
+    run_benchmark(small_spec(tmp_path / "resumed", reps=3))
+    run_benchmark(small_spec(tmp_path / "resumed", reps=6))
+    run_benchmark(small_spec(tmp_path / "fresh", reps=6))
+    for name in ("resumed", "fresh"):
+        summarize(tmp_path / name)
+    for table in ("rse.csv", "ert.csv"):
+        assert (tmp_path / "resumed" / table).read_bytes() == (tmp_path / "fresh" / table).read_bytes()
 
 
 def test_spec_records_stream_version(tmp_path):

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from sqgde.stats import ALPHA, EXACT_CUTOFF, WilcoxonResult, wilcoxon_signed_rank
+from sqgde.stats import ALPHA, EXACT_CUTOFF, WilcoxonResult, _average_ranks, wilcoxon_signed_rank
 
 
 def brute_force_p(d):
@@ -23,6 +27,36 @@ def brute_force_p(d):
     n_ge = sum(1 for s in sums if s >= w_obs - 1e-12)
     total = 2 ** len(ranks)
     return min(2 * min(n_le, n_ge), total) / total
+
+
+# Integer-valued floats from a range of k + 1 values: small k gives many
+# ties, and k = 0 gives all-equal vectors.
+tie_heavy_vectors = st.integers(min_value=0, max_value=8).flatmap(
+    lambda k: st.lists(st.integers(min_value=0, max_value=k), min_size=1, max_size=60)
+)
+
+
+@given(tie_heavy_vectors)
+@settings(max_examples=300, deadline=None)
+def test_average_ranks_equal_scipy_rankdata(values):
+    x = np.array(values, dtype=float)
+    assert np.array_equal(_average_ranks(x), rankdata(x))
+
+
+def test_average_ranks_propagate_nan_like_scipy():
+    x = np.array([2.0, np.nan, 1.0])
+    assert np.isnan(_average_ranks(x)).all() and np.isnan(rankdata(x)).all()
+
+
+def test_package_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys, sqgde, sqgde.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_all_positive_n6():
