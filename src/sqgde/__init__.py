@@ -7,12 +7,10 @@ from .algos import (
     SQGConfig,
     crossover_binomial,
     crossover_exponential,
-    greedy_select,
     mutate_best2,
     mutate_rand1,
     run_de,
     run_sqg,
-    sample_distinct_indices,
     sqg_gradient_estimate,
     sqg_mutant,
 )
@@ -20,7 +18,6 @@ from .core import (
     STREAM_VERSION,
     BudgetedEvaluator,
     BudgetExhausted,
-    Individual,
     Population,
     RunTrace,
     SearchSpace,
@@ -43,7 +40,6 @@ from .metrics import (
     ErtResult,
     NormalizationUndefined,
     RseTarget,
-    bnfv_curve,
     bnfv_on_grid,
     estimate_rse_target,
     expected_running_time,
@@ -60,10 +56,8 @@ from .testfuncs import (
     composition_weights,
     custom_function,
     default_suite,
-    load_suite,
     make_test_function,
     random_rotation,
-    save_suite,
 )
 
 __version__ = "0.1.0"

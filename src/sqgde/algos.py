@@ -36,7 +36,6 @@ import numpy as np
 from .core import (
     BudgetedEvaluator,
     BudgetExhausted,
-    Individual,
     Population,
     RngStream,
     RunTrace,
@@ -52,7 +51,6 @@ __all__ = [
     "DEConfig",
     "SQGConfig",
     "distinct_indices",
-    "sample_distinct_indices",
     "rand1_donors",
     "best2_donors",
     "sqg_pairs",
@@ -67,7 +65,6 @@ __all__ = [
     "crossover_binomial",
     "crossover_exponential",
     "select_trials",
-    "greedy_select",
     "sqg_gradient_estimate",
     "run_de",
     "run_sqg",
@@ -168,17 +165,6 @@ def _others(rows, pop_size: int) -> np.ndarray:
     blocked = np.zeros((rows.size, pop_size), dtype=bool)
     blocked[np.arange(rows.size), rows] = True
     return blocked
-
-
-def sample_distinct_indices(pop_size: int, k: int, exclude: set[int], rng: RngStream) -> list[int]:
-    """k distinct indices from range(pop_size) avoiding ``exclude``.
-
-    Uniform over the valid ordered selections; raises InsufficientPopulation
-    if fewer than k candidates remain.
-    """
-    blocked = np.zeros((1, pop_size), dtype=bool)
-    blocked[0, list(exclude)] = True
-    return distinct_indices(blocked, k, rng)[0].tolist()
 
 
 def rand1_donors(X: np.ndarray, idx: np.ndarray, F: float) -> np.ndarray:
@@ -354,13 +340,6 @@ def crossover_exponential(target: np.ndarray, donor: np.ndarray, CR: float, rng:
 def select_trials(target_fitness, trial_fitness) -> np.ndarray:
     """Where each trial replaces its target: ranked fitness no worse; ties go to the trial."""
     return ranked_fitness(trial_fitness) <= ranked_fitness(target_fitness)
-
-
-def greedy_select(target: Individual, trial: Individual) -> Individual:
-    """Keep the better of target and trial; ties go to the trial."""
-    if target.fitness is None or trial.fitness is None:
-        raise ValueError("greedy selection needs evaluated individuals")
-    return trial if select_trials(target.fitness, trial.fitness) else target
 
 
 def sqg_gradient_estimate(

@@ -23,7 +23,6 @@ from .stats import wilcoxon_signed_rank
 from .testfuncs import (
     FunctionDescriptor,
     default_suite,
-    load_suite,
     make_test_function,
     suite_by_label,
 )
@@ -179,7 +178,10 @@ def wilcoxon(csv_path, col_a, col_b):
         for row in reader:
             a.append(float(row[col_a]))
             b.append(float(row[col_b]))
-    res = wilcoxon_signed_rank(a, b)
+    try:
+        res = wilcoxon_signed_rank(a, b)
+    except ValueError as err:
+        raise click.ClickException(str(err)) from err
     click.echo(f"n_effective={res.n_effective} w_plus={res.w_plus!r}")
     click.echo(f"p_value={res.p_value!r} method={res.method} significant={res.significant}")
 

@@ -1,13 +1,14 @@
 """Core types for budgeted, reproducible minimization runs.
 
 Everything downstream (test functions, optimizers, the benchmark harness)
-shares these primitives: an axis-aligned search box, evaluated individuals,
+shares these primitives: an axis-aligned search box, a population array,
 a hard evaluation budget, and explicit seeded random streams.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +21,6 @@ __all__ = [
     "make_rng",
     "derive_seed",
     "SearchSpace",
-    "Individual",
     "ranked_fitness",
     "Population",
     "init_population",
@@ -101,14 +101,6 @@ class SearchSpace:
     @property
     def mean_range(self) -> float:
         return float(np.mean(self.upper - self.lower))
-
-
-@dataclass
-class Individual:
-    """A candidate point; fitness is None while evaluation is pending."""
-
-    genome: np.ndarray
-    fitness: float | None = None
 
 
 def ranked_fitness(values) -> np.ndarray:
@@ -211,20 +203,14 @@ class RunTrace:
 
     def first_crossing(self, target: float) -> int | None:
         """First evaluation index with best fitness strictly below target."""
-        for e, f in self.points:
-            if f < target:
-                return e
-        return None
+        # Fitness never increases, so -fitness is sorted.
+        i = bisect_right(self.points, -target, key=lambda p: -p[1])
+        return self.points[i][0] if i < len(self.points) else None
 
     def best_at(self, eval_index: int) -> float:
         """Best-so-far after ``eval_index`` evaluations (inf before the first)."""
-        best = float("inf")
-        for e, f in self.points:
-            if e <= eval_index:
-                best = f
-            else:
-                break
-        return best
+        i = bisect_right(self.points, eval_index, key=lambda p: p[0])
+        return self.points[i - 1][1] if i else float("inf")
 
 
 class BudgetedEvaluator:

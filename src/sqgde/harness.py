@@ -25,6 +25,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -117,11 +118,11 @@ def algorithm_preset(name: str) -> AlgorithmSpec:
 
 @dataclass
 class BenchmarkSpec:
-    """Everything needed to reproduce a benchmark matrix."""
+    """Everything needed to reproduce a benchmark matrix; the defaults are the protocol's."""
 
     algorithms: list[AlgorithmSpec]
     functions: list[FunctionDescriptor]
-    dims: list[int]
+    dims: list[int] = field(default_factory=lambda: [30, 50])
     budget: int = 1000
     reps: int = 100
     master_seed: int = 12345
@@ -158,23 +159,15 @@ class BenchmarkSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkSpec":
-        algos = []
-        for entry in d.get("algorithms", list(ALGORITHM_PRESETS)):
-            if isinstance(entry, str):
-                algos.append(algorithm_preset(entry))
-            else:
-                algos.append(AlgorithmSpec.from_dict(entry))
+        """Missing entries take the defaults: all presets, the default suite, the protocol."""
+        algos = [
+            algorithm_preset(e) if isinstance(e, str) else AlgorithmSpec.from_dict(e)
+            for e in d.get("algorithms", ALGORITHM_PRESETS)
+        ]
         funcs = d.get("functions")
         functions = [FunctionDescriptor.from_dict(f) for f in funcs] if funcs else default_suite()
-        return cls(
-            algorithms=algos,
-            functions=functions,
-            dims=[int(x) for x in d.get("dims", [30, 50])],
-            budget=int(d.get("budget", 1000)),
-            reps=int(d.get("reps", 100)),
-            master_seed=int(d.get("master_seed", 12345)),
-            output_dir=str(d.get("output_dir", "results")),
-        )
+        casts = dict(dims=lambda v: list(map(int, v)), budget=int, reps=int, master_seed=int, output_dir=str)
+        return cls(algos, functions, **{k: cast(d[k]) for k, cast in casts.items() if k in d})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -184,22 +177,9 @@ class BenchmarkSpec:
         return cls.from_dict(json.loads(text))
 
 
-def default_benchmark_spec(
-    output_dir: str = "results",
-    dims=(30, 50),
-    budget: int = 1000,
-    reps: int = 100,
-    master_seed: int = 12345,
-) -> BenchmarkSpec:
-    return BenchmarkSpec(
-        algorithms=[ALGORITHM_PRESETS[n] for n in ("de", "de2", "sqg", "sqgde")],
-        functions=default_suite(),
-        dims=list(dims),
-        budget=budget,
-        reps=reps,
-        master_seed=master_seed,
-        output_dir=output_dir,
-    )
+def default_benchmark_spec() -> BenchmarkSpec:
+    """The protocol: the four presets on the default suite."""
+    return BenchmarkSpec.from_dict({})
 
 
 @dataclass(frozen=True)
@@ -211,11 +191,15 @@ class RunRecord:
     seed: int
     evals_used: int
     best_fitness: float
-    trace_path: str
 
     @property
     def key(self) -> tuple[str, str, int, int]:
         return (self.algorithm, self.function, self.dim, self.rep)
+
+    @property
+    def trace_path(self) -> str:
+        """The run's trace file, relative to the output directory."""
+        return f"traces/{self.algorithm}__{self.function}__d{self.dim}__r{self.rep:04d}.csv"
 
 
 def _fmt(v) -> str:
@@ -239,10 +223,6 @@ def _csv_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trace_rel_path(algorithm: str, function: str, dim: int, rep: int) -> str:
-    return f"traces/{algorithm}__{function}__d{dim}__r{rep:04d}.csv"
-
-
 def write_trace(path: Path, trace: RunTrace) -> None:
     """Write a run's best-so-far trace as ``eval,best`` CSV lines."""
     rows = [(e, f) for e, f in trace.points]
@@ -252,7 +232,7 @@ def write_trace(path: Path, trace: RunTrace) -> None:
 def _read_trace(path: Path) -> RunTrace:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["eval", "best"]:
             raise ValueError(f"unexpected trace header in {path}: {header}")
         points = [(int(e), float(b)) for e, b in reader]
@@ -260,36 +240,43 @@ def _read_trace(path: Path) -> RunTrace:
     return RunTrace(tuple(points), final_evals)
 
 
-def _load_runs(path: Path, out_dir: Path) -> dict[tuple, RunRecord]:
-    """Existing records keyed by (algorithm, function, dim, rep).
+def _check_evals_used(records, budget: int) -> None:
+    for rec in records:
+        if rec.evals_used > budget:
+            raise RuntimeError(f"run {rec.key} used {rec.evals_used} evaluations, over the budget {budget}")
 
-    Rows whose trace file is missing are dropped so they get re-run.
+
+def _load_runs(out: Path, budget: int):
+    """Yield (record, trace) of each recorded run, in key order.
+
+    A row counts only if a newline ends it and its evals_used and
+    best_fitness equal the last point of its trace. Other rows, and rows
+    whose trace is missing or does not parse, are skipped so their runs are
+    run again. A row over the budget raises RuntimeError.
     """
+    path = out / "runs.csv"
+    lines = path.read_text().split("\n")[:-1] if path.exists() else []
+    if lines[:1] != [",".join(RUNS_COLUMNS)]:
+        return
     records: dict[tuple, RunRecord] = {}
-    if not path.exists():
-        return records
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RUNS_COLUMNS:
-            return records
-        for row in reader:
-            if len(row) != len(RUNS_COLUMNS):
-                continue
+    for row in csv.reader(lines[1:]):
+        try:
             algorithm, function, dim, rep, seed, evals_used, best = row
-            rec = RunRecord(
-                algorithm=algorithm,
-                function=function,
-                dim=int(dim),
-                rep=int(rep),
-                seed=int(seed),
-                evals_used=int(evals_used),
-                best_fitness=float(best),
-                trace_path=_trace_rel_path(algorithm, function, int(dim), int(rep)),
-            )
-            if rec.key not in records and (out_dir / rec.trace_path).exists():
-                records[rec.key] = rec
-    return records
+            numbers = int(dim), int(rep), int(seed), int(evals_used), float(best)
+        except ValueError:  # wrong field count or a cut number
+            continue
+        rec = RunRecord(algorithm, function, *numbers)
+        records.setdefault(rec.key, rec)
+    _check_evals_used(records.values(), budget)
+    for key in sorted(records):
+        rec = records[key]
+        try:
+            trace = _read_trace(out / rec.trace_path)
+        except (OSError, ValueError):
+            continue
+        last = trace.points[-1] if trace.points else (rec.evals_used, float("inf"))
+        if last == (rec.evals_used, rec.best_fitness):
+            yield rec, trace
 
 
 def _write_runs(path: Path, records: list[RunRecord]) -> None:
@@ -501,7 +488,7 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False)
     ensure_rse_targets(spec, progress=progress)
 
     runs_path = out / "runs.csv"
-    existing = _load_runs(runs_path, out)
+    existing = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)}
 
     tasks = []
     for algo in spec.algorithms:
@@ -515,16 +502,14 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False)
                     tasks.append((algo, desc, dim, rep, seed))
 
     new_records: list[RunRecord] = []
-    append_header = not runs_path.exists()
+    # Keep only the rows that count, so appended rows start on a fresh line.
+    _write_runs(runs_path, existing.values())
     with open(runs_path, "a", newline="") as fh:
-        if append_header:
-            fh.write(",".join(RUNS_COLUMNS) + "\n")
 
         def handle(result):
             name, label, dim, rep, seed, evals_used, best, points = result
-            rel = _trace_rel_path(name, label, dim, rep)
-            write_trace(out / rel, RunTrace(tuple(points), evals_used))
-            rec = RunRecord(name, label, dim, rep, seed, evals_used, best, rel)
+            rec = RunRecord(name, label, dim, rep, seed, evals_used, best)
+            write_trace(out / rec.trace_path, RunTrace(tuple(points), evals_used))
             new_records.append(rec)
             fh.write(
                 ",".join(_fmt(v) for v in (name, label, dim, rep, seed, evals_used, best)) + "\n"
@@ -545,12 +530,8 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False)
                 for fut in as_completed(futures):
                     handle(fut.result())
 
+    _check_evals_used(new_records, spec.budget)
     records = list(existing.values()) + new_records
-    for rec in records:
-        if rec.evals_used > spec.budget:
-            raise RuntimeError(
-                f"run {rec.key} used {rec.evals_used} evaluations, over the budget {spec.budget}"
-            )
     _write_runs(runs_path, records)
     return sorted(records, key=lambda r: r.key)
 
@@ -580,53 +561,31 @@ def summarize(output_dir: str | Path) -> SummaryResult:
     out = Path(output_dir)
     spec = BenchmarkSpec.from_json((out / "spec.json").read_text())
     targets = _load_rse(out / "rse.csv")
-    records = sorted(_load_runs(out / "runs.csv", out).values(), key=lambda r: r.key)
-    if not records:
-        raise ValueError(f"no run records found under {out}")
-    for rec in records:
-        if rec.evals_used > spec.budget:
-            raise RuntimeError(
-                f"run {rec.key} used {rec.evals_used} evaluations, over the budget {spec.budget}"
-            )
-
-    by_cell: dict[tuple[str, str, int], list[RunRecord]] = {}
-    for rec in records:
-        by_cell.setdefault((rec.algorithm, rec.function, rec.dim), []).append(rec)
-
     algo_names = [a.name for a in spec.algorithms]
     labels = [f.label for f in spec.functions]
     cat_of = {f.label: f.category for f in spec.functions}
-
-    ert_rows: list[dict] = []
-    ert_by_cell: dict[tuple[str, str, int], ErtResult] = {}
+    cells = [(algo, label, dim) for algo in algo_names for label in labels for dim in spec.dims]
     grid = list(range(BNFV_GRID_STEP, spec.budget + 1, BNFV_GRID_STEP))
     bnfv_dir = out / "bnfv"
     bnfv_dir.mkdir(exist_ok=True)
 
-    for algo in algo_names:
-        for label in labels:
-            for dim in spec.dims:
-                cell = (algo, label, dim)
-                if cell not in by_cell:
-                    continue
-                recs = sorted(by_cell[cell], key=lambda r: r.rep)
-                target = targets.get((label, dim))
-                if target is None:
-                    raise ValueError(f"missing random-search target for {label} d={dim}")
-                traces = [_read_trace(out / r.trace_path) for r in recs]
-                ert = expected_running_time(traces, target.value, spec.budget)
-                ert_by_cell[cell] = ert
-                ert_rows.append(
-                    {
-                        "algorithm": algo,
-                        "function": label,
-                        "dim": dim,
-                        "ert": ert.value,
-                        "lower_bound": ert.lower_bound,
-                        "success_rate": ert.success_rate,
-                    }
-                )
-                _write_bnfv_curves(bnfv_dir, algo, label, dim, traces, target, grid)
+    # One cell's traces at a time: the runs come in key order.
+    ert_by_cell: dict[tuple[str, str, int], ErtResult] = {}
+    for cell, runs in groupby(_load_runs(out, spec.budget), key=lambda run: run[0].key[:3]):
+        _, label, dim = cell
+        target = targets.get((label, dim))
+        if target is None:
+            raise ValueError(f"missing random-search target for {label} d={dim}")
+        traces = [trace for _, trace in runs]
+        ert_by_cell[cell] = expected_running_time(traces, target.value, spec.budget)
+        _write_bnfv_curves(bnfv_dir, *cell, traces, target, grid)
+    if not ert_by_cell:
+        raise ValueError(f"no run records found under {out}")
+    ert_rows = [
+        dict(algorithm=a, function=f, dim=d, ert=e.value, lower_bound=e.lower_bound, success_rate=e.success_rate)
+        for a, f, d in cells
+        if (e := ert_by_cell.get((a, f, d)))
+    ]
 
     _atomic_write_text(
         out / "ert.csv",

@@ -21,7 +21,6 @@ __all__ = [
     "expected_running_time",
     "RseTarget",
     "estimate_rse_target",
-    "bnfv_curve",
     "bnfv_on_grid",
 ]
 
@@ -94,15 +93,6 @@ def estimate_rse_target(fn, budget: int, reps: int, seed: int) -> RseTarget:
         values = np.asarray(fn(space.sample_uniform(rng, budget), rng), dtype=float)
         total += float(np.fmin.reduce(values, initial=np.inf))  # NaN never counts as best
     return RseTarget(getattr(fn, "label", "custom"), int(budget), int(reps), total / reps)
-
-
-def bnfv_curve(trace: RunTrace, target: RseTarget) -> list[tuple[int, float]]:
-    """Best fitness normalized by the random-search target, per trace point."""
-    if target.value == 0.0:
-        raise NormalizationUndefined(
-            f"random-search target for {target.function_label} is zero; report raw best fitness instead"
-        )
-    return [(e, f / target.value) for e, f in trace.points]
 
 
 def bnfv_on_grid(trace: RunTrace, target: RseTarget, grid) -> np.ndarray:

@@ -93,7 +93,7 @@ def wilcoxon_signed_rank(a, b, exact_cutoff: int = EXACT_CUTOFF) -> WilcoxonResu
     Returns the positive rank sum W+, the effective sample size after
     dropping zero differences, the p-value, the method used, and the
     significance verdict at the 0.05 level. With no nonzero differences the
-    p-value is 1 by convention.
+    p-value is 1 by convention. Non-finite input raises ``ValueError``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -101,6 +101,8 @@ def wilcoxon_signed_rank(a, b, exact_cutoff: int = EXACT_CUTOFF) -> WilcoxonResu
         raise ValueError("paired samples must be 1-d arrays of equal length")
     if a.size < 2:
         raise ValueError("the test needs at least 2 pairs")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("paired samples must be finite; NaN or infinite values have no rank")
     d = a - b
     d = d[d != 0.0]
     n = int(d.size)

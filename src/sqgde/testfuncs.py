@@ -11,9 +11,7 @@ a seed fully reproduces the function.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -38,8 +36,6 @@ __all__ = [
     "make_test_function",
     "default_suite",
     "suite_by_label",
-    "save_suite",
-    "load_suite",
 ]
 
 NOISE_MULT_GAUSSIAN = "multiplicative_gaussian"
@@ -571,13 +567,3 @@ def default_suite() -> list[FunctionDescriptor]:
 def suite_by_label(suite: list[FunctionDescriptor] | None = None) -> dict[str, FunctionDescriptor]:
     suite = suite if suite is not None else default_suite()
     return {d.label: d for d in suite}
-
-
-def save_suite(path: str | Path, suite: list[FunctionDescriptor]) -> None:
-    payload = {"functions": [d.to_dict() for d in suite]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def load_suite(path: str | Path) -> list[FunctionDescriptor]:
-    payload = json.loads(Path(path).read_text())
-    return [FunctionDescriptor.from_dict(d) for d in payload["functions"]]

@@ -11,17 +11,17 @@ from sqgde.algos import (
     SQGConfig,
     crossover_binomial,
     crossover_exponential,
-    greedy_select,
+    distinct_indices,
     mutate_best2,
     mutate_rand1,
     run_de,
     run_sqg,
-    sample_distinct_indices,
+    select_trials,
     sqg_donor,
     sqg_gradient_estimate,
     sqg_mutant,
 )
-from sqgde.core import BudgetedEvaluator, Individual, Population, best_index, make_rng
+from sqgde.core import BudgetedEvaluator, Population, best_index, make_rng
 from sqgde.testfuncs import FunctionDescriptor, custom_function, make_test_function
 
 
@@ -90,22 +90,26 @@ def test_sqg_config_validation():
 
 
 def test_sample_distinct_forced_support():
-    got = sorted(sample_distinct_indices(5, 4, {0}, make_rng(0)))
-    assert got == [1, 2, 3, 4]
+    blocked = np.zeros((1, 5), dtype=bool)
+    blocked[0, 0] = True
+    assert sorted(distinct_indices(blocked, 4, make_rng(0))[0]) == [1, 2, 3, 4]
 
 
 def test_sample_distinct_insufficient():
     with pytest.raises(InsufficientPopulation):
-        sample_distinct_indices(3, 4, set(), make_rng(0))
+        distinct_indices(np.zeros((1, 3), dtype=bool), 4, make_rng(0))
 
 
 def test_sample_distinct_property():
-    rng = make_rng(5)
-    for _ in range(1000):
-        idx = sample_distinct_indices(100, 10, {7}, rng)
-        assert len(set(idx)) == 10
-        assert 7 not in idx
-        assert all(0 <= i < 100 for i in idx)
+    rows = np.arange(1000)
+    blocked = np.zeros((1000, 100), dtype=bool)
+    blocked[rows, rows % 100] = True
+    idx = distinct_indices(blocked, 10, make_rng(5))
+    assert idx.shape == (1000, 10)
+    for row, picked in zip(rows, idx.tolist()):
+        assert len(set(picked)) == 10
+        assert row % 100 not in picked
+        assert all(0 <= i < 100 for i in picked)
 
 
 # --- mutation -----------------------------------------------------------------
@@ -347,24 +351,15 @@ def test_crossover_gene_provenance(d, cr, seed, kind):
 
 
 def test_greedy_select_rules():
-    better = Individual(np.zeros(1), 1.0)
-    worse = Individual(np.ones(1), 2.0)
-    assert greedy_select(worse, better) is better
-    assert greedy_select(better, worse) is better
-    tied = Individual(np.full(1, 5.0), 1.0)
-    assert greedy_select(better, tied) is tied
+    # (target, trial): a better trial wins, a worse one loses, a tie goes to the trial
+    won = select_trials([2.0, 1.0, 1.0], [1.0, 2.0, 1.0])
+    assert won.tolist() == [True, False, True]
 
 
 def test_greedy_select_non_finite_ranks_last():
-    good = Individual(np.zeros(1), 5.0)
     for bad in (float("nan"), float("inf"), float("-inf")):
-        assert greedy_select(Individual(np.ones(1), bad), good) is good
-        assert greedy_select(good, Individual(np.ones(1), bad)) is good
-
-
-def test_greedy_select_rejects_pending():
-    with pytest.raises(ValueError):
-        greedy_select(Individual(np.zeros(1), None), Individual(np.zeros(1), 1.0))
+        assert select_trials(bad, 5.0)
+        assert not select_trials(5.0, bad)
 
 
 # --- gradient estimate -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from sqgde.cli import main
@@ -134,6 +135,16 @@ def test_wilcoxon_command(tmp_path):
     assert res.exit_code == 0
     assert "p_value=0.03125" in res.output
     assert "significant=True" in res.output
+
+
+@pytest.mark.parametrize("n", [10, 30])
+def test_wilcoxon_command_refuses_nan(tmp_path, n):
+    csv_path = tmp_path / "pairs.csv"
+    rows = ["a,b"] + [f"{i + 1},{i}" for i in range(n - 1)] + ["nan,0"]
+    csv_path.write_text("\n".join(rows) + "\n")
+    res = CliRunner().invoke(main, ["wilcoxon", str(csv_path), "a", "b"])
+    assert res.exit_code == 1
+    assert "Error: paired samples must be finite" in res.output
 
 
 def test_wilcoxon_command_rejects_missing_column(tmp_path):

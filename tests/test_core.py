@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from sqgde.core import (
     BudgetedEvaluator,
     BudgetExhausted,
-    Individual,
     Population,
     RunTrace,
     SearchSpace,
@@ -172,6 +171,33 @@ def test_run_trace_queries():
     assert trace.best_at(399) == 50.0
     assert trace.best_at(1000) == 10.0
     assert RunTrace((), 0).final_best == float("inf")
+
+
+def _best_at_scan(points, eval_index):
+    best = float("inf")
+    for e, f in points:
+        if e > eval_index:
+            break
+        best = f
+    return best
+
+
+def _first_crossing_scan(points, target):
+    return next((e for e, f in points if f < target), None)
+
+
+@given(
+    st.lists(st.integers(1, 60), unique=True, max_size=12),
+    st.lists(st.sampled_from([-np.inf, -2.0, -0.5, 0.0, 0.5, 1.0, 3.0]), min_size=12, max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_run_trace_lookups_equal_linear_scans(evals, values):
+    points = tuple(zip(sorted(evals), sorted(values, reverse=True)))  # ties included
+    trace = RunTrace(points, 60)
+    for k in range(-1, 62):
+        assert trace.best_at(k) == _best_at_scan(points, k)
+    for target in [-np.inf, np.inf, np.nan, -1.0, 0.25, 2.0, *values]:
+        assert trace.first_crossing(target) == _first_crossing_scan(points, target)
 
 
 def test_evaluate_batch_stops_at_budget_and_logs_in_row_order():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sqgde import harness
 from sqgde.algos import DEConfig, SQGConfig
 from sqgde.core import STREAM_VERSION, RunTrace
 from sqgde.harness import (
@@ -112,6 +113,7 @@ def test_default_benchmark_spec_shape():
     assert len(spec.algorithms) == 4
     assert len(spec.functions) == 17
     assert spec.dims == [30, 50]
+    assert (spec.budget, spec.reps, spec.master_seed, spec.output_dir) == (1000, 100, 12345, "results")
 
 
 def test_run_seed_is_stable_and_spread():
@@ -200,6 +202,108 @@ def test_resume_with_more_reps_matches_uninterrupted_rse_and_ert(tmp_path):
         summarize(tmp_path / name)
     for table in ("rse.csv", "ert.csv"):
         assert (tmp_path / "resumed" / table).read_bytes() == (tmp_path / "fresh" / table).read_bytes()
+
+
+def _results(out):
+    """Every result file of a directory but spec.json, which names the directory."""
+    return {
+        p.relative_to(out).as_posix(): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "spec.json"
+    }
+
+
+def sphere_spec(out, reps=3):
+    return BenchmarkSpec(
+        algorithms=[algorithm_preset("de")],
+        functions=[FunctionDescriptor(label="sphere", kind="sphere", seed=3)],
+        dims=[2],
+        budget=200,
+        reps=reps,
+        master_seed=7,
+        output_dir=str(out),
+    )
+
+
+def _crash_at_trace_write(monkeypatch, k):
+    """Make the k-th trace write from now on raise, as a crash there would."""
+    real, written = harness.write_trace, []
+
+    def write(path, trace):
+        written.append(path)
+        if len(written) == k:
+            raise OSError("crashed")
+        real(path, trace)
+
+    monkeypatch.setattr(harness, "write_trace", write)
+
+
+def test_resume_drops_a_row_cut_short(tmp_path, monkeypatch):
+    run_benchmark(sphere_spec(tmp_path / "fresh", reps=5))
+    cut = tmp_path / "cut"
+    run_benchmark(sphere_spec(cut))
+    runs_path = cut / "runs.csv"
+    text = runs_path.read_text()
+    runs_path.write_text(text[:-6])  # the last best_fitness loses digits and the newline
+    assert len(runs_path.read_text().splitlines()[-1].split(",")) == 7
+    # A resume that crashes after re-running the cut row: rows appended
+    # after the cut one must start on a line of their own.
+    _crash_at_trace_write(monkeypatch, 2)
+    with pytest.raises(OSError, match="crashed"):
+        run_benchmark(sphere_spec(cut, reps=5))
+    assert all(len(line.split(",")) == 7 for line in runs_path.read_text().splitlines())
+    monkeypatch.undo()
+    run_benchmark(sphere_spec(cut, reps=5))
+    assert runs_path.read_bytes() == (tmp_path / "fresh" / "runs.csv").read_bytes()
+
+
+def _drop_last_point(text):
+    return "".join(text.splitlines(keepends=True)[:-1])
+
+
+def _swap_first_points(text):
+    lines = text.splitlines(keepends=True)
+    return "".join([lines[0], lines[2], lines[1]] + lines[3:])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        None,  # the trace file is missing
+        lambda text: "",
+        lambda text: text.replace("eval,best", "evals,best"),
+        _swap_first_points,
+        _drop_last_point,  # parses, but disagrees with the row
+    ],
+    ids=["missing", "empty", "bad_header", "out_of_order", "disagrees"],
+)
+def test_resume_runs_again_a_run_with_a_bad_trace(tmp_path, damage):
+    run_benchmark(sphere_spec(tmp_path / "fresh"))
+    out = tmp_path / "damaged"
+    run_benchmark(sphere_spec(out))
+    trace_path = sorted((out / "traces").iterdir())[1]
+    if damage is None:
+        trace_path.unlink()
+    else:
+        trace_path.write_text(damage(trace_path.read_text()))
+    run_benchmark(sphere_spec(out))
+    for name in ("fresh", "damaged"):
+        summarize(tmp_path / name)
+    assert _results(out) == _results(tmp_path / "fresh")
+
+
+def test_interrupted_matrix_resumes_to_the_same_bytes(tmp_path, monkeypatch):
+    out = tmp_path / "resumed"
+    _crash_at_trace_write(monkeypatch, 4)
+    with pytest.raises(OSError, match="crashed"):
+        run_benchmark(small_spec(out))
+    monkeypatch.undo()
+    assert len((out / "runs.csv").read_text().splitlines()) == 1 + 3
+    run_benchmark(small_spec(out))
+    run_benchmark(small_spec(tmp_path / "fresh"))
+    for name in ("resumed", "fresh"):
+        summarize(tmp_path / name)
+    assert _results(out) == _results(tmp_path / "fresh")
 
 
 def test_spec_records_stream_version(tmp_path):

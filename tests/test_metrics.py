@@ -7,7 +7,6 @@ from sqgde.core import RunTrace, SearchSpace, make_rng
 from sqgde.metrics import (
     NormalizationUndefined,
     RseTarget,
-    bnfv_curve,
     bnfv_on_grid,
     estimate_rse_target,
     expected_running_time,
@@ -111,22 +110,25 @@ def test_rse_validation():
         estimate_rse_target(fn, 10, 0, seed=0)
 
 
+def _bnfv_at_points(trace, target):
+    """Normalized best fitness at the trace's own eval indices."""
+    return bnfv_on_grid(trace, target, [e for e, _ in trace.points]).tolist()
+
+
 def test_bnfv_hand_values():
     trace = RunTrace(((100, 50.0), (400, 10.0)), 1000)
     target = RseTarget("f", 1000, 100, 25.0)
-    assert bnfv_curve(trace, target) == [(100, 2.0), (400, 0.4)]
+    assert _bnfv_at_points(trace, target) == [2.0, 0.4]
 
 
 def test_bnfv_parity_and_zero():
     target = RseTarget("f", 1000, 100, 25.0)
-    assert bnfv_curve(RunTrace(((10, 25.0),), 20), target) == [(10, 1.0)]
-    assert bnfv_curve(RunTrace(((10, 0.0),), 20), target) == [(10, 0.0)]
+    assert _bnfv_at_points(RunTrace(((10, 25.0),), 20), target) == [1.0]
+    assert _bnfv_at_points(RunTrace(((10, 0.0),), 20), target) == [0.0]
 
 
 def test_bnfv_zero_target_is_undefined():
     target = RseTarget("f", 1000, 100, 0.0)
-    with pytest.raises(NormalizationUndefined):
-        bnfv_curve(RunTrace(((10, 1.0),), 20), target)
     with pytest.raises(NormalizationUndefined):
         bnfv_on_grid(RunTrace(((10, 1.0),), 20), target, [10, 20])
 

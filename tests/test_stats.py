@@ -97,6 +97,17 @@ def test_input_validation():
         wilcoxon_signed_rank([1.0], [2.0])
 
 
+@pytest.mark.parametrize("n", [10, 30])  # exact and normal-approximation paths
+def test_non_finite_input_is_refused(n):
+    a = np.arange(1.0, n + 1.0)
+    b = np.zeros(n)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(np.r_[a[:-1], bad], b)
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(a, np.r_[b[:-1], bad])
+
+
 def test_exact_matches_brute_force_with_ties():
     rng = np.random.default_rng(1)
     for _ in range(50):

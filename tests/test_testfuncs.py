@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,10 +19,8 @@ from sqgde.testfuncs import (
     composition_weights,
     custom_function,
     default_suite,
-    load_suite,
     make_test_function,
     random_rotation,
-    save_suite,
     suite_by_label,
     _weierstrass_sum,
 )
@@ -364,12 +364,11 @@ def test_descriptor_roundtrip():
     assert desc.to_dict()["composition"][0]["lambda"] == 2.0
 
 
-def test_suite_roundtrip_through_file(tmp_path):
+def test_suite_roundtrip_through_json():
+    # spec.json holds the descriptors inline, and a resume compares them as JSON
     suite = default_suite()
-    path = tmp_path / "suite.json"
-    save_suite(path, suite)
-    again = load_suite(path)
-    assert again == suite
+    text = json.dumps([d.to_dict() for d in suite])
+    assert [FunctionDescriptor.from_dict(d) for d in json.loads(text)] == suite
 
 
 def test_default_suite_structure():
