@@ -126,26 +126,14 @@ def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quie
 @click.option("--budget", type=int, default=1000, show_default=True)
 @click.option("--reps", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=12345, show_default=True, help="Master seed.")
-@click.option(
-    "--out",
-    default=None,
-    help="If given, merge results into <out>/rse.csv; refused if the directory holds another budget or stream version.",
-)
-def rse(function_label, dim, budget, reps, seed, out):
-    """Estimate the uniform random-search target per function."""
+def rse(function_label, dim, budget, reps, seed):
+    """Print the uniform random-search target per function (sqgde bench stores them)."""
     descs = [_resolve_function(function_label)] if function_label else default_suite()
-    targets = {}
     click.echo(",".join(harness.RSE_COLUMNS))
     for desc in descs:
         fn = make_test_function(desc, dim=dim)
         target = estimate_rse_target(fn, budget, reps, derive_seed(seed, "rse", desc.label, dim))
-        targets[(desc.label, dim)] = target
         click.echo(f"{desc.label},{dim},{budget},{reps},{target.value!r}")
-    if out:
-        try:
-            harness.merge_rse_targets(out, targets)
-        except ValueError as err:
-            raise click.ClickException(str(err)) from err
 
 
 @main.command(name="summarize")
@@ -176,8 +164,13 @@ def wilcoxon(csv_path, col_a, col_b):
         if reader.fieldnames is None or col_a not in reader.fieldnames or col_b not in reader.fieldnames:
             raise click.BadParameter(f"columns {col_a!r}, {col_b!r} not both present in {csv_path}")
         for row in reader:
-            a.append(float(row[col_a]))
-            b.append(float(row[col_b]))
+            for col, values in ((col_a, a), (col_b, b)):
+                try:
+                    values.append(float(row[col]))
+                except (TypeError, ValueError) as err:  # a short row gives None
+                    raise click.ClickException(
+                        f"{csv_path} line {reader.line_num}, column {col!r}: {row[col]!r} is not a number"
+                    ) from err
     try:
         res = wilcoxon_signed_rank(a, b)
     except ValueError as err:

@@ -24,7 +24,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
 
@@ -53,14 +53,12 @@ __all__ = [
     "execute_run",
     "run_benchmark",
     "ensure_rse_targets",
-    "merge_rse_targets",
     "write_trace",
     "summarize",
     "SummaryResult",
     "BNFV_GRID_STEP",
 ]
 
-RUNS_COLUMNS = ["algorithm", "function", "dim", "rep", "seed", "evals_used", "best_fitness"]
 ERT_COLUMNS = ["algorithm", "function", "dim", "ert", "lower_bound", "success_rate"]
 SUMMARY_COLUMNS = ["category", "dim", "algorithm", "mean_ert", "flag", "p_vs_best"]
 RSE_COLUMNS = ["function", "dim", "budget", "reps", "value"]
@@ -202,6 +200,9 @@ class RunRecord:
         return f"traces/{self.algorithm}__{self.function}__d{self.dim}__r{self.rep:04d}.csv"
 
 
+RUNS_COLUMNS = [f.name for f in fields(RunRecord)]
+
+
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -216,11 +217,12 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _csv_line(row) -> str:
+    return ",".join(map(_fmt, row)) + "\n"
+
+
 def _csv_text(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return _csv_line(header) + "".join(map(_csv_line, rows))
 
 
 def write_trace(path: Path, trace: RunTrace) -> None:
@@ -280,10 +282,7 @@ def _load_runs(out: Path, budget: int):
 
 
 def _write_runs(path: Path, records: list[RunRecord]) -> None:
-    rows = [
-        (r.algorithm, r.function, r.dim, r.rep, r.seed, r.evals_used, r.best_fitness)
-        for r in sorted(records, key=lambda r: r.key)
-    ]
+    rows = [astuple(r) for r in sorted(records, key=lambda r: r.key)]
     _atomic_write_text(path, _csv_text(RUNS_COLUMNS, rows))
 
 
@@ -328,12 +327,15 @@ def _run_task(algo: AlgorithmSpec, desc: FunctionDescriptor, dim: int, rep: int,
     return (algo.name, desc.label, dim, rep, seed, trace.final_evals, trace.final_best, trace.points)
 
 
-def _recorded_spec(out: Path) -> dict | None:
-    """The spec.json of a results directory, or None if it has none.
+def _check_resume(out: Path, spec: BenchmarkSpec) -> dict | None:
+    """Refuse to add ``spec``'s results to a directory recorded for another benchmark.
 
     Results computed under different stream versions differ for the same
-    seeds, so a directory that records another version (or none: it
-    predates versioning, stream version 1) is refused.
+    seeds, so a spec.json that records another version (or none: it
+    predates versioning, stream version 1) is refused. The recorded budget
+    and master seed must match, and so must every algorithm config and
+    function descriptor that both specs name. Adding algorithms, functions,
+    dims or reps resumes. Returns the recorded spec.json, if any.
     """
     path = out / "spec.json"
     if not path.exists():
@@ -346,30 +348,6 @@ def _recorded_spec(out: Path) -> dict | None:
             f"code draws stream version {STREAM_VERSION}; resuming would mix results of the two. "
             "Write to a new output directory."
         )
-    return record
-
-
-def _check_budgets(path: Path, budgets: list[tuple[str, int]]) -> None:
-    """Refuse when the (source, budget) pairs disagree on the evaluation budget."""
-    if len({budget for _, budget in budgets}) > 1:
-        found = ", ".join(sorted({f"{source} {budget}" for source, budget in budgets}))
-        raise ValueError(
-            f"budget mismatch for {path}: {found}; random-search targets and runs of "
-            "different budgets must not be mixed. Write to a new output directory."
-        )
-
-
-def _check_resume(out: Path, spec: BenchmarkSpec) -> dict | None:
-    """Refuse to add ``spec``'s results to a directory recorded for another benchmark.
-
-    Besides the stream version, the recorded budget and master seed must
-    match, and so must every algorithm config and function descriptor that
-    both specs name. Adding algorithms, functions, dims or reps resumes.
-    Returns the recorded spec.json, if any.
-    """
-    record = _recorded_spec(out)
-    if record is None:
-        return None
     clashes = [
         f"{field} {record[field]} != {getattr(spec, field)}"
         for field in ("budget", "master_seed")
@@ -383,7 +361,7 @@ def _check_resume(out: Path, spec: BenchmarkSpec) -> dict | None:
                 clashes.append(f"{group[:-1]} {entry[key]!r} changed")
     if clashes:
         raise ValueError(
-            f"{out / 'spec.json'} records another benchmark ({'; '.join(clashes)}); resuming "
+            f"{path} records another benchmark ({'; '.join(clashes)}); resuming "
             "would mix results of the two. Write to a new output directory."
         )
     return record
@@ -418,7 +396,12 @@ def ensure_rse_targets(spec: BenchmarkSpec, progress: bool = False) -> dict[tupl
     out.mkdir(parents=True, exist_ok=True)
     rse_path = out / "rse.csv"
     targets = _load_rse(rse_path)
-    _check_budgets(rse_path, [("spec", spec.budget)] + [("rse.csv", t.budget) for t in targets.values()])
+    stale = {t.budget for t in targets.values()} - {spec.budget}
+    if stale:
+        raise ValueError(
+            f"budget mismatch for {rse_path}: rse.csv {min(stale)}, spec {spec.budget}; random-search "
+            "targets and runs of different budgets must not be mixed. Write to a new output directory."
+        )
     missing = [
         (desc, dim)
         for desc in spec.functions
@@ -436,32 +419,6 @@ def ensure_rse_targets(spec: BenchmarkSpec, progress: bool = False) -> dict[tupl
     return targets
 
 
-def merge_rse_targets(
-    output_dir: str | Path, targets: dict[tuple[str, int], RseTarget]
-) -> dict[tuple[str, int], RseTarget]:
-    """Merge random-search targets into ``<output_dir>/rse.csv``.
-
-    New targets replace stored ones of the same (function, dim) cell. The
-    directory gets the same guard as a resume: a spec.json of another
-    stream version, or a budget that differs from the recorded spec's or
-    from the stored targets', raises ``ValueError`` and leaves rse.csv as
-    it was. Returns the merged targets.
-    """
-    out = Path(output_dir)
-    record = _recorded_spec(out)
-    rse_path = out / "rse.csv"
-    merged = _load_rse(rse_path)
-    budgets = [("rse.csv", t.budget) for t in merged.values()]
-    budgets += [("new target", t.budget) for t in targets.values()]
-    if record is not None:
-        budgets.append(("spec.json", record["budget"]))
-    _check_budgets(rse_path, budgets)
-    out.mkdir(parents=True, exist_ok=True)
-    merged.update(targets)
-    _write_rse(rse_path, merged)
-    return merged
-
-
 def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False) -> list[RunRecord]:
     """Execute the full matrix, skipping runs already recorded on disk.
 
@@ -476,16 +433,11 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False)
     if workers < 1:
         raise ValueError("workers must be at least 1")
     out = Path(spec.output_dir)
-    record = _check_resume(out, spec)
-    (out / "traces").mkdir(parents=True, exist_ok=True)
-    _atomic_write_text(out / "spec.json", json.dumps(_merged_record(record, spec), indent=2) + "\n")
-
-    # Build every instance up front so a bad descriptor fails fast.
-    for desc in spec.functions:
-        for dim in spec.dims:
-            make_test_function(desc, dim=dim)
-
+    # The targets come first: a function that does not build leaves no spec.json.
     ensure_rse_targets(spec, progress=progress)
+    record = _check_resume(out, spec)
+    (out / "traces").mkdir(exist_ok=True)
+    _atomic_write_text(out / "spec.json", json.dumps(_merged_record(record, spec), indent=2) + "\n")
 
     runs_path = out / "runs.csv"
     existing = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)}
@@ -511,9 +463,7 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False)
             rec = RunRecord(name, label, dim, rep, seed, evals_used, best)
             write_trace(out / rec.trace_path, RunTrace(tuple(points), evals_used))
             new_records.append(rec)
-            fh.write(
-                ",".join(_fmt(v) for v in (name, label, dim, rep, seed, evals_used, best)) + "\n"
-            )
+            fh.write(_csv_line(astuple(rec)))
             fh.flush()
             if progress:
                 print(f"run  {name} {label} d={dim} rep={rep}  best={best:.6g}")
@@ -527,8 +477,13 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False)
                     pool.submit(_run_task, algo, desc, dim, rep, spec.budget, seed)
                     for algo, desc, dim, rep, seed in tasks
                 ]
-                for fut in as_completed(futures):
-                    handle(fut.result())
+                try:
+                    for fut in as_completed(futures):
+                        handle(fut.result())
+                except BaseException:
+                    # Do not compute the runs still queued only to drop them.
+                    pool.shutdown(cancel_futures=True)
+                    raise
 
     _check_evals_used(new_records, spec.budget)
     records = list(existing.values()) + new_records
@@ -587,29 +542,13 @@ def summarize(output_dir: str | Path) -> SummaryResult:
         if (e := ert_by_cell.get((a, f, d)))
     ]
 
-    _atomic_write_text(
-        out / "ert.csv",
-        _csv_text(
-            ERT_COLUMNS,
-            [
-                (r["algorithm"], r["function"], r["dim"], r["ert"], r["lower_bound"], r["success_rate"])
-                for r in ert_rows
-            ],
-        ),
-    )
+    _atomic_write_text(out / "ert.csv", _csv_text(ERT_COLUMNS, [[r[c] for c in ERT_COLUMNS] for r in ert_rows]))
 
     summary_rows = build_summary_rows(
         ert_by_cell, algo_names, labels, cat_of, spec.dims, _category_order(spec.functions)
     )
     _atomic_write_text(
-        out / "summary.csv",
-        _csv_text(
-            SUMMARY_COLUMNS,
-            [
-                (r["category"], r["dim"], r["algorithm"], r["mean_ert"], r["flag"], r["p_vs_best"])
-                for r in summary_rows
-            ],
-        ),
+        out / "summary.csv", _csv_text(SUMMARY_COLUMNS, [[r[c] for c in SUMMARY_COLUMNS] for r in summary_rows])
     )
     return SummaryResult(ert_rows, summary_rows)
 

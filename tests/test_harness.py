@@ -1,4 +1,8 @@
 import json
+import multiprocessing
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -17,13 +21,12 @@ from sqgde.harness import (
     default_benchmark_spec,
     ensure_rse_targets,
     execute_run,
-    merge_rse_targets,
     run_benchmark,
     run_seed,
     summarize,
     write_trace,
 )
-from sqgde.metrics import ErtResult, RseTarget
+from sqgde.metrics import ErtResult
 from sqgde.testfuncs import FunctionDescriptor, make_test_function
 
 
@@ -306,6 +309,50 @@ def test_interrupted_matrix_resumes_to_the_same_bytes(tmp_path, monkeypatch):
     assert _results(out) == _results(tmp_path / "fresh")
 
 
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="patches reach the workers only when they fork"
+)
+
+
+@fork_only
+def test_error_in_the_parent_cancels_queued_runs(tmp_path, monkeypatch):
+    started, real = tmp_path / "started", harness.execute_run
+    started.mkdir()
+
+    def slow_run(algo, fn, budget, seed):
+        (started / str(seed)).touch()
+        time.sleep(0.02)
+        return real(algo, fn, budget, seed)
+
+    monkeypatch.setattr(harness, "execute_run", slow_run)
+    _crash_at_trace_write(monkeypatch, 1)
+    with pytest.raises(OSError, match="crashed"):
+        run_benchmark(sphere_spec(tmp_path / "out", reps=40), workers=2)
+    assert len(list(started.iterdir())) <= 20
+
+
+@fork_only
+def test_crashed_worker_resumes_to_the_same_bytes(tmp_path, monkeypatch):
+    real, doomed = harness.execute_run, run_seed(7, "de", "sphere", 2, 3)
+
+    def crashing_run(algo, fn, budget, seed):
+        if seed == doomed:
+            os._exit(1)
+        return real(algo, fn, budget, seed)
+
+    out = tmp_path / "resumed"
+    monkeypatch.setattr(harness, "execute_run", crashing_run)
+    with pytest.raises(BrokenProcessPool):
+        run_benchmark(sphere_spec(out, reps=6), workers=2)
+    monkeypatch.undo()
+    assert all(len(line.split(",")) == 7 for line in (out / "runs.csv").read_text().splitlines())
+    run_benchmark(sphere_spec(out, reps=6), workers=2)
+    run_benchmark(sphere_spec(tmp_path / "fresh", reps=6))
+    for name in ("resumed", "fresh"):
+        summarize(tmp_path / name)
+    assert _results(out) == _results(tmp_path / "fresh")
+
+
 def test_spec_records_stream_version(tmp_path):
     run_benchmark(small_spec(tmp_path))
     assert json.loads((tmp_path / "spec.json").read_text())["stream_version"] == STREAM_VERSION
@@ -355,7 +402,7 @@ def test_resume_refuses_changed_algorithm_or_function(tmp_path):
 
 
 def test_rse_targets_of_another_budget_are_refused(tmp_path):
-    # rse.csv written without a spec.json (as by `sqgde rse --out`)
+    # an rse.csv without a spec.json, as ensure_rse_targets alone leaves it
     (tmp_path / "rse.csv").write_text("function,dim,budget,reps,value\nsphere2,2,50,5,1.5\n")
     with pytest.raises(ValueError, match="rse.csv 50, spec 60"):
         ensure_rse_targets(small_spec(tmp_path))
@@ -382,15 +429,17 @@ def test_resume_adds_algorithms_functions_dims_and_reps(tmp_path):
         run_benchmark(replace(spec, algorithms=[AlgorithmSpec("de_small", DEConfig("best2bin", pop_size=10))]))
 
 
-def test_merge_rse_targets_guards_budget(tmp_path):
-    run_benchmark(small_spec(tmp_path, reps=2))
-    before = (tmp_path / "rse.csv").read_text()
-    with pytest.raises(ValueError, match="new target 10"):
-        merge_rse_targets(tmp_path, {("sphere2", 3): RseTarget("sphere2", 10, 2, 0.5)})
-    assert (tmp_path / "rse.csv").read_text() == before
-    merged = merge_rse_targets(tmp_path, {("sphere2", 3): RseTarget("sphere2", 60, 2, 0.5)})
-    assert set(merged) == {("sphere2", 2), ("sphere2", 3)}
-    assert (tmp_path / "rse.csv").read_text().endswith("sphere2,3,60,2,0.5\n")
+def test_function_that_does_not_build_records_no_spec(tmp_path):
+    spec = small_spec(tmp_path / "fixed", reps=2)
+    typo = FunctionDescriptor(label="sphere2", kind="spherex", seed=3)
+    with pytest.raises(ValueError, match="unknown base function kind 'spherex'"):
+        run_benchmark(replace(spec, functions=[typo]))
+    assert not (tmp_path / "fixed" / "spec.json").exists()
+    run_benchmark(spec)
+    run_benchmark(small_spec(tmp_path / "fresh", reps=2))
+    for name in ("fixed", "fresh"):
+        summarize(tmp_path / name)
+    assert _results(tmp_path / "fixed") == _results(tmp_path / "fresh")
 
 
 def test_workers_do_not_change_results(tmp_path):
