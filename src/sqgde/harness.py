@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import groupby
 from pathlib import Path
@@ -217,6 +216,12 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _update_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` unless the file already holds exactly it."""
+    if not (path.exists() and path.read_bytes() == text.encode()):
+        _atomic_write_text(path, text)
+
+
 def _csv_line(row) -> str:
     return ",".join(map(_fmt, row)) + "\n"
 
@@ -283,7 +288,7 @@ def _load_runs(out: Path, budget: int):
 
 def _write_runs(path: Path, records: list[RunRecord]) -> None:
     rows = [astuple(r) for r in sorted(records, key=lambda r: r.key)]
-    _atomic_write_text(path, _csv_text(RUNS_COLUMNS, rows))
+    _update_text(path, _csv_text(RUNS_COLUMNS, rows))
 
 
 def _load_rse(path: Path) -> dict[tuple[str, int], RseTarget]:
@@ -321,10 +326,13 @@ def run_seed(master_seed: int, algorithm: str, function: str, dim: int, rep: int
     return derive_seed(master_seed, "run", algorithm, function, dim, rep)
 
 
-def _run_task(algo: AlgorithmSpec, desc: FunctionDescriptor, dim: int, rep: int, budget: int, seed: int):
-    fn = make_test_function(desc, dim=dim)
+def _run_task(algo: AlgorithmSpec, fn, rep: int, budget: int, seed: int):
     trace = execute_run(algo, fn, budget, seed)
-    return (algo.name, desc.label, dim, rep, seed, trace.final_evals, trace.final_best, trace.points)
+    return (algo.name, fn.label, fn.space.dim, rep, seed, trace.final_evals, trace.final_best, trace.points)
+
+
+def _build_and_run(algo: AlgorithmSpec, desc: FunctionDescriptor, dim: int, rep: int, budget: int, seed: int):
+    return _run_task(algo, make_test_function(desc, dim=dim), rep, budget, seed)
 
 
 def _check_resume(out: Path, spec: BenchmarkSpec) -> dict | None:
@@ -415,7 +423,8 @@ def ensure_rse_targets(spec: BenchmarkSpec, progress: bool = False) -> dict[tupl
         targets[(desc.label, dim)] = target
         if progress:
             print(f"rse  {desc.label} d={dim}  target={target.value:.6g}")
-    _write_rse(rse_path, targets)
+    if missing:
+        _write_rse(rse_path, targets)
     return targets
 
 
@@ -437,7 +446,7 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False)
     ensure_rse_targets(spec, progress=progress)
     record = _check_resume(out, spec)
     (out / "traces").mkdir(exist_ok=True)
-    _atomic_write_text(out / "spec.json", json.dumps(_merged_record(record, spec), indent=2) + "\n")
+    _update_text(out / "spec.json", json.dumps(_merged_record(record, spec), indent=2) + "\n")
 
     runs_path = out / "runs.csv"
     existing = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)}
@@ -469,12 +478,18 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False)
                 print(f"run  {name} {label} d={dim} rep={rep}  best={best:.6g}")
 
         if workers == 1:
+            # One build per (function, dim), shared by all of its runs.
+            built = {}
             for algo, desc, dim, rep, seed in tasks:
-                handle(_run_task(algo, desc, dim, rep, spec.budget, seed))
+                if (desc.label, dim) not in built:
+                    built[desc.label, dim] = make_test_function(desc, dim=dim)
+                handle(_run_task(algo, built[desc.label, dim], rep, spec.budget, seed))
         else:
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(_run_task, algo, desc, dim, rep, spec.budget, seed)
+                    pool.submit(_build_and_run, algo, desc, dim, rep, spec.budget, seed)
                     for algo, desc, dim, rep, seed in tasks
                 ]
                 try:

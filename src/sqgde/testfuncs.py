@@ -11,7 +11,7 @@ a seed fully reproduces the function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -46,34 +46,34 @@ NOISE_MULT_GAUSSIAN = "multiplicative_gaussian"
 
 
 def _sphere(z: np.ndarray) -> np.ndarray:
-    return np.sum(z * z, axis=-1)
+    return (z * z).sum(axis=-1)
 
 
 def _schwefel12(z: np.ndarray) -> np.ndarray:
     c = np.cumsum(z, axis=-1)
-    return np.sum(c * c, axis=-1)
+    return (c * c).sum(axis=-1)
 
 
 def _elliptic(z: np.ndarray) -> np.ndarray:
     d = z.shape[-1]
     weights = np.power(1e6, np.arange(d) / max(d - 1, 1))
-    return np.sum(weights * z * z, axis=-1)
+    return (weights * z * z).sum(axis=-1)
 
 
 def _rosenbrock(z: np.ndarray) -> np.ndarray:
     head, tail = z[..., :-1], z[..., 1:]
-    return np.sum(100.0 * (head**2 - tail) ** 2 + (head - 1.0) ** 2, axis=-1)
+    return (100.0 * (head**2 - tail) ** 2 + (head - 1.0) ** 2).sum(axis=-1)
 
 
 def _rastrigin(z: np.ndarray) -> np.ndarray:
-    return 10.0 * z.shape[-1] + np.sum(z * z - 10.0 * np.cos(2.0 * np.pi * z), axis=-1)
+    return 10.0 * z.shape[-1] + (z * z - 10.0 * np.cos(2.0 * np.pi * z)).sum(axis=-1)
 
 
 def _ackley(z: np.ndarray) -> np.ndarray:
     d = z.shape[-1]
     return (
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(z * z, axis=-1) / d))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * z), axis=-1) / d)
+        -20.0 * np.exp(-0.2 * np.sqrt((z * z).sum(axis=-1) / d))
+        - np.exp(np.cos(2.0 * np.pi * z).sum(axis=-1) / d)
         + 20.0
         + np.e
     )
@@ -81,7 +81,7 @@ def _ackley(z: np.ndarray) -> np.ndarray:
 
 def _griewank(z: np.ndarray) -> np.ndarray:
     i = np.arange(1, z.shape[-1] + 1, dtype=float)
-    return np.sum(z * z, axis=-1) / 4000.0 - np.prod(np.cos(z / np.sqrt(i)), axis=-1) + 1.0
+    return (z * z).sum(axis=-1) / 4000.0 - np.cos(z / np.sqrt(i)).prod(axis=-1) + 1.0
 
 
 # Weierstrass with a = 0.5, b = 3, k = 0..20 (CEC 2005). The kernel relies on
@@ -128,20 +128,24 @@ _W_FLOOR = float(_weierstrass_sum(np.array(np.pi)))
 
 
 def _weierstrass(z: np.ndarray) -> np.ndarray:
-    return np.sum(_weierstrass_sum(2.0 * np.pi * (z + 0.5)) - _W_FLOOR, axis=-1)
+    return (_weierstrass_sum(2.0 * np.pi * (z + 0.5)) - _W_FLOOR).sum(axis=-1)
+
+
+def _next(z: np.ndarray) -> np.ndarray:
+    """Each coordinate's cyclic successor: z_2, ..., z_D, z_1."""
+    return np.concatenate((z[..., 1:], z[..., :1]), axis=-1)
 
 
 def _griewank_rosenbrock(z: np.ndarray) -> np.ndarray:
     # Cyclic pairwise expansion, including the wrap-around pair (z_D, z_1).
-    nxt = np.roll(z, -1, axis=-1)
-    r = 100.0 * (z * z - nxt) ** 2 + (z - 1.0) ** 2
-    return np.sum(r * r / 4000.0 - np.cos(r) + 1.0, axis=-1)
+    r = 100.0 * (z * z - _next(z)) ** 2 + (z - 1.0) ** 2
+    return (r * r / 4000.0 - np.cos(r) + 1.0).sum(axis=-1)
 
 
 def _schaffer_f6(z: np.ndarray) -> np.ndarray:
-    nxt = np.roll(z, -1, axis=-1)
+    nxt = _next(z)
     s = z * z + nxt * nxt
-    return np.sum(0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2, axis=-1)
+    return (0.5 + (np.sin(np.sqrt(s)) ** 2 - 0.5) / (1.0 + 0.001 * s) ** 2).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -205,20 +209,11 @@ def random_rotation(dim: int, rng: RngStream) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Transform:
-    """Shift, scale and optional rotation mapping to canonical coordinates."""
+    """Shift, optional rotation and bias of a transformed base landscape."""
 
     shift: np.ndarray
     rotation: np.ndarray | None = None
     bias: float = 0.0
-
-    def apply(self, x: np.ndarray, lam: float = 1.0) -> np.ndarray:
-        """z = R (x - shift) / lam for a point (D,) or each row of a batch (n, D)."""
-        z = x - self.shift
-        if lam != 1.0:
-            z = z / lam
-        if self.rotation is not None:
-            z = z @ self.rotation.T
-        return z
 
 
 @dataclass(frozen=True)
@@ -230,12 +225,22 @@ class CompositionComponent:
     sigma: float = 1.0
     lam: float = 1.0
 
-    def value(self, x: np.ndarray):
-        """Base value at x: a scalar for a point (D,), n values for a batch (n, D)."""
+    def value(self, x: np.ndarray, sq_dist: np.ndarray | None = None):
+        """Base value at x: a scalar for a point (D,), n values for a batch (n, D).
+
+        ``sq_dist``, if given, receives each point's ||x - shift||^2, taken
+        from the same difference that is then mapped to canonical coordinates.
+        """
+        z = x - self.transform.shift
+        if sq_dist is not None:
+            sq_dist[...] = (z * z).sum(axis=-1)
         base = BASE_FUNCTIONS[self.kind]
-        z = self.transform.apply(x, self.lam)
+        if self.lam != 1.0:
+            z /= self.lam
+        if self.transform.rotation is not None:
+            z = z @ self.transform.rotation.T
         if base.optimum_offset != 0.0:
-            z = z + base.optimum_offset
+            z += base.optimum_offset
         return base.fn(z)
 
 
@@ -244,6 +249,7 @@ class Composition:
     """Gaussian-weighted mixture of transformed base landscapes."""
 
     components: tuple[CompositionComponent, ...]
+    sigma2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -252,6 +258,27 @@ class Composition:
         for c in self.components:
             if c.sigma <= 0 or c.lam <= 0:
                 raise ValueError("component sigma and lambda must be positive")
+        object.__setattr__(self, "sigma2", np.array([c.sigma for c in self.components]) ** 2)
+
+
+def _mixture(comp: Composition, X: np.ndarray):
+    """Weights and component values plus biases, both (n, K), of a batch (n, D).
+
+    One pass per component: its value and its squared distance to its shift
+    come from one x - shift. That difference lives only inside ``value``, so
+    the rotated copy replaces it rather than adding to the peak memory.
+    """
+    n, k = X.shape[0], len(comp.components)
+    sq_dists, vals = np.empty((n, k)), np.empty((n, k))
+    for i, c in enumerate(comp.components):
+        vals[:, i] = c.value(X, sq_dists[:, i]) + c.transform.bias
+    w = np.exp(-sq_dists / (2.0 * X.shape[1] * comp.sigma2))
+    total = w.sum(axis=1)
+    dead = total <= 0.0
+    w /= np.where(dead, 1.0, total)[:, None]
+    if dead.any():
+        w[np.flatnonzero(dead), np.argmin(sq_dists[dead], axis=1)] = 1.0
+    return w, vals
 
 
 def composition_weights(comp: Composition, x: np.ndarray) -> np.ndarray:
@@ -259,19 +286,11 @@ def composition_weights(comp: Composition, x: np.ndarray) -> np.ndarray:
 
     Takes a point (D,) and returns (K,) weights, or a batch (n, D) and
     returns (n, K). If every unnormalized weight of a point underflows to
-    zero, the nearest component takes weight 1.
+    zero, the nearest component takes weight 1. Shares the pass of
+    :func:`compose_eval`, so it costs as much.
     """
     x = np.asarray(x, dtype=float)
-    X = np.atleast_2d(x)
-    d = X.shape[1]
-    sq_dists = np.stack([np.sum((X - c.transform.shift) ** 2, axis=1) for c in comp.components], axis=1)
-    sigmas = np.array([c.sigma for c in comp.components])
-    w = np.exp(-sq_dists / (2.0 * d * sigmas**2))
-    total = w.sum(axis=1)
-    dead = total <= 0.0
-    w /= np.where(dead, 1.0, total)[:, None]
-    if dead.any():
-        w[np.flatnonzero(dead), np.argmin(sq_dists[dead], axis=1)] = 1.0
+    w, _ = _mixture(comp, np.atleast_2d(x))
     return w[0] if x.ndim == 1 else w
 
 
@@ -280,9 +299,10 @@ def compose_eval(comp: Composition, x: np.ndarray):
 
     A scalar for a point (D,), n values for a batch (n, D).
     """
-    w = composition_weights(comp, x)
-    vals = np.stack([c.value(x) + c.transform.bias for c in comp.components], axis=-1)
-    return np.sum(w * vals, axis=-1)
+    x = np.asarray(x, dtype=float)
+    w, vals = _mixture(comp, np.atleast_2d(x))
+    total = (w * vals).sum(axis=1)
+    return total[0] if x.ndim == 1 else total
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from sqgde.harness import (
     write_trace,
 )
 from sqgde.metrics import ErtResult
-from sqgde.testfuncs import FunctionDescriptor, make_test_function
+from sqgde.testfuncs import ComponentDescriptor, FunctionDescriptor, make_test_function
 
 
 def small_spec(out, reps=5, seed=7):
@@ -449,6 +449,46 @@ def test_workers_do_not_change_results(tmp_path):
         (tmp_path / "serial" / "runs.csv").read_bytes()
         == (tmp_path / "pool" / "runs.csv").read_bytes()
     )
+
+
+def test_serial_run_builds_each_function_once(tmp_path, monkeypatch):
+    spec = replace(
+        small_spec(tmp_path / "serial", reps=3),
+        functions=[
+            FunctionDescriptor(label="sphere2", kind="sphere", seed=3),
+            FunctionDescriptor(
+                label="hybrid", composition=[ComponentDescriptor("sphere"), ComponentDescriptor("rastrigin")], seed=4
+            ),
+        ],
+        dims=[2, 3],
+    )
+    ensure_rse_targets(spec)  # builds every cell once for its target
+    real, built = harness.make_test_function, []
+
+    def counting_build(desc, seed=None, dim=None):
+        built.append((desc.label, dim))
+        return real(desc, seed=seed, dim=dim)
+
+    monkeypatch.setattr(harness, "make_test_function", counting_build)
+    run_benchmark(spec)
+    monkeypatch.undo()
+    assert sorted(built) == [("hybrid", 2), ("hybrid", 3), ("sphere2", 2), ("sphere2", 3)]
+    run_benchmark(replace(spec, output_dir=str(tmp_path / "pool")), workers=2)
+    assert _results(tmp_path / "serial") == _results(tmp_path / "pool")
+
+
+def test_resume_with_nothing_to_do_writes_nothing(tmp_path):
+    out = tmp_path / "out"
+    run_benchmark(small_spec(out))
+    files = [out / name for name in ("spec.json", "rse.csv", "runs.csv")]
+
+    def stamps():
+        return [(p.stat().st_ino, p.stat().st_mtime_ns) for p in files]
+
+    before = stamps()
+    time.sleep(0.01)
+    run_benchmark(small_spec(out))
+    assert stamps() == before
 
 
 def test_seeds_differ_across_reps(tmp_path):

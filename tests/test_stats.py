@@ -59,6 +59,19 @@ def test_package_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_package_import_loads_no_process_pool():
+    # The pool is imported only by a run with more than one worker.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    unwanted = ("multiprocessing", "concurrent.futures.process", "logging")
+    code = (
+        "import sys, sqgde, sqgde.cli; "
+        f"print(sorted(m for m in sys.modules if m.startswith({unwanted!r})))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_all_positive_n6():
     res = wilcoxon_signed_rank([2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6])
     assert res.w_plus == 21.0
