@@ -28,6 +28,9 @@ from .testfuncs import (
 )
 
 
+POSITIVE = click.IntRange(min=1)
+
+
 @click.group()
 def main():
     """Fixed-budget benchmarking of DE variants and quasi-gradient descent."""
@@ -53,8 +56,8 @@ def _resolve_function(label: str) -> FunctionDescriptor:
 @main.command()
 @click.option("--algo", required=True, help=f"One of {sorted(ALGORITHM_PRESETS)}.")
 @click.option("--function", "function_label", required=True, help="Suite label or descriptor JSON path.")
-@click.option("--dim", type=int, default=30, show_default=True)
-@click.option("--budget", type=int, default=1000, show_default=True)
+@click.option("--dim", type=POSITIVE, default=30, show_default=True)
+@click.option("--budget", type=POSITIVE, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Directory to write the trace file into.")
 def run(algo, function_label, dim, budget, seed, out):
@@ -76,13 +79,13 @@ def run(algo, function_label, dim, budget, seed, out):
 @main.command()
 @click.option("--config", type=click.Path(exists=True), default=None, help="Benchmark spec JSON.")
 @click.option("--out", default=None, help="Output directory (overrides the config).")
-@click.option("--budget", type=int, default=None)
-@click.option("--reps", type=int, default=None)
+@click.option("--budget", type=POSITIVE, default=None)
+@click.option("--reps", type=POSITIVE, default=None)
 @click.option("--seed", type=int, default=None, help="Master seed.")
-@click.option("--dim", "dims", type=int, multiple=True, help="Restrict to these dimensions.")
+@click.option("--dim", "dims", type=POSITIVE, multiple=True, help="Restrict to these dimensions.")
 @click.option("--algo", "algos", multiple=True, help="Restrict to these algorithms.")
 @click.option("--function", "functions", multiple=True, help="Restrict to these function labels.")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=POSITIVE, default=1, show_default=True)
 @click.option("--quiet", is_flag=True, help="Suppress per-run progress lines.")
 def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quiet):
     """Run a benchmark matrix; resumes an interrupted output directory."""
@@ -122,9 +125,9 @@ def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quie
 
 @main.command()
 @click.option("--function", "function_label", default=None, help="Single label; all suite functions if omitted.")
-@click.option("--dim", type=int, default=30, show_default=True)
-@click.option("--budget", type=int, default=1000, show_default=True)
-@click.option("--reps", type=int, default=100, show_default=True)
+@click.option("--dim", type=POSITIVE, default=30, show_default=True)
+@click.option("--budget", type=POSITIVE, default=1000, show_default=True)
+@click.option("--reps", type=POSITIVE, default=100, show_default=True)
 @click.option("--seed", type=int, default=12345, show_default=True, help="Master seed.")
 def rse(function_label, dim, budget, reps, seed):
     """Print the uniform random-search target per function (sqgde bench stores them)."""

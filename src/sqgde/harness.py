@@ -6,6 +6,11 @@ run key, so the full matrix is reproducible from the spec alone, results
 are independent of execution order and worker count, and an interrupted
 directory can be resumed (completed records are skipped by key).
 
+The missing runs are grouped by (function, dim). One process runs each
+group on one build of its function; a process pool cuts the groups into
+tasks of at most four runs, builds once per task, keeps two tasks per
+worker in flight and starts no more workers than there are tasks.
+
 Artifacts under the output directory:
 
 * ``spec.json``      the benchmark spec that produced everything below, plus
@@ -24,7 +29,7 @@ import csv
 import json
 import os
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
-from itertools import groupby
+from itertools import groupby, islice
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +68,9 @@ SUMMARY_COLUMNS = ["category", "dim", "algorithm", "mean_ert", "flag", "p_vs_bes
 RSE_COLUMNS = ["function", "dim", "budget", "reps", "value"]
 BNFV_GRID_STEP = 10
 OVERALL_CATEGORY = "overall"
+# Runs per pool task: one build serves them all, and a task is small enough
+# that an error in the parent cancels most of the queued work.
+_TASK_RUNS = 4
 
 
 @dataclass(frozen=True)
@@ -326,13 +334,42 @@ def run_seed(master_seed: int, algorithm: str, function: str, dim: int, rep: int
     return derive_seed(master_seed, "run", algorithm, function, dim, rep)
 
 
-def _run_task(algo: AlgorithmSpec, fn, rep: int, budget: int, seed: int):
-    trace = execute_run(algo, fn, budget, seed)
-    return (algo.name, fn.label, fn.space.dim, rep, seed, trace.final_evals, trace.final_best, trace.points)
+def _run_group(desc: FunctionDescriptor, dim: int, runs, budget: int):
+    """Build the function once and yield (record, trace) for each (algo, rep, seed) of ``runs``."""
+    fn = make_test_function(desc, dim=dim)
+    for algo, rep, seed in runs:
+        trace = execute_run(algo, fn, budget, seed)
+        yield RunRecord(algo.name, desc.label, dim, rep, seed, trace.final_evals, trace.final_best), trace
 
 
-def _build_and_run(algo: AlgorithmSpec, desc: FunctionDescriptor, dim: int, rep: int, budget: int, seed: int):
-    return _run_task(algo, make_test_function(desc, dim=dim), rep, budget, seed)
+def _run_task(desc: FunctionDescriptor, dim: int, runs, budget: int):
+    """A pool task: the whole of ``_run_group``, returned at once."""
+    return list(_run_group(desc, dim, runs, budget))
+
+
+def _run_pool(tasks, workers: int, budget: int, handle) -> None:
+    """Run ``tasks`` on ``workers`` processes, with at most two per worker in flight.
+
+    A bounded window keeps the work an error in the parent has to wait for
+    small: on any exception the tasks not yet started are cancelled.
+    """
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    todo, pending = iter(tasks), set()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            while True:
+                for task in islice(todo, 2 * workers - len(pending)):
+                    pending.add(pool.submit(_run_task, *task, budget))
+                if not pending:
+                    break
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    for result in fut.result():
+                        handle(*result)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _check_resume(out: Path, spec: BenchmarkSpec) -> dict | None:
@@ -451,54 +488,44 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False)
     runs_path = out / "runs.csv"
     existing = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)}
 
-    tasks = []
-    for algo in spec.algorithms:
-        for desc in spec.functions:
-            for dim in spec.dims:
-                for rep in range(spec.reps):
-                    key = (algo.name, desc.label, dim, rep)
-                    if key in existing:
-                        continue
-                    seed = run_seed(spec.master_seed, algo.name, desc.label, dim, rep)
-                    tasks.append((algo, desc, dim, rep, seed))
+    # The missing runs of each (function, dim), in (algorithm, rep) order.
+    groups = []
+    for desc in spec.functions:
+        for dim in spec.dims:
+            runs = [
+                (algo, rep, run_seed(spec.master_seed, algo.name, desc.label, dim, rep))
+                for algo in spec.algorithms
+                for rep in range(spec.reps)
+                if (algo.name, desc.label, dim, rep) not in existing
+            ]
+            if runs:
+                groups.append((desc, dim, runs))
 
     new_records: list[RunRecord] = []
     # Keep only the rows that count, so appended rows start on a fresh line.
     _write_runs(runs_path, existing.values())
     with open(runs_path, "a", newline="") as fh:
 
-        def handle(result):
-            name, label, dim, rep, seed, evals_used, best, points = result
-            rec = RunRecord(name, label, dim, rep, seed, evals_used, best)
-            write_trace(out / rec.trace_path, RunTrace(tuple(points), evals_used))
+        def handle(rec: RunRecord, trace: RunTrace):
+            write_trace(out / rec.trace_path, trace)
             new_records.append(rec)
             fh.write(_csv_line(astuple(rec)))
             fh.flush()
             if progress:
-                print(f"run  {name} {label} d={dim} rep={rep}  best={best:.6g}")
+                print(f"run  {rec.algorithm} {rec.function} d={rec.dim} rep={rec.rep}  best={rec.best_fitness:.6g}")
 
         if workers == 1:
-            # One build per (function, dim), shared by all of its runs.
-            built = {}
-            for algo, desc, dim, rep, seed in tasks:
-                if (desc.label, dim) not in built:
-                    built[desc.label, dim] = make_test_function(desc, dim=dim)
-                handle(_run_task(algo, built[desc.label, dim], rep, spec.budget, seed))
+            for desc, dim, runs in groups:
+                for result in _run_group(desc, dim, runs, spec.budget):
+                    handle(*result)
         else:
-            from concurrent.futures import ProcessPoolExecutor, as_completed
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_build_and_run, algo, desc, dim, rep, spec.budget, seed)
-                    for algo, desc, dim, rep, seed in tasks
-                ]
-                try:
-                    for fut in as_completed(futures):
-                        handle(fut.result())
-                except BaseException:
-                    # Do not compute the runs still queued only to drop them.
-                    pool.shutdown(cancel_futures=True)
-                    raise
+            tasks = [
+                (desc, dim, runs[i : i + _TASK_RUNS])
+                for desc, dim, runs in groups
+                for i in range(0, len(runs), _TASK_RUNS)
+            ]
+            if tasks:
+                _run_pool(tasks, min(workers, len(tasks)), spec.budget, handle)
 
     _check_evals_used(new_records, spec.budget)
     records = list(existing.values()) + new_records

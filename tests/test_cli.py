@@ -141,3 +141,30 @@ def test_wilcoxon_command_rejects_missing_column(tmp_path):
     csv_path.write_text("a,b\n1,2\n")
     res = CliRunner().invoke(main, ["wilcoxon", str(csv_path), "a", "missing"])
     assert res.exit_code != 0
+
+
+@pytest.mark.parametrize("option", ["--workers", "--reps", "--budget", "--dim"])
+def test_bench_rejects_non_positive_values_up_front(tmp_path, option):
+    out = tmp_path / "results"
+    config = tmp_path / "spec.json"
+    config.write_text(_config(out).to_json())
+    res = CliRunner().invoke(main, ["bench", "--config", str(config), "--quiet", option, "0"])
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}'" in res.output
+    assert "Traceback" not in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--algo", "de", "--function", "shifted_sphere", "--dim", "0"],
+        ["run", "--algo", "de", "--function", "shifted_sphere", "--budget", "-1"],
+        ["rse", "--function", "shifted_sphere", "--reps", "0"],
+    ],
+    ids=["run-dim", "run-budget", "rse-reps"],
+)
+def test_run_and_rse_reject_non_positive_values_up_front(args):
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2
+    assert f"Invalid value for '{args[-2]}'" in res.output

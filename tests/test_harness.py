@@ -1,6 +1,8 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
+import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -475,6 +477,59 @@ def test_serial_run_builds_each_function_once(tmp_path, monkeypatch):
     assert sorted(built) == [("hybrid", 2), ("hybrid", 3), ("sphere2", 2), ("sphere2", 3)]
     run_benchmark(replace(spec, output_dir=str(tmp_path / "pool")), workers=2)
     assert _results(tmp_path / "serial") == _results(tmp_path / "pool")
+
+
+@fork_only
+def test_pool_builds_once_per_task(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path / "out", reps=5)
+    ensure_rse_targets(spec)  # builds the cell once for its target
+    builds, real = tmp_path / "builds", harness.make_test_function
+    builds.mkdir()
+
+    def counting_build(desc, seed=None, dim=None):
+        os.close(tempfile.mkstemp(dir=builds)[0])
+        return real(desc, seed=seed, dim=dim)
+
+    monkeypatch.setattr(harness, "make_test_function", counting_build)
+    run_benchmark(spec, workers=2)
+    assert len(list(builds.iterdir())) == 3  # 10 runs in tasks of 4, 4 and 2
+
+
+def test_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    run_benchmark(sphere_spec(tmp_path / "out", reps=1), workers=4)
+    assert started == [1]
+    run_benchmark(sphere_spec(tmp_path / "out", reps=1), workers=4)  # nothing left to run
+    assert started == [1]
+
+
+def test_workers_do_not_change_any_output(tmp_path):
+    # 10 runs: the pool cuts them into tasks of 4, 4 and 2
+    for name, workers in (("serial", 1), ("pool", 2)):
+        run_benchmark(small_spec(tmp_path / name, reps=5), workers=workers)
+        summarize(tmp_path / name)
+    assert _results(tmp_path / "pool") == _results(tmp_path / "serial")
+
+
+def test_pool_resume_of_scattered_rows_gives_the_same_bytes(tmp_path):
+    out = tmp_path / "resumed"
+    run_benchmark(small_spec(out, reps=5), workers=2)
+    lines = (out / "runs.csv").read_text().splitlines(keepends=True)
+    # drop de_small reps 1, 3, 4 and sqg_small reps 0, 2, 4: tasks that mix both
+    kept = [line for i, line in enumerate(lines) if i not in (2, 4, 5, 6, 8, 10)]
+    (out / "runs.csv").write_text("".join(kept))
+    assert len(run_benchmark(small_spec(out, reps=5), workers=2)) == 10
+    run_benchmark(small_spec(tmp_path / "fresh", reps=5), workers=1)
+    for name in ("resumed", "fresh"):
+        summarize(tmp_path / name)
+    assert _results(out) == _results(tmp_path / "fresh")
 
 
 def test_resume_with_nothing_to_do_writes_nothing(tmp_path):
