@@ -50,7 +50,6 @@ from .testfuncs import (
     Composition,
     FunctionDescriptor,
     TestFunction,
-    Transform,
     base_eval,
     compose_eval,
     composition_weights,

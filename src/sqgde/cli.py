@@ -10,7 +10,6 @@ from pathlib import Path
 import click
 
 from . import harness
-from .core import derive_seed
 from .harness import (
     ALGORITHM_PRESETS,
     BenchmarkSpec,
@@ -18,7 +17,6 @@ from .harness import (
     default_benchmark_spec,
     execute_run,
 )
-from .metrics import estimate_rse_target
 from .stats import wilcoxon_signed_rank
 from .testfuncs import (
     FunctionDescriptor,
@@ -118,7 +116,10 @@ def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quie
         changes["functions"] = [known_f[f] for f in functions]
     if changes:
         spec = dataclasses.replace(spec, **changes)
-    records = harness.run_benchmark(spec, workers=workers, progress=not quiet)
+    try:
+        records = harness.run_benchmark(spec, workers=workers, progress=not quiet)
+    except (ValueError, RuntimeError) as err:  # another benchmark's directory, or a row over the budget
+        raise click.ClickException(str(err)) from err
     click.echo(f"{len(records)} runs recorded under {spec.output_dir}")
     click.echo(f"next: sqgde summarize --out {spec.output_dir}")
 
@@ -126,16 +127,15 @@ def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quie
 @main.command()
 @click.option("--function", "function_label", default=None, help="Single label; all suite functions if omitted.")
 @click.option("--dim", type=POSITIVE, default=30, show_default=True)
-@click.option("--budget", type=POSITIVE, default=1000, show_default=True)
-@click.option("--reps", type=POSITIVE, default=100, show_default=True)
-@click.option("--seed", type=int, default=12345, show_default=True, help="Master seed.")
+@click.option("--budget", type=POSITIVE, default=BenchmarkSpec.budget, show_default=True)
+@click.option("--reps", type=POSITIVE, default=BenchmarkSpec.reps, show_default=True)
+@click.option("--seed", type=int, default=BenchmarkSpec.master_seed, show_default=True, help="Master seed.")
 def rse(function_label, dim, budget, reps, seed):
     """Print the uniform random-search target per function (sqgde bench stores them)."""
     descs = [_resolve_function(function_label)] if function_label else default_suite()
     click.echo(",".join(harness.RSE_COLUMNS))
     for desc in descs:
-        fn = make_test_function(desc, dim=dim)
-        target = estimate_rse_target(fn, budget, reps, derive_seed(seed, "rse", desc.label, dim))
+        target = harness.rse_target(desc, dim, budget, reps, seed)
         click.echo(f"{desc.label},{dim},{budget},{reps},{target.value!r}")
 
 
@@ -143,7 +143,10 @@ def rse(function_label, dim, budget, reps, seed):
 @click.option("--out", required=True, type=click.Path(exists=True), help="Benchmark output directory.")
 def summarize_cmd(out):
     """Build ert.csv, summary.csv and convergence curves from recorded runs."""
-    result = harness.summarize(out)
+    try:
+        result = harness.summarize(out)
+    except (FileNotFoundError, ValueError, RuntimeError) as err:  # e.g. no spec.json
+        raise click.ClickException(str(err)) from err
     click.echo(f"ert.csv: {len(result.ert_rows)} rows")
     click.echo(f"summary.csv: {len(result.summary_rows)} rows")
     for row in result.summary_rows:

@@ -57,6 +57,7 @@ __all__ = [
     "execute_run",
     "run_benchmark",
     "ensure_rse_targets",
+    "rse_target",
     "write_trace",
     "summarize",
     "SummaryResult",
@@ -261,6 +262,17 @@ def _check_evals_used(records, budget: int) -> None:
             raise RuntimeError(f"run {rec.key} used {rec.evals_used} evaluations, over the budget {budget}")
 
 
+def _read_rows(path: Path, columns: list[str]):
+    """Yield the fields of each newline-ended row of a results CSV under ``columns``.
+
+    A row the file was cut inside has no newline, so it is never yielded; a
+    missing file or another header yields nothing.
+    """
+    lines = path.read_text().split("\n")[:-1] if path.exists() else []
+    if lines[:1] == [",".join(columns)]:
+        yield from csv.reader(lines[1:])
+
+
 def _load_runs(out: Path, budget: int):
     """Yield (record, trace) of each recorded run, in key order.
 
@@ -269,12 +281,8 @@ def _load_runs(out: Path, budget: int):
     whose trace is missing or does not parse, are skipped so their runs are
     run again. A row over the budget raises RuntimeError.
     """
-    path = out / "runs.csv"
-    lines = path.read_text().split("\n")[:-1] if path.exists() else []
-    if lines[:1] != [",".join(RUNS_COLUMNS)]:
-        return
     records: dict[tuple, RunRecord] = {}
-    for row in csv.reader(lines[1:]):
+    for row in _read_rows(out / "runs.csv", RUNS_COLUMNS):
         try:
             algorithm, function, dim, rep, seed, evals_used, best = row
             numbers = int(dim), int(rep), int(seed), int(evals_used), float(best)
@@ -300,16 +308,14 @@ def _write_runs(path: Path, records: list[RunRecord]) -> None:
 
 
 def _load_rse(path: Path) -> dict[tuple[str, int], RseTarget]:
+    """The stored targets by (function, dim); a row that does not parse is estimated again."""
     targets: dict[tuple[str, int], RseTarget] = {}
-    if not path.exists():
-        return targets
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RSE_COLUMNS:
-            return targets
-        for function, dim, budget, reps, value in reader:
+    for row in _read_rows(path, RSE_COLUMNS):
+        try:
+            function, dim, budget, reps, value = row
             targets[(function, int(dim))] = RseTarget(function, int(budget), int(reps), float(value))
+        except ValueError:  # wrong field count or a cut number
+            continue
     return targets
 
 
@@ -332,6 +338,12 @@ def execute_run(algo: AlgorithmSpec, fn, budget: int, seed: int) -> RunTrace:
 
 def run_seed(master_seed: int, algorithm: str, function: str, dim: int, rep: int) -> int:
     return derive_seed(master_seed, "run", algorithm, function, dim, rep)
+
+
+def rse_target(desc: FunctionDescriptor, dim: int, budget: int, reps: int, master_seed: int) -> RseTarget:
+    """The random-search target of one (function, dim), from its own build and seed."""
+    fn = make_test_function(desc, dim=dim)
+    return estimate_rse_target(fn, budget, reps, derive_seed(master_seed, "rse", desc.label, dim))
 
 
 def _run_group(desc: FunctionDescriptor, dim: int, runs, budget: int):
@@ -372,19 +384,21 @@ def _run_pool(tasks, workers: int, budget: int, handle) -> None:
             raise
 
 
-def _check_resume(out: Path, spec: BenchmarkSpec) -> dict | None:
-    """Refuse to add ``spec``'s results to a directory recorded for another benchmark.
+def _resume_record(out: Path, spec: BenchmarkSpec) -> dict:
+    """The spec.json content covering both the runs recorded in ``out`` and ``spec``'s.
 
-    Results computed under different stream versions differ for the same
-    seeds, so a spec.json that records another version (or none: it
+    Refuses to add ``spec``'s results to a directory recorded for another
+    benchmark. Results computed under different stream versions differ for
+    the same seeds, so a spec.json that records another version (or none: it
     predates versioning, stream version 1) is refused. The recorded budget
     and master seed must match, and so must every algorithm config and
     function descriptor that both specs name. Adding algorithms, functions,
-    dims or reps resumes. Returns the recorded spec.json, if any.
+    dims or reps resumes: the record lists the recorded entries first, then
+    the new ones, and the larger reps.
     """
     path = out / "spec.json"
     if not path.exists():
-        return None
+        return {**spec.to_dict(), "stream_version": STREAM_VERSION}
     record = json.loads(path.read_text())
     found = record.get("stream_version")
     if found != STREAM_VERSION:
@@ -401,28 +415,16 @@ def _check_resume(out: Path, spec: BenchmarkSpec) -> dict | None:
     new = json.loads(spec.to_json())
     for group, key in (("algorithms", "name"), ("functions", "label")):
         recorded = {entry[key]: entry for entry in record[group]}
-        for entry in new[group]:
-            if entry[key] in recorded and recorded[entry[key]] != entry:
-                clashes.append(f"{group[:-1]} {entry[key]!r} changed")
+        clashes += [f"{group[:-1]} {e[key]!r} changed" for e in new[group] if recorded.get(e[key], e) != e]
+        new[group] = record[group] + [e for e in new[group] if e[key] not in recorded]
     if clashes:
         raise ValueError(
             f"{path} records another benchmark ({'; '.join(clashes)}); resuming "
             "would mix results of the two. Write to a new output directory."
         )
-    return record
-
-
-def _merged_record(record: dict | None, spec: BenchmarkSpec) -> dict:
-    """spec.json content covering both the recorded runs and ``spec``'s."""
-    new = {**spec.to_dict(), "stream_version": STREAM_VERSION}
-    if record is None:
-        return new
-    for group, key in (("algorithms", "name"), ("functions", "label")):
-        names = {entry[key] for entry in record[group]}
-        new[group] = record[group] + [e for e in new[group] if e[key] not in names]
     new["dims"] = record["dims"] + [d for d in new["dims"] if d not in record["dims"]]
     new["reps"] = max(record["reps"], new["reps"])
-    return new
+    return {**new, "stream_version": STREAM_VERSION}
 
 
 def ensure_rse_targets(spec: BenchmarkSpec, progress: bool = False) -> dict[tuple[str, int], RseTarget]:
@@ -436,8 +438,7 @@ def ensure_rse_targets(spec: BenchmarkSpec, progress: bool = False) -> dict[tupl
     were estimated under another budget, is refused with ``ValueError``.
     """
     out = Path(spec.output_dir)
-    record = _check_resume(out, spec)
-    reps = max(spec.reps, record["reps"]) if record else spec.reps
+    reps = _resume_record(out, spec)["reps"]
     out.mkdir(parents=True, exist_ok=True)
     rse_path = out / "rse.csv"
     targets = _load_rse(rse_path)
@@ -454,9 +455,7 @@ def ensure_rse_targets(spec: BenchmarkSpec, progress: bool = False) -> dict[tupl
         if (desc.label, dim) not in targets or targets[(desc.label, dim)].reps < reps
     ]
     for desc, dim in missing:
-        fn = make_test_function(desc, dim=dim)
-        seed = derive_seed(spec.master_seed, "rse", desc.label, dim)
-        target = estimate_rse_target(fn, spec.budget, reps, seed)
+        target = rse_target(desc, dim, spec.budget, reps, spec.master_seed)
         targets[(desc.label, dim)] = target
         if progress:
             print(f"rse  {desc.label} d={dim}  target={target.value:.6g}")
@@ -481,9 +480,8 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False)
     out = Path(spec.output_dir)
     # The targets come first: a function that does not build leaves no spec.json.
     ensure_rse_targets(spec, progress=progress)
-    record = _check_resume(out, spec)
     (out / "traces").mkdir(exist_ok=True)
-    _update_text(out / "spec.json", json.dumps(_merged_record(record, spec), indent=2) + "\n")
+    _update_text(out / "spec.json", json.dumps(_resume_record(out, spec), indent=2) + "\n")
 
     runs_path = out / "runs.csv"
     existing = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)}

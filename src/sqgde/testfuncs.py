@@ -23,7 +23,6 @@ __all__ = [
     "BASE_FUNCTIONS",
     "base_eval",
     "random_rotation",
-    "Transform",
     "CompositionComponent",
     "Composition",
     "composition_weights",
@@ -41,8 +40,8 @@ __all__ = [
 NOISE_MULT_GAUSSIAN = "multiplicative_gaussian"
 
 
-# Base landscapes reduce over the last axis, so each takes one point (D,)
-# or a batch (n, D) and returns a scalar or n values.
+# Base landscapes reduce over the last axis, so each maps points (..., D)
+# to values (...).
 
 
 def _sphere(z: np.ndarray) -> np.ndarray:
@@ -208,37 +207,34 @@ def random_rotation(dim: int, rng: RngStream) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Transform:
-    """Shift, optional rotation and bias of a transformed base landscape."""
+class CompositionComponent:
+    """A base landscape moved to ``shift``, optionally rotated, plus ``bias``.
 
+    ``lam`` scales its coordinates and ``sigma`` is its width in a
+    composition's Gaussian weights; a single-body function uses lam = 1.
+    """
+
+    kind: str
     shift: np.ndarray
     rotation: np.ndarray | None = None
     bias: float = 0.0
-
-
-@dataclass(frozen=True)
-class CompositionComponent:
-    """A transformed base landscape; a single-body function uses lam = 1."""
-
-    kind: str
-    transform: Transform
     sigma: float = 1.0
     lam: float = 1.0
 
     def value(self, x: np.ndarray, sq_dist: np.ndarray | None = None):
-        """Base value at x: a scalar for a point (D,), n values for a batch (n, D).
+        """Base value, without the bias, of points (..., D): values (...).
 
         ``sq_dist``, if given, receives each point's ||x - shift||^2, taken
         from the same difference that is then mapped to canonical coordinates.
         """
-        z = x - self.transform.shift
+        z = x - self.shift
         if sq_dist is not None:
             sq_dist[...] = (z * z).sum(axis=-1)
         base = BASE_FUNCTIONS[self.kind]
         if self.lam != 1.0:
             z /= self.lam
-        if self.transform.rotation is not None:
-            z = z @ self.transform.rotation.T
+        if self.rotation is not None:
+            z = z @ self.rotation.T
         if base.optimum_offset != 0.0:
             z += base.optimum_offset
         return base.fn(z)
@@ -262,57 +258,49 @@ class Composition:
 
 
 def _mixture(comp: Composition, X: np.ndarray):
-    """Weights and component values plus biases, both (n, K), of a batch (n, D).
+    """Weights and component values plus biases, both (..., K), of points (..., D).
 
     One pass per component: its value and its squared distance to its shift
     come from one x - shift. That difference lives only inside ``value``, so
     the rotated copy replaces it rather than adding to the peak memory.
     """
-    n, k = X.shape[0], len(comp.components)
-    sq_dists, vals = np.empty((n, k)), np.empty((n, k))
+    k = len(comp.components)
+    sq_dists, vals = np.empty(X.shape[:-1] + (k,)), np.empty(X.shape[:-1] + (k,))
     for i, c in enumerate(comp.components):
-        vals[:, i] = c.value(X, sq_dists[:, i]) + c.transform.bias
-    w = np.exp(-sq_dists / (2.0 * X.shape[1] * comp.sigma2))
-    total = w.sum(axis=1)
+        vals[..., i] = c.value(X, sq_dists[..., i]) + c.bias
+    w = np.exp(-sq_dists / (2.0 * X.shape[-1] * comp.sigma2))
+    total = w.sum(axis=-1)
     dead = total <= 0.0
-    w /= np.where(dead, 1.0, total)[:, None]
+    w /= np.where(dead, 1.0, total)[..., None]
     if dead.any():
-        w[np.flatnonzero(dead), np.argmin(sq_dists[dead], axis=1)] = 1.0
+        w[dead] = np.eye(k)[np.argmin(sq_dists[dead], axis=-1)]
     return w, vals
 
 
 def composition_weights(comp: Composition, x: np.ndarray) -> np.ndarray:
     """Normalized Gaussian mixture weights based on distance to each shift.
 
-    Takes a point (D,) and returns (K,) weights, or a batch (n, D) and
-    returns (n, K). If every unnormalized weight of a point underflows to
-    zero, the nearest component takes weight 1. Shares the pass of
-    :func:`compose_eval`, so it costs as much.
+    Maps points (..., D) to weights (..., K). If every unnormalized weight
+    of a point underflows to zero, the nearest component takes weight 1.
+    Shares the pass of :func:`compose_eval`, so it costs as much.
     """
-    x = np.asarray(x, dtype=float)
-    w, _ = _mixture(comp, np.atleast_2d(x))
-    return w[0] if x.ndim == 1 else w
+    return _mixture(comp, np.asarray(x, dtype=float))[0]
 
 
 def compose_eval(comp: Composition, x: np.ndarray):
-    """Mixture value: sum_i w_i(x) * (component_i value + component_i bias).
-
-    A scalar for a point (D,), n values for a batch (n, D).
-    """
-    x = np.asarray(x, dtype=float)
-    w, vals = _mixture(comp, np.atleast_2d(x))
-    total = (w * vals).sum(axis=1)
-    return total[0] if x.ndim == 1 else total
+    """Mixture value of points (..., D): sum_i w_i(x) * (component_i value + bias_i), shape (...)."""
+    w, vals = _mixture(comp, np.asarray(x, dtype=float))
+    return (w * vals).sum(axis=-1)
 
 
 @dataclass(frozen=True)
 class TestFunction:
     """A concrete box-bounded objective, evaluated as ``fn(x, rng)``.
 
-    ``x`` is one point of shape (D,), which gives a float, or a batch of
-    shape (n, D), which gives n values (one noise draw per row). A body
-    that is a plain callable (see :func:`custom_function`) takes one point
-    and is called once per row.
+    ``x`` holds points of shape (..., D) and gives values of shape (...),
+    with one noise draw per point in C order; a single point (D,) gives a
+    float. A body that is a plain callable (see :func:`custom_function`)
+    takes one point and is called once per point, in C order.
 
     ``noise`` multiplies the zero-normalized value by (1 + 0.4 |N(0, 1)|)
     before the bias is added, so noisy values never fall below the noiseless
@@ -326,30 +314,30 @@ class TestFunction:
 
     def __call__(self, x, rng: RngStream | None = None):
         x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.space.dim:
-            raise ValueError(f"expected a point of dimension {self.space.dim} or an (n, {self.space.dim}) batch")
-        X = np.atleast_2d(x)
+        if x.ndim < 1 or x.shape[-1] != self.space.dim:
+            raise ValueError(f"expected points of shape (..., {self.space.dim})")
         bias = 0.0
         if isinstance(self.body, CompositionComponent):
-            raw = self.body.value(X)
-            bias = self.body.transform.bias
+            raw = self.body.value(x)
+            bias = self.body.bias
         elif isinstance(self.body, Composition):
-            raw = compose_eval(self.body, X)
+            raw = compose_eval(self.body, x)
         else:
-            raw = np.array([float(self.body(row)) for row in X])
+            rows = x.reshape(-1, x.shape[-1])
+            raw = np.array([float(self.body(row)) for row in rows]).reshape(x.shape[:-1])
         if self.noise is not None:
             if self.noise != NOISE_MULT_GAUSSIAN:
                 raise ValueError(f"unknown noise model: {self.noise!r}")
             if rng is None:
                 raise ValueError("a noisy function needs an rng stream")
-            raw = raw * (1.0 + 0.4 * np.abs(rng.standard_normal(len(X))))
+            raw = raw * (1.0 + 0.4 * np.abs(rng.standard_normal(x.shape[:-1])))
         values = raw + bias
-        return float(values[0]) if x.ndim == 1 else values
+        return float(values) if x.ndim == 1 else values
 
 
 def custom_function(label: str, space: SearchSpace, fn: Callable[[np.ndarray], float]) -> TestFunction:
     """Wrap a scalar callable ``fn(x) -> float`` so it can be used wherever a
-    TestFunction is; batches call it once per row."""
+    TestFunction is; points (..., D) call it once per point."""
     return TestFunction(label=label, space=space, body=fn)
 
 
@@ -473,45 +461,31 @@ def make_test_function(
     single = desc.kind is not None
     if single == (desc.composition is not None):
         raise ValueError(f"{desc.label}: exactly one of kind or composition must be set")
+    # A single body is the one-entry case of a composition's component list.
+    entries = [ComponentDescriptor(desc.kind, lam=1.0, bias=desc.bias)] if single else desc.composition
+    for c in entries:
+        if c.kind not in BASE_FUNCTIONS:
+            raise ValueError(f"{desc.label}: unknown base function kind {c.kind!r}")
+        if dim < BASE_FUNCTIONS[c.kind].min_dim:
+            raise ValueError(f"{desc.label}: {c.kind} needs dim >= {BASE_FUNCTIONS[c.kind].min_dim}")
 
-    if single:
-        if desc.kind not in BASE_FUNCTIONS:
-            raise ValueError(f"{desc.label}: unknown base function kind {desc.kind!r}")
-        base = BASE_FUNCTIONS[desc.kind]
-        if dim < base.min_dim:
-            raise ValueError(f"{desc.label}: {desc.kind} needs dim >= {base.min_dim}")
-        lo, hi = desc.bounds if desc.bounds is not None else (-base.half_range, base.half_range)
-    else:
-        for c in desc.composition:
-            if c.kind not in BASE_FUNCTIONS:
-                raise ValueError(f"{desc.label}: unknown base function kind {c.kind!r}")
-        lo, hi = desc.bounds if desc.bounds is not None else (-5.0, 5.0)
+    half_range = BASE_FUNCTIONS[desc.kind].half_range if single else 5.0
+    lo, hi = desc.bounds if desc.bounds is not None else (-half_range, half_range)
     space = SearchSpace(dim, np.full(dim, float(lo)), np.full(dim, float(hi)))
     half_width = float(hi - lo) / 2.0
 
     rng = make_rng(seed)
-    if single:
-        shift = _sample_shift(space, rng, desc.shifted, desc.optimum_on_bounds)
+    comps = []
+    for c in entries:
+        lam = c.lam if c.lam is not None else half_width / BASE_FUNCTIONS[c.kind].half_range
+        shift = _sample_shift(space, rng, desc.shifted, single and desc.optimum_on_bounds)
         rotation = random_rotation(dim, rng) if desc.rotated else None
-        body: CompositionComponent | Composition = CompositionComponent(
-            desc.kind, Transform(shift, rotation, desc.bias)
-        )
-    else:
-        comps = []
-        for c in desc.composition:
-            base = BASE_FUNCTIONS[c.kind]
-            if dim < base.min_dim:
-                raise ValueError(f"{desc.label}: {c.kind} needs dim >= {base.min_dim}")
-            lam = c.lam if c.lam is not None else half_width / base.half_range
-            shift = _sample_shift(space, rng, desc.shifted, False)
-            rotation = random_rotation(dim, rng) if desc.rotated else None
-            comps.append(CompositionComponent(c.kind, Transform(shift, rotation, c.bias), c.sigma, lam))
-        body = Composition(tuple(comps))
+        comps.append(CompositionComponent(c.kind, shift, rotation, c.bias, c.sigma, lam))
 
     return TestFunction(
         label=desc.label,
         space=space,
-        body=body,
+        body=comps[0] if single else Composition(tuple(comps)),
         noise=NOISE_MULT_GAUSSIAN if desc.noisy else None,
     )
 

@@ -94,6 +94,47 @@ def test_bench_rejects_unknown_algo(tmp_path):
     assert res.exit_code != 0
 
 
+def _record_stream_version(out, version):
+    record = json.loads((out / "spec.json").read_text())
+    (out / "spec.json").write_text(json.dumps({**record, "stream_version": version}))
+
+
+def _over_budget_row(out):
+    lines = (out / "runs.csv").read_text().splitlines(keepends=True)
+    cols = lines[1].split(",")
+    cols[5] = "61"  # over the 60-evaluation budget
+    (out / "runs.csv").write_text("".join(lines[:1] + [",".join(cols)] + lines[2:]))
+
+
+@pytest.mark.parametrize(
+    "damage, args, message",
+    [
+        (lambda out: None, ["--budget", 80], "records another benchmark (budget 60 != 80)"),
+        (lambda out: _record_stream_version(out, 2), [], "records RNG stream version 2"),
+        (lambda out: (out / "spec.json").unlink(), ["--budget", 80], "rse.csv 60, spec 80"),
+        (_over_budget_row, [], "used 61 evaluations, over the budget 60"),
+    ],
+    ids=["another_benchmark", "another_stream_version", "rse_of_another_budget", "row_over_budget"],
+)
+def test_bench_refusals_exit_1_with_their_message(tmp_path, damage, args, message):
+    out = tmp_path / "results"
+    config = tmp_path / "spec.json"
+    config.write_text(_config(out).to_json())
+    assert invoke("bench", "--config", config, "--quiet").exit_code == 0
+    damage(out)
+    res = CliRunner().invoke(main, ["bench", "--config", str(config), "--quiet", *map(str, args)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a ClickException, not a traceback
+    assert "Error: " in res.output and message in res.output
+
+
+def test_summarize_without_spec_exits_1_with_its_message(tmp_path):
+    res = CliRunner().invoke(main, ["summarize", "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "Error: " in res.output and "spec.json" in res.output
+
+
 def test_rse_command_matches_direct_estimate():
     res = invoke("rse", "--function", "shifted_sphere", "--dim", 3, "--budget", 20, "--reps", 10, "--seed", 1)
     assert res.exit_code == 0

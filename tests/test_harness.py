@@ -297,6 +297,25 @@ def test_resume_runs_again_a_run_with_a_bad_trace(tmp_path, damage):
     assert _results(out) == _results(tmp_path / "fresh")
 
 
+@pytest.mark.parametrize(
+    "cut",
+    [lambda text: text[:-6], lambda text: text[: text.rindex(",")]],
+    ids=["inside_the_last_value", "mid_row"],
+)
+def test_resume_estimates_again_a_cut_rse_row(tmp_path, cut):
+    run_benchmark(sphere_spec(tmp_path / "fresh", reps=2))
+    out = tmp_path / "cut"
+    run_benchmark(sphere_spec(out, reps=2))
+    rse_path = out / "rse.csv"
+    text = cut(rse_path.read_text())
+    assert text[-1].isdigit()  # no newline ends the last row
+    rse_path.write_text(text)
+    run_benchmark(sphere_spec(out, reps=2))
+    for name in ("fresh", "cut"):
+        summarize(tmp_path / name)
+    assert _results(out) == _results(tmp_path / "fresh")
+
+
 def test_interrupted_matrix_resumes_to_the_same_bytes(tmp_path, monkeypatch):
     out = tmp_path / "resumed"
     _crash_at_trace_write(monkeypatch, 4)

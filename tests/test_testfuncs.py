@@ -14,7 +14,6 @@ from sqgde.testfuncs import (
     Composition,
     CompositionComponent,
     FunctionDescriptor,
-    Transform,
     base_eval,
     compose_eval,
     composition_weights,
@@ -101,7 +100,7 @@ def test_weierstrass_sum_matches_high_precision_reference():
 @pytest.mark.parametrize("dim", [2, 10, 30, 50])
 def test_weierstrass_exactly_zero_at_optimum_alone_and_in_batch(dim):
     fn = make_test_function(suite_by_label()["shifted_rotated_weierstrass"], dim=dim)
-    shift = fn.body.transform.shift
+    shift = fn.body.shift
     assert fn(shift) == 0.0
     X = fn.space.sample_uniform(make_rng(dim), 7)
     X[3] = shift
@@ -171,7 +170,7 @@ def test_rotation_orthogonality_property(dim, seed):
 def test_shifted_sphere_zero_at_shift():
     desc = FunctionDescriptor(label="f", kind="sphere", seed=5)
     fn = make_test_function(desc, dim=6)
-    shift = fn.body.transform.shift
+    shift = fn.body.shift
     assert fn.space.contains(shift)
     assert fn(shift) == pytest.approx(0.0, abs=1e-24)
 
@@ -179,15 +178,15 @@ def test_shifted_sphere_zero_at_shift():
 def test_single_body_optimum_equals_bias():
     desc = FunctionDescriptor(label="f", kind="rastrigin", bias=7.5, seed=9)
     fn = make_test_function(desc, dim=4)
-    assert fn(fn.body.transform.shift) == pytest.approx(7.5, abs=1e-12)
+    assert fn(fn.body.shift) == pytest.approx(7.5, abs=1e-12)
 
 
 def test_same_descriptor_and_seed_reproduces_instance():
     desc = FunctionDescriptor(label="f", kind="ackley", rotated=True, seed=33)
     f1 = make_test_function(desc, dim=5)
     f2 = make_test_function(desc, dim=5)
-    npt.assert_array_equal(f1.body.transform.shift, f2.body.transform.shift)
-    npt.assert_array_equal(f1.body.transform.rotation, f2.body.transform.rotation)
+    npt.assert_array_equal(f1.body.shift, f2.body.shift)
+    npt.assert_array_equal(f1.body.rotation, f2.body.rotation)
     x = make_rng(1).uniform(-32, 32, 5)
     assert f1(x) == f2(x)
 
@@ -195,7 +194,7 @@ def test_same_descriptor_and_seed_reproduces_instance():
 def test_optimum_on_bounds_pins_components():
     desc = FunctionDescriptor(label="f", kind="ackley", optimum_on_bounds=True, seed=21)
     fn = make_test_function(desc, dim=6)
-    shift = fn.body.transform.shift
+    shift = fn.body.shift
     lo, hi = fn.space.lower, fn.space.upper
     on_edge = (shift == lo) | (shift == hi)
     assert on_edge.any()
@@ -208,7 +207,7 @@ def test_rotated_sphere_matches_unrotated():
         FunctionDescriptor(label="f", kind="sphere", rotated=True, seed=13), dim=8
     )
     # the shift is drawn before the rotation, so both instances share it
-    npt.assert_array_equal(plain.body.transform.shift, rotated.body.transform.shift)
+    npt.assert_array_equal(plain.body.shift, rotated.body.shift)
     rng = make_rng(4)
     for _ in range(20):
         x = plain.space.sample_uniform(rng)
@@ -255,7 +254,7 @@ def test_noisy_function_requires_rng():
 def test_noise_multiplies_before_bias():
     desc = FunctionDescriptor(label="f", kind="sphere", noisy=True, bias=100.0, seed=3)
     fn = make_test_function(desc, dim=2)
-    shift = fn.body.transform.shift
+    shift = fn.body.shift
     # zero-normalized value at the optimum is 0, so noise has nothing to scale
     assert fn(shift, make_rng(0)) == pytest.approx(100.0, abs=1e-12)
 
@@ -268,16 +267,24 @@ def test_function_rejects_wrong_shape():
 
 def test_custom_function_wraps_callable():
     space = SearchSpace.box(1, 0.0, 1.0)
-    fn = custom_function("line", space, lambda x: float(x[0]))
+    seen = []
+    fn = custom_function("line", space, lambda x: seen.append(x.copy()) or float(x[0]))
     assert fn(np.array([0.25])) == 0.25
     assert fn.label == "line"
+    # points (R, n, D): one call per point, in C order, and values (R, n)
+    X = make_rng(3).uniform(0.0, 1.0, (3, 4, 1))
+    seen.clear()
+    values = fn(X)
+    assert values.shape == (3, 4)
+    npt.assert_array_equal(np.array(seen), X.reshape(-1, 1))
+    npt.assert_array_equal(values, X[..., 0])
 
 
 # --- compositions ---------------------------------------------------------
 
 
 def _component(kind, shift, sigma=1.0, lam=1.0, bias=0.0):
-    return CompositionComponent(kind, Transform(np.asarray(shift, dtype=float), None, bias), sigma, lam)
+    return CompositionComponent(kind, np.asarray(shift, dtype=float), None, bias, sigma, lam)
 
 
 def test_composition_needs_two_components():
@@ -322,6 +329,9 @@ def test_weights_underflow_falls_back_to_nearest():
     ))
     w = composition_weights(comp, np.array([1.0, 1.0]))
     npt.assert_array_equal(w, [1.0, 0.0])
+    # any leading shape: each point's weight goes to its own nearest shift
+    X = np.array([[[1.0, 1.0], [-1.0, -1.0]], [[-2.0, 0.0], [3.0, 3.0]], [[0.0, 5.0], [-5.0, 0.0]]])
+    npt.assert_array_equal(composition_weights(comp, X), [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]])
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -396,7 +406,7 @@ def test_suite_single_body_optima_sit_at_bias():
         if desc.composition is not None or desc.noisy:
             continue
         fn = make_test_function(desc, dim=10)
-        shift = fn.body.transform.shift
+        shift = fn.body.shift
         assert fn(shift) == pytest.approx(desc.bias, abs=1e-7), desc.label
 
 
@@ -406,11 +416,11 @@ def test_suite_single_body_optima_sit_at_bias():
 def _reference_value(c, x):
     """A component's value as x - shift, / lam, rotation, + offset, each a new array."""
     base = BASE_FUNCTIONS[c.kind]
-    z = x - c.transform.shift
+    z = x - c.shift
     if c.lam != 1.0:
         z = z / c.lam
-    if c.transform.rotation is not None:
-        z = z @ c.transform.rotation.T
+    if c.rotation is not None:
+        z = z @ c.rotation.T
     if base.optimum_offset != 0.0:
         z = z + base.optimum_offset
     return base.fn(z)
@@ -418,7 +428,7 @@ def _reference_value(c, x):
 
 def _reference_weights(comp, x):
     X = np.atleast_2d(x)
-    sq_dists = np.stack([np.sum((X - c.transform.shift) ** 2, axis=1) for c in comp.components], axis=1)
+    sq_dists = np.stack([np.sum((X - c.shift) ** 2, axis=1) for c in comp.components], axis=1)
     sigmas = np.array([c.sigma for c in comp.components])
     w = np.exp(-sq_dists / (2.0 * X.shape[1] * sigmas**2))
     total = w.sum(axis=1)
@@ -431,7 +441,7 @@ def _reference_weights(comp, x):
 
 def _reference_compose(comp, x):
     w = _reference_weights(comp, x)
-    vals = np.stack([_reference_value(c, x) + c.transform.bias for c in comp.components], axis=-1)
+    vals = np.stack([_reference_value(c, x) + c.bias for c in comp.components], axis=-1)
     return np.sum(w * vals, axis=-1)
 
 
@@ -453,6 +463,14 @@ def test_suite_functions_match_per_component_formula(label, dim):
             _assert_matches_reference(fn.body, X)
         else:
             assert np.array_equal(fn.body.value(X), _reference_value(fn.body, X))
+    # Points (R, n, D) give the stack of R calls on (n, D), bit for bit; two
+    # streams seeded alike line up the noise draws, one per point in C order.
+    X = make_rng(dim).uniform(fn.space.lower, fn.space.upper, (7, 6, dim))
+    stacked, per_slice = make_rng(dim), make_rng(dim)
+    values = fn(X, stacked)
+    assert values.shape == (7, 6)
+    assert np.array_equal(values, np.stack([fn(x, per_slice) for x in X]))
+    assert stacked.random() == per_slice.random()
 
 
 def test_hand_built_compositions_match_per_component_formula():
@@ -461,7 +479,7 @@ def test_hand_built_compositions_match_per_component_formula():
     comp = Composition((
         _component("rosenbrock", rng.uniform(-5, 5, dim), sigma=0.7, lam=2.5, bias=1.0),
         _component("griewank_rosenbrock", rng.uniform(-5, 5, dim), lam=0.4),
-        CompositionComponent("schaffer_f6", Transform(rng.uniform(-5, 5, dim), random_rotation(dim, rng), -2.0), 2.0),
+        CompositionComponent("schaffer_f6", rng.uniform(-5, 5, dim), random_rotation(dim, rng), -2.0, 2.0),
         _component("elliptic", rng.uniform(-5, 5, dim), sigma=1.3),
     ))
     X = rng.uniform(-5, 5, (50, dim))
