@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import click
@@ -13,7 +14,6 @@ from . import harness
 from .harness import (
     ALGORITHM_PRESETS,
     BenchmarkSpec,
-    algorithm_preset,
     default_benchmark_spec,
     execute_run,
 )
@@ -52,7 +52,7 @@ def _resolve_function(label: str) -> FunctionDescriptor:
 
 
 @main.command()
-@click.option("--algo", required=True, help=f"One of {sorted(ALGORITHM_PRESETS)}.")
+@click.option("--algo", required=True, type=click.Choice(sorted(ALGORITHM_PRESETS)))
 @click.option("--function", "function_label", required=True, help="Suite label or descriptor JSON path.")
 @click.option("--dim", type=POSITIVE, default=30, show_default=True)
 @click.option("--budget", type=POSITIVE, default=1000, show_default=True)
@@ -60,7 +60,7 @@ def _resolve_function(label: str) -> FunctionDescriptor:
 @click.option("--out", type=click.Path(), default=None, help="Directory to write the trace file into.")
 def run(algo, function_label, dim, budget, seed, out):
     """Run one algorithm once on one function and print the outcome."""
-    spec = algorithm_preset(algo)
+    spec = ALGORITHM_PRESETS[algo]
     desc = _resolve_function(function_label)
     fn = make_test_function(desc, dim=dim)
     trace = execute_run(spec, fn, budget, seed)
@@ -84,42 +84,35 @@ def run(algo, function_label, dim, budget, seed, out):
 @click.option("--algo", "algos", multiple=True, help="Restrict to these algorithms.")
 @click.option("--function", "functions", multiple=True, help="Restrict to these function labels.")
 @click.option("--workers", type=POSITIVE, default=1, show_default=True)
-@click.option("--quiet", is_flag=True, help="Suppress per-run progress lines.")
+@click.option("--quiet", is_flag=True, help="Suppress the progress lines, one per target and one per run.")
 def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quiet):
     """Run a benchmark matrix; resumes an interrupted output directory."""
-    if config:
-        spec = BenchmarkSpec.from_json(Path(config).read_text())
-    else:
-        spec = default_benchmark_spec()
-    changes = {}
-    if out is not None:
-        changes["output_dir"] = out
-    if budget is not None:
-        changes["budget"] = budget
-    if reps is not None:
-        changes["reps"] = reps
-    if seed is not None:
-        changes["master_seed"] = seed
-    if dims:
-        changes["dims"] = list(dims)
-    if algos:
-        known = {a.name: a for a in spec.algorithms}
-        missing = [a for a in algos if a not in known]
-        if missing:
-            raise click.BadParameter(f"algorithms not in the spec: {missing}")
-        changes["algorithms"] = [known[a] for a in algos]
-    if functions:
-        known_f = {f.label: f for f in spec.functions}
-        missing = [f for f in functions if f not in known_f]
-        if missing:
-            raise click.BadParameter(f"functions not in the spec: {missing}")
-        changes["functions"] = [known_f[f] for f in functions]
-    if changes:
-        spec = dataclasses.replace(spec, **changes)
+    spec = BenchmarkSpec.from_json(Path(config).read_text()) if config else default_benchmark_spec()
+    given = dict(output_dir=out, budget=budget, reps=reps, master_seed=seed, dims=list(dims) or None)
+    changes = {name: value for name, value in given.items() if value is not None}
+    for name, picked, key in (("algorithms", algos, "name"), ("functions", functions, "label")):
+        known = {getattr(entry, key): entry for entry in getattr(spec, name)}
+        if missing := [p for p in picked if p not in known]:
+            raise click.BadParameter(f"{name} not in the spec: {missing}")
+        if picked:
+            changes[name] = [known[p] for p in picked]
+    spec = dataclasses.replace(spec, **changes)
+
+    import logging  # as in the harness, only a benchmark run loads it
+
+    # The harness logs one INFO line per target and per run.
+    log, handler = logging.getLogger("sqgde.harness"), logging.StreamHandler(sys.stdout)
+    level = log.level
+    if not quiet:
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
     try:
-        records = harness.run_benchmark(spec, workers=workers, progress=not quiet)
-    except (ValueError, RuntimeError) as err:  # another benchmark's directory, or a row over the budget
+        records = harness.run_benchmark(spec, workers=workers)
+    except (ValueError, RuntimeError) as err:  # another benchmark's or a busy directory, a row over the budget
         raise click.ClickException(str(err)) from err
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     click.echo(f"{len(records)} runs recorded under {spec.output_dir}")
     click.echo(f"next: sqgde summarize --out {spec.output_dir}")
 
@@ -135,7 +128,7 @@ def rse(function_label, dim, budget, reps, seed):
     descs = [_resolve_function(function_label)] if function_label else default_suite()
     click.echo(",".join(harness.RSE_COLUMNS))
     for desc in descs:
-        target = harness.rse_target(desc, dim, budget, reps, seed)
+        target = harness.rse_target(make_test_function(desc, dim=dim), budget, reps, seed)
         click.echo(f"{desc.label},{dim},{budget},{reps},{target.value!r}")
 
 

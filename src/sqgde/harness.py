@@ -6,10 +6,13 @@ run key, so the full matrix is reproducible from the spec alone, results
 are independent of execution order and worker count, and an interrupted
 directory can be resumed (completed records are skipped by key).
 
-The missing runs are grouped by (function, dim). One process runs each
-group on one build of its function; a process pool cuts the groups into
-tasks of at most four runs, builds once per task, keeps two tasks per
-worker in flight and starts no more workers than there are tasks.
+The work is grouped by (function, dim) cell: a cell's random-search target
+if it lacks one, then its missing runs. One process does each cell on one
+build of its function; a process pool cuts each cell's runs into tasks of
+at most four, the first of which estimates the target first, builds once
+per task, keeps two tasks per worker in flight and starts no more workers
+than there are tasks. The parent writes every file, rse.csv once per call,
+and locks the output directory while it works.
 
 Artifacts under the output directory:
 
@@ -26,10 +29,12 @@ Artifacts under the output directory:
 from __future__ import annotations
 
 import csv
+import fcntl
 import json
 import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
-from itertools import groupby, islice
+from itertools import groupby, islice, product
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +50,7 @@ from .metrics import (
     estimate_rse_target,
 )
 from .stats import wilcoxon_signed_rank
-from .testfuncs import FunctionDescriptor, default_suite, make_test_function
+from .testfuncs import FunctionDescriptor, default_suite, make_test_function, resolve_descriptor
 
 __all__ = [
     "AlgorithmSpec",
@@ -72,6 +77,8 @@ OVERALL_CATEGORY = "overall"
 # Runs per pool task: one build serves them all, and a task is small enough
 # that an error in the parent cancels most of the queued work.
 _TASK_RUNS = 4
+# The fields every spec.json records; a file without one is refused.
+_SPEC_FIELDS = ("algorithms", "functions", "dims", "budget", "reps", "master_seed")
 
 
 @dataclass(frozen=True)
@@ -340,26 +347,31 @@ def run_seed(master_seed: int, algorithm: str, function: str, dim: int, rep: int
     return derive_seed(master_seed, "run", algorithm, function, dim, rep)
 
 
-def rse_target(desc: FunctionDescriptor, dim: int, budget: int, reps: int, master_seed: int) -> RseTarget:
-    """The random-search target of one (function, dim), from its own build and seed."""
-    fn = make_test_function(desc, dim=dim)
-    return estimate_rse_target(fn, budget, reps, derive_seed(master_seed, "rse", desc.label, dim))
+def rse_target(fn, budget: int, reps: int, master_seed: int) -> RseTarget:
+    """The random-search target of a built (function, dim), from that cell's own seed."""
+    return estimate_rse_target(fn, budget, reps, derive_seed(master_seed, "rse", fn.label, fn.space.dim))
 
 
-def _run_group(desc: FunctionDescriptor, dim: int, runs, budget: int):
-    """Build the function once and yield (record, trace) for each (algo, rep, seed) of ``runs``."""
+def _cell_results(desc: FunctionDescriptor, dim: int, budget: int, master_seed: int, target_reps: int, runs):
+    """One build of a (function, dim) cell's function, then its work on it.
+
+    Yields ((label, dim), target) if ``target_reps`` is not 0, then (record,
+    trace) for each (algo, rep, seed) of ``runs``.
+    """
     fn = make_test_function(desc, dim=dim)
+    if target_reps:
+        yield (desc.label, dim), rse_target(fn, budget, target_reps, master_seed)
     for algo, rep, seed in runs:
         trace = execute_run(algo, fn, budget, seed)
         yield RunRecord(algo.name, desc.label, dim, rep, seed, trace.final_evals, trace.final_best), trace
 
 
-def _run_task(desc: FunctionDescriptor, dim: int, runs, budget: int):
-    """A pool task: the whole of ``_run_group``, returned at once."""
-    return list(_run_group(desc, dim, runs, budget))
+def _run_task(*cell):
+    """A pool task: the whole of ``_cell_results``, returned at once."""
+    return list(_cell_results(*cell))
 
 
-def _run_pool(tasks, workers: int, budget: int, handle) -> None:
+def _run_pool(tasks, workers: int, handle) -> None:
     """Run ``tasks`` on ``workers`` processes, with at most two per worker in flight.
 
     A bounded window keeps the work an error in the parent has to wait for
@@ -372,7 +384,7 @@ def _run_pool(tasks, workers: int, budget: int, handle) -> None:
         try:
             while True:
                 for task in islice(todo, 2 * workers - len(pending)):
-                    pending.add(pool.submit(_run_task, *task, budget))
+                    pending.add(pool.submit(_run_task, *task))
                 if not pending:
                     break
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
@@ -382,6 +394,36 @@ def _run_pool(tasks, workers: int, budget: int, handle) -> None:
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
+
+
+@contextmanager
+def _locked(out: Path):
+    """Hold an exclusive lock on the directory ``out`` itself, or refuse at once.
+
+    Two writers would share each file's ``.tmp`` name and interleave rows.
+    Locking the directory's own descriptor adds no file to it.
+    """
+    fd = os.open(out, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RuntimeError(f"{out} is in use by another process; wait for it or use another directory") from None
+        yield
+    finally:
+        fcntl.flock(fd, fcntl.LOCK_UN)  # forked pool workers hold copies of fd
+        os.close(fd)
+
+
+def _read_spec(path: Path) -> tuple[dict, BenchmarkSpec]:
+    """A spec.json's record and spec; refuses, naming it, one that does not parse or lacks a field."""
+    try:
+        record = json.loads(path.read_text())
+        if missing := [name for name in _SPEC_FIELDS if name not in record]:
+            raise ValueError(f"no {', '.join(missing)}")
+        return record, BenchmarkSpec.from_dict(record)
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        raise ValueError(f"{path} is not a readable spec.json ({err}). Write to a new output directory.") from err
 
 
 def _resume_record(out: Path, spec: BenchmarkSpec) -> dict:
@@ -399,7 +441,7 @@ def _resume_record(out: Path, spec: BenchmarkSpec) -> dict:
     path = out / "spec.json"
     if not path.exists():
         return {**spec.to_dict(), "stream_version": STREAM_VERSION}
-    record = json.loads(path.read_text())
+    record = _read_spec(path)[0]
     found = record.get("stream_version")
     if found != STREAM_VERSION:
         raise ValueError(
@@ -427,7 +469,7 @@ def _resume_record(out: Path, spec: BenchmarkSpec) -> dict:
     return {**new, "stream_version": STREAM_VERSION}
 
 
-def ensure_rse_targets(spec: BenchmarkSpec, progress: bool = False) -> dict[tuple[str, int], RseTarget]:
+def ensure_rse_targets(spec: BenchmarkSpec) -> dict[tuple[str, int], RseTarget]:
     """Compute (or load) the random-search targets for every function/dim cell.
 
     Targets are estimated with the reps the directory records (the larger
@@ -437,34 +479,10 @@ def ensure_rse_targets(spec: BenchmarkSpec, progress: bool = False) -> dict[tupl
     A directory recorded for another benchmark, or whose stored targets
     were estimated under another budget, is refused with ``ValueError``.
     """
-    out = Path(spec.output_dir)
-    reps = _resume_record(out, spec)["reps"]
-    out.mkdir(parents=True, exist_ok=True)
-    rse_path = out / "rse.csv"
-    targets = _load_rse(rse_path)
-    stale = {t.budget for t in targets.values()} - {spec.budget}
-    if stale:
-        raise ValueError(
-            f"budget mismatch for {rse_path}: rse.csv {min(stale)}, spec {spec.budget}; random-search "
-            "targets and runs of different budgets must not be mixed. Write to a new output directory."
-        )
-    missing = [
-        (desc, dim)
-        for desc in spec.functions
-        for dim in spec.dims
-        if (desc.label, dim) not in targets or targets[(desc.label, dim)].reps < reps
-    ]
-    for desc, dim in missing:
-        target = rse_target(desc, dim, spec.budget, reps, spec.master_seed)
-        targets[(desc.label, dim)] = target
-        if progress:
-            print(f"rse  {desc.label} d={dim}  target={target.value:.6g}")
-    if missing:
-        _write_rse(rse_path, targets)
-    return targets
+    return _benchmark(spec, 1, with_runs=False)[0]
 
 
-def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False) -> list[RunRecord]:
+def run_benchmark(spec: BenchmarkSpec, workers: int = 1) -> list[RunRecord]:
     """Execute the full matrix, skipping runs already recorded on disk.
 
     The final runs.csv is sorted by run key and byte-identical across
@@ -473,76 +491,104 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1, progress: bool = False)
     ``core.STREAM_VERSION``), budget or master seed, or a changed algorithm
     config or function descriptor under a recorded name. spec.json then
     records everything the directory holds: recorded and new algorithms,
-    functions and dims, and the larger reps.
+    functions and dims, and the larger reps. Missing targets are estimated
+    as ``ensure_rse_targets`` does, each as the first work of its cell.
     """
+    return _benchmark(spec, workers, with_runs=True)[1]
+
+
+def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
+    """The one path of ``ensure_rse_targets`` and ``run_benchmark``: (targets, records).
+
+    Every refusal comes before any build or write. Then each (function, dim)
+    cell with work builds once, estimates its target if it lacks one of the
+    recorded reps, and runs its missing runs (none unless ``with_runs``).
+    The parent writes every file, rse.csv once at the end, even after an
+    error, if a target was estimated.
+    """
+    import logging  # as with the pool, importing the package does not load it
+
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    out = Path(spec.output_dir)
-    # The targets come first: a function that does not build leaves no spec.json.
-    ensure_rse_targets(spec, progress=progress)
-    (out / "traces").mkdir(exist_ok=True)
-    _update_text(out / "spec.json", json.dumps(_resume_record(out, spec), indent=2) + "\n")
+    for desc, dim in product(spec.functions, spec.dims):
+        resolve_descriptor(desc, dim=dim)
+    out, log = Path(spec.output_dir), logging.getLogger(__name__)
+    out.mkdir(parents=True, exist_ok=True)
+    with _locked(out):
+        record = _resume_record(out, spec)
+        rse_path, runs_path = out / "rse.csv", out / "runs.csv"
+        targets = _load_rse(rse_path)
+        if stale := {t.budget for t in targets.values()} - {spec.budget}:
+            raise ValueError(
+                f"budget mismatch for {rse_path}: rse.csv {min(stale)}, spec {spec.budget}; random-search "
+                "targets and runs of different budgets must not be mixed. Write to a new output directory."
+            )
+        existing = {}
+        if with_runs:
+            (out / "traces").mkdir(exist_ok=True)
+            _update_text(out / "spec.json", json.dumps(record, indent=2) + "\n")
+            existing = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)}
+            # Keep only the rows that count, so appended rows start on a fresh line.
+            _write_runs(runs_path, existing.values())
 
-    runs_path = out / "runs.csv"
-    existing = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)}
-
-    # The missing runs of each (function, dim), in (algorithm, rep) order.
-    groups = []
-    for desc in spec.functions:
-        for dim in spec.dims:
+        # Each cell with work: its target reps (0 if it has its target) and
+        # its missing runs, in (algorithm, rep) order.
+        cells = []
+        for desc, dim in product(spec.functions, spec.dims):
+            target, reps = targets.get((desc.label, dim)), record["reps"]
+            target_reps = 0 if target is not None and target.reps >= reps else reps
             runs = [
                 (algo, rep, run_seed(spec.master_seed, algo.name, desc.label, dim, rep))
                 for algo in spec.algorithms
                 for rep in range(spec.reps)
-                if (algo.name, desc.label, dim, rep) not in existing
+                if with_runs and (algo.name, desc.label, dim, rep) not in existing
             ]
-            if runs:
-                groups.append((desc, dim, runs))
+            if target_reps or runs:
+                cells.append((desc, dim, spec.budget, spec.master_seed, target_reps, runs))
 
-    new_records: list[RunRecord] = []
-    # Keep only the rows that count, so appended rows start on a fresh line.
-    _write_runs(runs_path, existing.values())
-    with open(runs_path, "a", newline="") as fh:
+        new_records, estimated = [], []
+        with open(runs_path, "a", newline="") if with_runs else nullcontext() as fh:
 
-        def handle(rec: RunRecord, trace: RunTrace):
-            write_trace(out / rec.trace_path, trace)
-            new_records.append(rec)
-            fh.write(_csv_line(astuple(rec)))
-            fh.flush()
-            if progress:
-                print(f"run  {rec.algorithm} {rec.function} d={rec.dim} rep={rec.rep}  best={rec.best_fitness:.6g}")
+            def handle(key, result):  # a target under its (label, dim), or a run under its record
+                if isinstance(result, RseTarget):
+                    targets[key] = result
+                    estimated.append(key)
+                    log.info("rse  %s d=%d  target=%.6g", *key, result.value)
+                    return
+                write_trace(out / key.trace_path, result)
+                new_records.append(key)
+                fh.write(_csv_line(astuple(key)))
+                fh.flush()
+                log.info("run  %s %s d=%d rep=%d  best=%.6g", *key.key, key.best_fitness)
 
-        if workers == 1:
-            for desc, dim, runs in groups:
-                for result in _run_group(desc, dim, runs, spec.budget):
-                    handle(*result)
-        else:
-            tasks = [
-                (desc, dim, runs[i : i + _TASK_RUNS])
-                for desc, dim, runs in groups
-                for i in range(0, len(runs), _TASK_RUNS)
-            ]
-            if tasks:
-                _run_pool(tasks, min(workers, len(tasks)), spec.budget, handle)
+            try:
+                if workers == 1:
+                    for cell in cells:
+                        for result in _cell_results(*cell):
+                            handle(*result)
+                elif cells:
+                    # A cell's target is the first work of its first task.
+                    tasks = [
+                        (desc, dim, budget, seed, target_reps if i == 0 else 0, runs[i : i + _TASK_RUNS])
+                        for desc, dim, budget, seed, target_reps, runs in cells
+                        for i in range(0, max(len(runs), 1), _TASK_RUNS)
+                    ]
+                    _run_pool(tasks, min(workers, len(tasks)), handle)
+            finally:
+                if estimated:
+                    _write_rse(rse_path, targets)
 
-    _check_evals_used(new_records, spec.budget)
-    records = list(existing.values()) + new_records
-    _write_runs(runs_path, records)
-    return sorted(records, key=lambda r: r.key)
+        _check_evals_used(new_records, spec.budget)
+        records = sorted([*existing.values(), *new_records], key=lambda r: r.key)
+        if with_runs:
+            _write_runs(runs_path, records)
+    return targets, records
 
 
 @dataclass
 class SummaryResult:
     ert_rows: list[dict]
     summary_rows: list[dict]
-
-
-def _category_order(functions: list[FunctionDescriptor]) -> list[str]:
-    seen: list[str] = []
-    for f in functions:
-        if f.category not in seen:
-            seen.append(f.category)
-    return seen
 
 
 def summarize(output_dir: str | Path) -> SummaryResult:
@@ -554,7 +600,11 @@ def summarize(output_dir: str | Path) -> SummaryResult:
     the per-function ERT values; cells involving lower bounds are flagged.
     """
     out = Path(output_dir)
-    spec = BenchmarkSpec.from_json((out / "spec.json").read_text())
+    with _locked(out):
+        return _summarize(out, _read_spec(out / "spec.json")[1])
+
+
+def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
     targets = _load_rse(out / "rse.csv")
     algo_names = [a.name for a in spec.algorithms]
     labels = [f.label for f in spec.functions]
@@ -585,7 +635,7 @@ def summarize(output_dir: str | Path) -> SummaryResult:
     _atomic_write_text(out / "ert.csv", _csv_text(ERT_COLUMNS, [[r[c] for c in ERT_COLUMNS] for r in ert_rows]))
 
     summary_rows = build_summary_rows(
-        ert_by_cell, algo_names, labels, cat_of, spec.dims, _category_order(spec.functions)
+        ert_by_cell, algo_names, labels, cat_of, spec.dims, list(dict.fromkeys(cat_of.values()))
     )
     _atomic_write_text(
         out / "summary.csv", _csv_text(SUMMARY_COLUMNS, [[r[c] for c in SUMMARY_COLUMNS] for r in summary_rows])

@@ -32,6 +32,7 @@ __all__ = [
     "NOISE_MULT_GAUSSIAN",
     "ComponentDescriptor",
     "FunctionDescriptor",
+    "resolve_descriptor",
     "make_test_function",
     "default_suite",
     "suite_by_label",
@@ -441,18 +442,19 @@ def _sample_shift(space: SearchSpace, rng: RngStream, shifted: bool, on_bounds: 
     return o
 
 
-def make_test_function(
+def resolve_descriptor(
     desc: FunctionDescriptor, seed: int | None = None, dim: int | None = None
-) -> TestFunction:
-    """Build the concrete function instance a descriptor describes.
+) -> tuple[int, SearchSpace, list[ComponentDescriptor]]:
+    """The seed, box and component entries a descriptor builds from at ``dim``.
 
-    The same (descriptor, seed, dim) always produces the same shifts and
-    rotations. ``seed`` and ``dim`` fall back to the descriptor's fields.
+    Every refusal of :func:`make_test_function` happens here, and nothing
+    here draws, so a whole benchmark can be checked before anything is built.
+    ``seed`` and ``dim`` fall back to the descriptor's fields.
     """
     if seed is None:
         seed = desc.seed
-    if seed is None:
-        raise ValueError(f"{desc.label}: no seed in descriptor and none supplied")
+    if seed is None or seed < 0:
+        raise ValueError(f"{desc.label}: a non-negative seed is required, in the descriptor or supplied")
     if dim is None:
         dim = desc.dim
     if dim is None or dim < 1:
@@ -461,6 +463,8 @@ def make_test_function(
     single = desc.kind is not None
     if single == (desc.composition is not None):
         raise ValueError(f"{desc.label}: exactly one of kind or composition must be set")
+    if not single and len(desc.composition) < 2:
+        raise ValueError(f"{desc.label}: a composition needs at least 2 components")
     # A single body is the one-entry case of a composition's component list.
     entries = [ComponentDescriptor(desc.kind, lam=1.0, bias=desc.bias)] if single else desc.composition
     for c in entries:
@@ -468,18 +472,35 @@ def make_test_function(
             raise ValueError(f"{desc.label}: unknown base function kind {c.kind!r}")
         if dim < BASE_FUNCTIONS[c.kind].min_dim:
             raise ValueError(f"{desc.label}: {c.kind} needs dim >= {BASE_FUNCTIONS[c.kind].min_dim}")
+        if c.sigma <= 0 or (c.lam is not None and c.lam <= 0):
+            raise ValueError(f"{desc.label}: component sigma and lambda must be positive")
 
     half_range = BASE_FUNCTIONS[desc.kind].half_range if single else 5.0
     lo, hi = desc.bounds if desc.bounds is not None else (-half_range, half_range)
-    space = SearchSpace(dim, np.full(dim, float(lo)), np.full(dim, float(hi)))
-    half_width = float(hi - lo) / 2.0
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"{desc.label}: bounds must be finite with lower < upper, got ({lo}, {hi})")
+    return seed, SearchSpace(dim, np.full(dim, float(lo)), np.full(dim, float(hi))), entries
+
+
+def make_test_function(
+    desc: FunctionDescriptor, seed: int | None = None, dim: int | None = None
+) -> TestFunction:
+    """Build the concrete function instance a descriptor describes.
+
+    The same (descriptor, seed, dim) always produces the same shifts and
+    rotations. ``seed`` and ``dim`` fall back to the descriptor's fields; a
+    descriptor that cannot build is refused by :func:`resolve_descriptor`.
+    """
+    seed, space, entries = resolve_descriptor(desc, seed, dim)
+    single = desc.kind is not None
+    half_width = float(space.upper[0] - space.lower[0]) / 2.0
 
     rng = make_rng(seed)
     comps = []
     for c in entries:
         lam = c.lam if c.lam is not None else half_width / BASE_FUNCTIONS[c.kind].half_range
         shift = _sample_shift(space, rng, desc.shifted, single and desc.optimum_on_bounds)
-        rotation = random_rotation(dim, rng) if desc.rotated else None
+        rotation = random_rotation(space.dim, rng) if desc.rotated else None
         comps.append(CompositionComponent(c.kind, shift, rotation, c.bias, c.sigma, lam))
 
     return TestFunction(

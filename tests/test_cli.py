@@ -52,6 +52,14 @@ def test_run_command_accepts_descriptor_file(tmp_path):
     assert "function=mine" in res.output
 
 
+def test_run_command_rejects_unknown_algorithm_as_usage_error():
+    res = CliRunner().invoke(main, ["run", "--algo", "nope", "--function", "shifted_sphere"])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert "Invalid value for '--algo'" in res.output
+    assert all(repr(name) in res.output for name in ("de", "de2", "sqg", "sqgde"))
+
+
 def test_run_command_rejects_unknown_function():
     res = CliRunner().invoke(main, ["run", "--algo", "de", "--function", "no_such_fn"])
     assert res.exit_code != 0
@@ -99,6 +107,16 @@ def _record_stream_version(out, version):
     (out / "spec.json").write_text(json.dumps({**record, "stream_version": version}))
 
 
+def _drop_spec_budget(out):
+    record = json.loads((out / "spec.json").read_text())
+    del record["budget"]
+    (out / "spec.json").write_text(json.dumps(record))
+
+
+def _cut_spec(out):
+    (out / "spec.json").write_text("")
+
+
 def _over_budget_row(out):
     lines = (out / "runs.csv").read_text().splitlines(keepends=True)
     cols = lines[1].split(",")
@@ -113,8 +131,17 @@ def _over_budget_row(out):
         (lambda out: _record_stream_version(out, 2), [], "records RNG stream version 2"),
         (lambda out: (out / "spec.json").unlink(), ["--budget", 80], "rse.csv 60, spec 80"),
         (_over_budget_row, [], "used 61 evaluations, over the budget 60"),
+        (_drop_spec_budget, [], "spec.json is not a readable spec.json (no budget)"),
+        (_cut_spec, [], "spec.json is not a readable spec.json (Expecting value"),
     ],
-    ids=["another_benchmark", "another_stream_version", "rse_of_another_budget", "row_over_budget"],
+    ids=[
+        "another_benchmark",
+        "another_stream_version",
+        "rse_of_another_budget",
+        "row_over_budget",
+        "spec_without_a_field",
+        "spec_that_does_not_parse",
+    ],
 )
 def test_bench_refusals_exit_1_with_their_message(tmp_path, damage, args, message):
     out = tmp_path / "results"
@@ -133,6 +160,33 @@ def test_summarize_without_spec_exits_1_with_its_message(tmp_path):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "Error: " in res.output and "spec.json" in res.output
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [(_drop_spec_budget, "(no budget)"), (_cut_spec, "(Expecting value")],
+    ids=["spec_without_a_field", "spec_that_does_not_parse"],
+)
+def test_summarize_refuses_a_malformed_spec_naming_it(tmp_path, damage, message):
+    out = tmp_path / "results"
+    config = tmp_path / "spec.json"
+    config.write_text(_config(out).to_json())
+    assert invoke("bench", "--config", config, "--quiet").exit_code == 0
+    damage(out)
+    res = CliRunner().invoke(main, ["summarize", "--out", str(out)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"Error: {out / 'spec.json'} is not a readable spec.json {message}" in res.output
+
+
+def test_bench_logs_one_line_per_target_and_per_run_unless_quiet(tmp_path):
+    config = tmp_path / "spec.json"
+    config.write_text(_config(tmp_path / "loud").to_json())
+    lines = invoke("bench", "--config", config).output.splitlines()
+    assert sorted(line.split()[1] for line in lines if line.startswith("rse ")) == ["r2", "s2"]
+    assert len([line for line in lines if line.startswith("run ")]) == 8  # 2 algorithms x 2 functions x 2 reps
+    quiet = invoke("bench", "--config", config, "--quiet", "--out", tmp_path / "quiet").output
+    assert not [line for line in quiet.splitlines() if line.startswith(("rse ", "run "))]
 
 
 def test_rse_command_matches_direct_estimate():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import fcntl
 import json
 import multiprocessing
 import os
@@ -512,6 +513,136 @@ def test_pool_builds_once_per_task(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "make_test_function", counting_build)
     run_benchmark(spec, workers=2)
     assert len(list(builds.iterdir())) == 3  # 10 runs in tasks of 4, 4 and 2
+
+
+def _two_cell_spec(out, reps=3):
+    return replace(
+        small_spec(out, reps=reps),
+        functions=[
+            FunctionDescriptor(label="sphere2", kind="sphere", seed=3),
+            FunctionDescriptor(
+                label="hybrid", composition=[ComponentDescriptor("sphere"), ComponentDescriptor("rastrigin")], seed=4
+            ),
+        ],
+        dims=[2, 3],
+    )
+
+
+def test_fresh_serial_run_builds_each_cell_once(tmp_path, monkeypatch):
+    real, built = harness.make_test_function, []
+
+    def counting_build(desc, seed=None, dim=None):
+        built.append((desc.label, dim))
+        return real(desc, seed=seed, dim=dim)
+
+    monkeypatch.setattr(harness, "make_test_function", counting_build)
+    run_benchmark(_two_cell_spec(tmp_path))  # no ensure_rse_targets first: targets and runs share a build
+    assert sorted(built) == [("hybrid", 2), ("hybrid", 3), ("sphere2", 2), ("sphere2", 3)]
+
+
+@fork_only
+def test_fresh_pool_run_estimates_targets_in_its_tasks(tmp_path, monkeypatch):
+    builds, real = tmp_path / "builds", harness.make_test_function
+    builds.mkdir()
+
+    def counting_build(desc, seed=None, dim=None):
+        os.close(tempfile.mkstemp(dir=builds)[0])
+        return real(desc, seed=seed, dim=dim)
+
+    monkeypatch.setattr(harness, "make_test_function", counting_build)
+    run_benchmark(small_spec(tmp_path / "out", reps=5), workers=2)
+    assert len(list(builds.iterdir())) == 3  # 10 runs in tasks of 4, 4 and 2; the first also estimates the target
+
+
+@fork_only
+def test_every_route_gives_the_same_bytes(tmp_path, monkeypatch):
+    run_benchmark(_two_cell_spec(tmp_path / "serial"))
+    run_benchmark(_two_cell_spec(tmp_path / "pool"), workers=2)
+    ensure_rse_targets(_two_cell_spec(tmp_path / "targets_first"))
+    run_benchmark(_two_cell_spec(tmp_path / "targets_first"))
+    real, doomed = harness.execute_run, run_seed(7, "sqg_small", "hybrid", 3, 1)
+
+    def crashing_run(algo, fn, budget, seed):
+        if seed == doomed:
+            os._exit(1)
+        return real(algo, fn, budget, seed)
+
+    monkeypatch.setattr(harness, "execute_run", crashing_run)
+    with pytest.raises(BrokenProcessPool):
+        run_benchmark(_two_cell_spec(tmp_path / "crashed"), workers=2)
+    monkeypatch.undo()
+    run_benchmark(_two_cell_spec(tmp_path / "crashed"), workers=2)
+    routes = ("serial", "pool", "targets_first", "crashed")
+    for name in routes:
+        summarize(tmp_path / name)
+    assert all(_results(tmp_path / name) == _results(tmp_path / "serial") for name in routes)
+
+
+def test_targets_that_arrived_are_kept_when_a_run_fails(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    _crash_at_trace_write(monkeypatch, 1)
+    with pytest.raises(OSError, match="crashed"):
+        run_benchmark(sphere_spec(out))
+    monkeypatch.undo()
+    assert (out / "rse.csv").read_text().splitlines()[1].startswith("sphere,2,200,3,")
+    run_benchmark(sphere_spec(tmp_path / "fresh"))
+    assert (out / "rse.csv").read_bytes() == (tmp_path / "fresh" / "rse.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [ensure_rse_targets, run_benchmark, lambda spec: summarize(spec.output_dir)],
+    ids=["ensure_rse_targets", "run_benchmark", "summarize"],
+)
+def test_a_directory_in_use_is_refused(tmp_path, call):
+    out = tmp_path / "out"
+    out.mkdir()
+    fd = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)  # as another process holding the directory would
+        with pytest.raises(RuntimeError, match=f"{out} is in use"):
+            call(small_spec(out))
+    finally:
+        os.close(fd)
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        FunctionDescriptor(label="bad", kind="nope", seed=3),
+        FunctionDescriptor(label="bad", kind="rosenbrock", seed=3),  # needs dim >= 2
+        FunctionDescriptor(label="bad", kind="sphere", bounds=(5.0, -5.0), seed=3),
+        FunctionDescriptor(label="bad", kind="sphere", bounds=(-np.inf, 5.0), seed=3),
+        FunctionDescriptor(label="bad", kind="sphere", seed=-1),
+        FunctionDescriptor(label="bad", composition=[ComponentDescriptor("sphere")], seed=3),
+        FunctionDescriptor(
+            label="bad", composition=[ComponentDescriptor("sphere", sigma=0.0), ComponentDescriptor("ackley")], seed=3
+        ),
+        FunctionDescriptor(
+            label="bad", composition=[ComponentDescriptor("sphere", lam=-1.0), ComponentDescriptor("ackley")], seed=3
+        ),
+    ],
+    ids=[
+        "unknown_kind",
+        "dim_below_min_dim",
+        "reversed_bounds",
+        "infinite_bounds",
+        "negative_seed",
+        "one_component",
+        "zero_sigma",
+        "negative_lambda",
+    ],
+)
+def test_a_descriptor_that_cannot_build_is_refused_before_any_build(tmp_path, monkeypatch, bad):
+    ok = FunctionDescriptor(label="ok", kind="sphere", seed=3)
+    spec = replace(small_spec(tmp_path, reps=1), functions=[ok, bad], dims=[1])
+    built = []
+    monkeypatch.setattr(harness, "make_test_function", lambda desc, seed=None, dim=None: built.append(desc))
+    with pytest.raises(ValueError, match="bad: "):
+        run_benchmark(spec)
+    assert built == []
+    assert not any((tmp_path / name).exists() for name in ("spec.json", "rse.csv", "runs.csv"))
 
 
 def test_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
