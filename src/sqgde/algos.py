@@ -231,10 +231,8 @@ def sqg_pairs(X: np.ndarray, rows, w: int, rng: RngStream, eps_pair: float = 0.0
             used[r[:, None], idx[redo]] = True
             used[r, b[redo, k]] = False
             used[r, c[redo, k]] = False
-            short = used.sum(axis=1) > pop_size - 2
-            degenerate[redo[short]] = True
-            redo = redo[~short]
-            new = distinct_indices(used[~short], 2, rng)
+            # Never short: 2 w - 1 members are in use, and pop_size >= 2 w + 1.
+            new = distinct_indices(used, 2, rng)
             b[redo, k], c[redo, k] = new[:, 0], new[:, 1]
             redo = redo[np.linalg.norm(X[b[redo, k]] - X[c[redo, k]], axis=1) <= eps_pair]
             if redo.size == 0:

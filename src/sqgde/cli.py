@@ -34,18 +34,26 @@ def main():
     """Fixed-budget benchmarking of DE variants and quasi-gradient descent."""
 
 
+def _load(path, from_dict):
+    """``from_dict`` of the JSON file a user named; a file that does not load is a usage error naming it."""
+    try:
+        return from_dict(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+        raise click.BadParameter(f"cannot load {path}: {err}") from err
+
+
+def _descriptor(payload: dict) -> FunctionDescriptor:
+    if "functions" in payload:
+        raise ValueError("it is a suite file; pass a single function label or descriptor file")
+    return FunctionDescriptor.from_dict(payload)
+
+
 def _resolve_function(label: str) -> FunctionDescriptor:
     table = suite_by_label()
     if label in table:
         return table[label]
-    path = Path(label)
-    if path.exists():
-        payload = json.loads(path.read_text())
-        if "functions" in payload:
-            raise click.BadParameter(
-                f"{label} is a suite file; pass a single function label or descriptor file"
-            )
-        return FunctionDescriptor.from_dict(payload)
+    if Path(label).exists():
+        return _load(label, _descriptor)
     raise click.BadParameter(
         f"unknown function {label!r}; known labels: {', '.join(sorted(table))}"
     )
@@ -87,7 +95,7 @@ def run(algo, function_label, dim, budget, seed, out):
 @click.option("--quiet", is_flag=True, help="Suppress the progress lines, one per target and one per run.")
 def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quiet):
     """Run a benchmark matrix; resumes an interrupted output directory."""
-    spec = BenchmarkSpec.from_json(Path(config).read_text()) if config else default_benchmark_spec()
+    spec = _load(config, BenchmarkSpec.from_dict) if config else default_benchmark_spec()
     given = dict(output_dir=out, budget=budget, reps=reps, master_seed=seed, dims=list(dims) or None)
     changes = {name: value for name, value in given.items() if value is not None}
     for name, picked, key in (("algorithms", algos, "name"), ("functions", functions, "label")):

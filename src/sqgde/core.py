@@ -8,8 +8,9 @@ a hard evaluation budget, and explicit seeded random streams.
 from __future__ import annotations
 
 import hashlib
+import os
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "BudgetExhausted",
     "make_rng",
     "derive_seed",
+    "record_dict",
     "SearchSpace",
     "ranked_fitness",
     "Population",
@@ -60,6 +62,20 @@ def derive_seed(master_seed: int, *parts: object) -> int:
     key = "|".join(str(p) for p in (master_seed, *parts))
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def _plain(value):
+    """A value as JSON holds it: records by their ``to_dict``, sequences as lists, paths as strings."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return os.fspath(value) if isinstance(value, os.PathLike) else value
+
+
+def record_dict(record) -> dict:
+    """A dataclass's fields that are not None, in field order, as JSON holds them."""
+    return {f.name: _plain(v) for f in fields(record) if (v := getattr(record, f.name)) is not None}
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .algos import DEConfig, SQGConfig, run_de, run_sqg
-from .core import STREAM_VERSION, RunTrace, derive_seed
+from .core import STREAM_VERSION, RunTrace, derive_seed, record_dict
 from .metrics import (
     ErtResult,
     NormalizationUndefined,
@@ -81,16 +81,26 @@ _TASK_RUNS = 4
 _SPEC_FIELDS = ("algorithms", "functions", "dims", "budget", "reps", "master_seed")
 
 
+# Each algorithm kind spec.json names: its config type and its run function.
+_KINDS = {"de": (DEConfig, run_de), "sqg": (SQGConfig, run_sqg)}
+
+
+def _kind_of(config) -> str:
+    for kind, (config_type, _) in _KINDS.items():
+        if isinstance(config, config_type):
+            return kind
+    raise TypeError(f"unsupported algorithm config {type(config).__name__}")
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """A named optimizer: a DE configuration or a quasi-gradient descent one."""
+    """A named optimizer: the config of one of the ``_KINDS``."""
 
     name: str
     config: DEConfig | SQGConfig
 
     def to_dict(self) -> dict:
-        kind = "de" if isinstance(self.config, DEConfig) else "sqg"
-        return {"name": self.name, "kind": kind, **asdict(self.config)}
+        return {"name": self.name, "kind": _kind_of(self.config), **asdict(self.config)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "AlgorithmSpec":
@@ -103,14 +113,10 @@ class AlgorithmSpec:
                 raise ValueError(
                     f"unknown algorithm preset {name!r}; give 'kind' plus parameters"
                 )
-            if params:
-                return cls(name, replace(preset.config, **params))
-            return preset
-        if kind == "de":
-            return cls(name, DEConfig(**params))
-        if kind == "sqg":
-            return cls(name, SQGConfig(**params))
-        raise ValueError(f"unknown algorithm kind {kind!r}")
+            return cls(name, replace(preset.config, **params))
+        if kind not in _KINDS:
+            raise ValueError(f"unknown algorithm kind {kind!r}")
+        return cls(name, _KINDS[kind][0](**params))
 
 
 # The four protocol optimizers: classic DE, best-of-two-differences DE,
@@ -160,15 +166,7 @@ class BenchmarkSpec:
             raise ValueError("function labels must be unique")
 
     def to_dict(self) -> dict:
-        return {
-            "algorithms": [a.to_dict() for a in self.algorithms],
-            "functions": [f.to_dict() for f in self.functions],
-            "dims": list(self.dims),
-            "budget": self.budget,
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-            "output_dir": str(self.output_dir),
-        }
+        return record_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkSpec":
@@ -336,11 +334,7 @@ def _write_rse(path: Path, targets: dict[tuple[str, int], RseTarget]) -> None:
 
 def execute_run(algo: AlgorithmSpec, fn, budget: int, seed: int) -> RunTrace:
     """Run one optimizer once against a function under the budget."""
-    if isinstance(algo.config, DEConfig):
-        return run_de(algo.config, fn, budget, seed)
-    if isinstance(algo.config, SQGConfig):
-        return run_sqg(algo.config, fn, budget, seed)
-    raise TypeError(f"unsupported algorithm config {type(algo.config).__name__}")
+    return _KINDS[_kind_of(algo.config)][1](algo.config, fn, budget, seed)
 
 
 def run_seed(master_seed: int, algorithm: str, function: str, dim: int, rep: int) -> int:
@@ -691,27 +685,13 @@ def build_summary_rows(
             means = {a: float(np.mean([e.value for e in v])) for a, v in per_algo.items()}
             best_algo = min(means, key=lambda a: (means[a], algo_names.index(a)))
             best_vector = [e.value for e in per_algo[best_algo]]
-            for algo in algo_names:
-                if algo not in per_algo:
-                    continue
-                flag = ">=" if any(e.lower_bound for e in per_algo[algo]) else ""
+            for algo, values in per_algo.items():  # in algo_names order
+                flag = ">=" if any(e.lower_bound for e in values) else ""
                 if algo == best_algo:
                     p = ""
+                elif len(values) < 2:  # a single pair can never reject the null (exact p is 1)
+                    p = 1.0
                 else:
-                    vector = [e.value for e in per_algo[algo]]
-                    # a single pair can never reject the null (exact p is 1)
-                    if len(vector) < 2:
-                        p = 1.0
-                    else:
-                        p = wilcoxon_signed_rank(vector, best_vector).p_value
-                rows.append(
-                    {
-                        "category": cat,
-                        "dim": dim,
-                        "algorithm": algo,
-                        "mean_ert": means[algo],
-                        "flag": flag,
-                        "p_vs_best": p,
-                    }
-                )
+                    p = wilcoxon_signed_rank([e.value for e in values], best_vector).p_value
+                rows.append(dict(category=cat, dim=dim, algorithm=algo, mean_ert=means[algo], flag=flag, p_vs_best=p))
     return rows

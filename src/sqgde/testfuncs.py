@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import RngStream, SearchSpace, derive_seed, make_rng
+from .core import RngStream, SearchSpace, derive_seed, make_rng, record_dict
 
 __all__ = [
     "BaseFunction",
@@ -29,7 +29,6 @@ __all__ = [
     "compose_eval",
     "TestFunction",
     "custom_function",
-    "NOISE_MULT_GAUSSIAN",
     "ComponentDescriptor",
     "FunctionDescriptor",
     "resolve_descriptor",
@@ -37,9 +36,6 @@ __all__ = [
     "default_suite",
     "suite_by_label",
 ]
-
-NOISE_MULT_GAUSSIAN = "multiplicative_gaussian"
-
 
 # Base landscapes reduce over the last axis, so each maps points (..., D)
 # to values (...).
@@ -303,7 +299,7 @@ class TestFunction:
     float. A body that is a plain callable (see :func:`custom_function`)
     takes one point and is called once per point, in C order.
 
-    ``noise`` multiplies the zero-normalized value by (1 + 0.4 |N(0, 1)|)
+    ``noisy`` multiplies the zero-normalized value by (1 + 0.4 |N(0, 1)|)
     before the bias is added, so noisy values never fall below the noiseless
     ones and the optimum value is preserved in the noise-free limit.
     """
@@ -311,7 +307,7 @@ class TestFunction:
     label: str
     space: SearchSpace
     body: CompositionComponent | Composition | Callable[[np.ndarray], float]
-    noise: str | None = None
+    noisy: bool = False
 
     def __call__(self, x, rng: RngStream | None = None):
         x = np.asarray(x, dtype=float)
@@ -326,9 +322,7 @@ class TestFunction:
         else:
             rows = x.reshape(-1, x.shape[-1])
             raw = np.array([float(self.body(row)) for row in rows]).reshape(x.shape[:-1])
-        if self.noise is not None:
-            if self.noise != NOISE_MULT_GAUSSIAN:
-                raise ValueError(f"unknown noise model: {self.noise!r}")
+        if self.noisy:
             if rng is None:
                 raise ValueError("a noisy function needs an rng stream")
             raw = raw * (1.0 + 0.4 * np.abs(rng.standard_normal(x.shape[:-1])))
@@ -352,6 +346,7 @@ class ComponentDescriptor:
     bias: float = 0.0
 
     def to_dict(self) -> dict:
+        # Not in field order: spec.json names lam "lambda" and puts it last.
         d = {"kind": self.kind, "sigma": self.sigma, "bias": self.bias}
         if self.lam is not None:
             d["lambda"] = self.lam
@@ -359,12 +354,9 @@ class ComponentDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ComponentDescriptor":
-        return cls(
-            kind=d["kind"],
-            sigma=float(d.get("sigma", 1.0)),
-            lam=float(d["lambda"]) if "lambda" in d and d["lambda"] is not None else None,
-            bias=float(d.get("bias", 0.0)),
-        )
+        lam = d.get("lambda")
+        lam = None if lam is None else float(lam)
+        return cls(d["kind"], float(d.get("sigma", 1.0)), lam, float(d.get("bias", 0.0)))
 
 
 @dataclass
@@ -389,44 +381,24 @@ class FunctionDescriptor:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        d: dict = {"label": self.label}
-        if self.kind is not None:
-            d["kind"] = self.kind
-        if self.composition is not None:
-            d["composition"] = [c.to_dict() for c in self.composition]
-        if self.dim is not None:
-            d["dim"] = self.dim
-        if self.bounds is not None:
-            d["bounds"] = [self.bounds[0], self.bounds[1]]
-        d.update(
-            shifted=self.shifted,
-            rotated=self.rotated,
-            noisy=self.noisy,
-            optimum_on_bounds=self.optimum_on_bounds,
-            bias=self.bias,
-            category=self.category,
-        )
-        if self.seed is not None:
-            d["seed"] = self.seed
-        return d
+        return record_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FunctionDescriptor":
-        comp = d.get("composition")
-        return cls(
-            label=d["label"],
-            kind=d.get("kind"),
-            composition=[ComponentDescriptor.from_dict(c) for c in comp] if comp else None,
-            dim=int(d["dim"]) if d.get("dim") is not None else None,
-            bounds=tuple(float(b) for b in d["bounds"]) if d.get("bounds") else None,
-            shifted=bool(d.get("shifted", True)),
-            rotated=bool(d.get("rotated", False)),
-            noisy=bool(d.get("noisy", False)),
-            optimum_on_bounds=bool(d.get("optimum_on_bounds", False)),
-            bias=float(d.get("bias", 0.0)),
-            category=str(d.get("category", "uncategorized")),
-            seed=int(d["seed"]) if d.get("seed") is not None else None,
+        casts = dict(
+            kind=str,
+            composition=lambda entries: [ComponentDescriptor.from_dict(c) for c in entries],
+            dim=int,
+            bounds=lambda b: tuple(map(float, b)),
+            shifted=bool,
+            rotated=bool,
+            noisy=bool,
+            optimum_on_bounds=bool,
+            bias=float,
+            category=str,
+            seed=int,
         )
+        return cls(d["label"], **{k: cast(d[k]) for k, cast in casts.items() if d.get(k) is not None})
 
 
 def _sample_shift(space: SearchSpace, rng: RngStream, shifted: bool, on_bounds: bool) -> np.ndarray:
@@ -465,6 +437,8 @@ def resolve_descriptor(
         raise ValueError(f"{desc.label}: exactly one of kind or composition must be set")
     if not single and len(desc.composition) < 2:
         raise ValueError(f"{desc.label}: a composition needs at least 2 components")
+    if not single and (desc.bias or desc.optimum_on_bounds):
+        raise ValueError(f"{desc.label}: a composition takes no bias or optimum_on_bounds; set component biases")
     # A single body is the one-entry case of a composition's component list.
     entries = [ComponentDescriptor(desc.kind, lam=1.0, bias=desc.bias)] if single else desc.composition
     for c in entries:
@@ -476,9 +450,10 @@ def resolve_descriptor(
             raise ValueError(f"{desc.label}: component sigma and lambda must be positive")
 
     half_range = BASE_FUNCTIONS[desc.kind].half_range if single else 5.0
-    lo, hi = desc.bounds if desc.bounds is not None else (-half_range, half_range)
-    if not -np.inf < lo < hi < np.inf:
-        raise ValueError(f"{desc.label}: bounds must be finite with lower < upper, got ({lo}, {hi})")
+    bounds = tuple(desc.bounds) if desc.bounds is not None else (-half_range, half_range)
+    if len(bounds) != 2 or not -np.inf < bounds[0] < bounds[1] < np.inf:
+        raise ValueError(f"{desc.label}: bounds must be a finite pair with lower < upper, got {bounds}")
+    lo, hi = bounds
     return seed, SearchSpace(dim, np.full(dim, float(lo)), np.full(dim, float(hi))), entries
 
 
@@ -499,7 +474,7 @@ def make_test_function(
     comps = []
     for c in entries:
         lam = c.lam if c.lam is not None else half_width / BASE_FUNCTIONS[c.kind].half_range
-        shift = _sample_shift(space, rng, desc.shifted, single and desc.optimum_on_bounds)
+        shift = _sample_shift(space, rng, desc.shifted, desc.optimum_on_bounds)
         rotation = random_rotation(space.dim, rng) if desc.rotated else None
         comps.append(CompositionComponent(c.kind, shift, rotation, c.bias, c.sigma, lam))
 
@@ -507,7 +482,7 @@ def make_test_function(
         label=desc.label,
         space=space,
         body=comps[0] if single else Composition(tuple(comps)),
-        noise=NOISE_MULT_GAUSSIAN if desc.noisy else None,
+        noisy=desc.noisy,
     )
 
 
@@ -573,10 +548,7 @@ def default_suite() -> list[FunctionDescriptor]:
             dict(composition=_mix(_EXPANDED_MIX), rotated=True, category="multimodal_hybrid"),
         ),
     ]
-    suite = []
-    for label, kwargs in entries:
-        suite.append(FunctionDescriptor(label=label, seed=derive_seed(_SUITE_SEED, label), **kwargs))
-    return suite
+    return [FunctionDescriptor(label, seed=derive_seed(_SUITE_SEED, label), **kwargs) for label, kwargs in entries]
 
 
 def suite_by_label(suite: list[FunctionDescriptor] | None = None) -> dict[str, FunctionDescriptor]:

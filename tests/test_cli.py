@@ -263,3 +263,24 @@ def test_run_and_rse_reject_non_positive_values_up_front(args):
     res = CliRunner().invoke(main, args)
     assert res.exit_code == 2
     assert f"Invalid value for '{args[-2]}'" in res.output
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["bench", "--quiet", "--config"], '{"budget": 50,', "Expecting"),
+        (["bench", "--quiet", "--config"], '{"algorithms": [{"name": "x"}]}', "unknown algorithm preset 'x'"),
+        (["run", "--algo", "de", "--function"], '{"label": "f",', "Expecting"),
+        (["rse", "--function"], '{"label": "f",', "Expecting"),
+        (["run", "--algo", "de", "--function"], '{"functions": []}', "it is a suite file"),
+    ],
+    ids=["bench_config_that_does_not_parse", "bench_config_unknown_preset", "run_function_that_does_not_parse",
+         "rse_function_that_does_not_parse", "run_function_suite_file"],
+)
+def test_a_json_file_that_does_not_load_is_a_usage_error_naming_it(tmp_path, command, text, message):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    res = CliRunner().invoke(main, [*command, str(path)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
+    assert f"cannot load {path}: " in res.output and message in res.output

@@ -6,7 +6,7 @@ import os
 import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -140,6 +140,15 @@ def test_execute_run_dispatch():
     assert execute_run(algorithm_preset("sqg"), fn, 120, 0).final_evals == 120
     with pytest.raises(TypeError):
         execute_run(AlgorithmSpec("bad", object()), fn, 10, 0)
+
+
+def test_to_dict_refuses_a_config_of_no_known_kind():
+    @dataclass
+    class OtherConfig:
+        steps: int = 1
+
+    with pytest.raises(TypeError, match="unsupported algorithm config OtherConfig"):
+        AlgorithmSpec("other", OtherConfig()).to_dict()
 
 
 # --- trace and target persistence ------------------------------------------
@@ -614,6 +623,7 @@ def test_a_directory_in_use_is_refused(tmp_path, call):
         FunctionDescriptor(label="bad", kind="rosenbrock", seed=3),  # needs dim >= 2
         FunctionDescriptor(label="bad", kind="sphere", bounds=(5.0, -5.0), seed=3),
         FunctionDescriptor(label="bad", kind="sphere", bounds=(-np.inf, 5.0), seed=3),
+        FunctionDescriptor(label="bad", kind="sphere", bounds=(-5.0, 0.0, 5.0), seed=3),
         FunctionDescriptor(label="bad", kind="sphere", seed=-1),
         FunctionDescriptor(label="bad", composition=[ComponentDescriptor("sphere")], seed=3),
         FunctionDescriptor(
@@ -622,16 +632,31 @@ def test_a_directory_in_use_is_refused(tmp_path, call):
         FunctionDescriptor(
             label="bad", composition=[ComponentDescriptor("sphere", lam=-1.0), ComponentDescriptor("ackley")], seed=3
         ),
+        FunctionDescriptor(
+            label="bad",
+            composition=[ComponentDescriptor("sphere"), ComponentDescriptor("ackley")],
+            bias=100.0,
+            seed=3,
+        ),
+        FunctionDescriptor(
+            label="bad",
+            composition=[ComponentDescriptor("sphere"), ComponentDescriptor("ackley")],
+            optimum_on_bounds=True,
+            seed=3,
+        ),
     ],
     ids=[
         "unknown_kind",
         "dim_below_min_dim",
         "reversed_bounds",
         "infinite_bounds",
+        "bounds_not_a_pair",
         "negative_seed",
         "one_component",
         "zero_sigma",
         "negative_lambda",
+        "composition_bias",
+        "composition_optimum_on_bounds",
     ],
 )
 def test_a_descriptor_that_cannot_build_is_refused_before_any_build(tmp_path, monkeypatch, bad):
@@ -737,6 +762,30 @@ def test_summarize_needs_records(tmp_path):
     (out / "spec.json").write_text(small_spec(out).to_json())
     with pytest.raises(ValueError):
         summarize(out)
+
+
+def test_summarize_refuses_a_cell_without_its_target(tmp_path):
+    out = tmp_path / "out"
+    run_benchmark(small_spec(out))
+    header = (out / "rse.csv").read_text().splitlines(keepends=True)[0]
+    (out / "rse.csv").write_text(header)  # the only row removed
+    with pytest.raises(ValueError, match="missing random-search target for sphere2 d=2"):
+        summarize(out)
+
+
+def test_summarize_writes_raw_best_values_against_a_zero_target(tmp_path):
+    out = tmp_path / "out"
+    run_benchmark(small_spec(out))
+    header, row = (out / "rse.csv").read_text().splitlines()
+    (out / "rse.csv").write_text(f"{header}\n{row.rsplit(',', 1)[0]},0.0\n")
+    summarize(out)
+    curve = (out / "bnfv" / "sphere2__d2__de_small.csv").read_text().splitlines()
+    assert curve[0] == "eval,mean_bfv,median_bfv"
+    # the budget is the last grid point, where each run's best is its final best
+    runs = [line.split(",") for line in (out / "runs.csv").read_text().splitlines()[1:]]
+    finals = [float(cols[6]) for cols in runs if cols[0] == "de_small"]
+    last = [float(v) for v in curve[-1].split(",")]
+    assert last == pytest.approx([60, np.mean(finals), np.median(finals)], rel=1e-12)
 
 
 # --- summary table construction ---------------------------------------------
