@@ -271,7 +271,7 @@ def mutate_best2(pop: Population, target: int, F: float, rng: RngStream) -> np.n
     return best2_donors(pop.genomes, best_index(pop), idx, F)[0]
 
 
-def sqg_mutant(x_best: np.ndarray, pairs, F: float, eps_den: float = 0.0) -> np.ndarray:
+def sqg_mutant(x_best: np.ndarray, pairs, F: float) -> np.ndarray:
     """One quasi-gradient mutant from ((x_b, y_b), (x_c, y_c)) pairs; see :func:`sqg_steps`."""
     if not pairs:
         raise ValueError("at least one pair is required")
@@ -279,7 +279,7 @@ def sqg_mutant(x_best: np.ndarray, pairs, F: float, eps_den: float = 0.0) -> np.
     if np.any(np.linalg.norm(diffs, axis=2) == 0.0):
         raise ValueError("quasi-gradient pair has identical points")
     gaps = np.array([[float(yb) - float(yc) for (_, yb), (_, yc) in pairs]])
-    return sqg_steps(np.asarray(x_best, dtype=float), diffs, gaps, F, eps_den)[0]
+    return sqg_steps(np.asarray(x_best, dtype=float), diffs, gaps, F)[0]
 
 
 def sqg_donor(

@@ -22,6 +22,7 @@ from .testfuncs import (
     FunctionDescriptor,
     default_suite,
     make_test_function,
+    resolve_descriptor,
     suite_by_label,
 )
 
@@ -59,6 +60,15 @@ def _resolve_function(label: str) -> FunctionDescriptor:
     )
 
 
+def _buildable(desc: FunctionDescriptor, dim: int) -> FunctionDescriptor:
+    """``desc`` if it builds at ``dim``; one that cannot is a usage error naming it."""
+    try:
+        resolve_descriptor(desc, dim=dim)
+    except ValueError as err:
+        raise click.BadParameter(str(err)) from err
+    return desc
+
+
 @main.command()
 @click.option("--algo", required=True, type=click.Choice(sorted(ALGORITHM_PRESETS)))
 @click.option("--function", "function_label", required=True, help="Suite label or descriptor JSON path.")
@@ -69,7 +79,7 @@ def _resolve_function(label: str) -> FunctionDescriptor:
 def run(algo, function_label, dim, budget, seed, out):
     """Run one algorithm once on one function and print the outcome."""
     spec = ALGORITHM_PRESETS[algo]
-    desc = _resolve_function(function_label)
+    desc = _buildable(_resolve_function(function_label), dim)
     fn = make_test_function(desc, dim=dim)
     trace = execute_run(spec, fn, budget, seed)
     click.echo(f"algorithm={spec.name} function={desc.label} dim={dim} seed={seed}")
@@ -134,6 +144,7 @@ def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quie
 def rse(function_label, dim, budget, reps, seed):
     """Print the uniform random-search target per function (sqgde bench stores them)."""
     descs = [_resolve_function(function_label)] if function_label else default_suite()
+    descs = [_buildable(desc, dim) for desc in descs]
     click.echo(",".join(harness.RSE_COLUMNS))
     for desc in descs:
         target = harness.rse_target(make_test_function(desc, dim=dim), budget, reps, seed)

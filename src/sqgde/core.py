@@ -106,9 +106,6 @@ class SearchSpace:
         """Project a point onto the box, component-wise."""
         return np.clip(x, self.lower, self.upper)
 
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
     def sample_uniform(self, rng: RngStream, n: int | None = None) -> np.ndarray:
         """One point, or an (n, dim) batch of points, uniform in the box."""
         size = None if n is None else (n, self.dim)

@@ -108,12 +108,7 @@ class AlgorithmSpec:
         kind = d.get("kind")
         params = {k: v for k, v in d.items() if k not in ("name", "kind")}
         if kind is None:
-            preset = ALGORITHM_PRESETS.get(name)
-            if preset is None:
-                raise ValueError(
-                    f"unknown algorithm preset {name!r}; give 'kind' plus parameters"
-                )
-            return cls(name, replace(preset.config, **params))
+            return cls(name, replace(algorithm_preset(name).config, **params))
         if kind not in _KINDS:
             raise ValueError(f"unknown algorithm kind {kind!r}")
         return cls(name, _KINDS[kind][0](**params))
@@ -131,7 +126,9 @@ ALGORITHM_PRESETS: dict[str, AlgorithmSpec] = {
 
 def algorithm_preset(name: str) -> AlgorithmSpec:
     if name not in ALGORITHM_PRESETS:
-        raise ValueError(f"unknown algorithm {name!r}; known: {sorted(ALGORITHM_PRESETS)}")
+        raise ValueError(
+            f"unknown algorithm preset {name!r}; known: {', '.join(ALGORITHM_PRESETS)}, or give 'kind' plus parameters"
+        )
     return ALGORITHM_PRESETS[name]
 
 
@@ -471,7 +468,8 @@ def ensure_rse_targets(spec: BenchmarkSpec) -> dict[tuple[str, int], RseTarget]:
     is estimated again. The reps draw in turn from one seed, so a directory
     resumed with more reps gets the targets of an uninterrupted run.
     A directory recorded for another benchmark, or whose stored targets
-    were estimated under another budget, is refused with ``ValueError``.
+    were estimated under another budget, is refused with ``ValueError``;
+    spec.json records the benchmark as ``run_benchmark`` records it.
     """
     return _benchmark(spec, 1, with_runs=False)[0]
 
@@ -517,10 +515,10 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                 f"budget mismatch for {rse_path}: rse.csv {min(stale)}, spec {spec.budget}; random-search "
                 "targets and runs of different budgets must not be mixed. Write to a new output directory."
             )
+        _update_text(out / "spec.json", json.dumps(record, indent=2) + "\n")
         existing = {}
         if with_runs:
             (out / "traces").mkdir(exist_ok=True)
-            _update_text(out / "spec.json", json.dumps(record, indent=2) + "\n")
             existing = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)}
             # Keep only the rows that count, so appended rows start on a fresh line.
             _write_runs(runs_path, existing.values())

@@ -87,7 +87,7 @@ def _normal_approx(d_abs: np.ndarray, w_plus: float, n: int) -> float:
     return min(1.0, max(0.0, p))
 
 
-def wilcoxon_signed_rank(a, b, exact_cutoff: int = EXACT_CUTOFF) -> WilcoxonResult:
+def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     """Two-sided test of zero median difference between paired samples.
 
     Returns the positive rank sum W+, the effective sample size after
@@ -111,7 +111,7 @@ def wilcoxon_signed_rank(a, b, exact_cutoff: int = EXACT_CUTOFF) -> WilcoxonResu
     d_abs = np.abs(d)
     ranks = _average_ranks(d_abs)
     w_plus = float(np.sum(ranks[d > 0]))
-    if n <= exact_cutoff:
+    if n <= EXACT_CUTOFF:
         p = _exact_two_sided(ranks, w_plus)
         method = "exact_enumeration"
     else:

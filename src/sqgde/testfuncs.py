@@ -21,7 +21,6 @@ from .core import RngStream, SearchSpace, derive_seed, make_rng, record_dict
 __all__ = [
     "BaseFunction",
     "BASE_FUNCTIONS",
-    "base_eval",
     "random_rotation",
     "CompositionComponent",
     "Composition",
@@ -175,17 +174,6 @@ BASE_FUNCTIONS: dict[str, BaseFunction] = {
     ),
     "schaffer_f6": BaseFunction("schaffer_f6", _schaffer_f6, 100.0, min_dim=2),
 }
-
-
-def base_eval(kind: str, z) -> float:
-    """Evaluate a base landscape at canonical coordinates."""
-    if kind not in BASE_FUNCTIONS:
-        raise ValueError(f"unknown base function kind: {kind!r}")
-    base = BASE_FUNCTIONS[kind]
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size < base.min_dim:
-        raise ValueError(f"{kind} needs a 1-d point with at least {base.min_dim} components")
-    return float(base.fn(z))
 
 
 def random_rotation(dim: int, rng: RngStream) -> np.ndarray:
@@ -364,13 +352,13 @@ class FunctionDescriptor:
     """JSON-compatible recipe for a reproducible function instance.
 
     Exactly one of ``kind`` (single base) or ``composition`` must be given.
-    ``dim`` and ``seed`` may be left unset and supplied at build time.
+    ``seed`` may be left unset and supplied at build time; the dimension is
+    always supplied at build time.
     """
 
     label: str
     kind: str | None = None
     composition: list[ComponentDescriptor] | None = None
-    dim: int | None = None
     bounds: tuple[float, float] | None = None
     shifted: bool = True
     rotated: bool = False
@@ -388,7 +376,6 @@ class FunctionDescriptor:
         casts = dict(
             kind=str,
             composition=lambda entries: [ComponentDescriptor.from_dict(c) for c in entries],
-            dim=int,
             bounds=lambda b: tuple(map(float, b)),
             shifted=bool,
             rotated=bool,
@@ -421,14 +408,12 @@ def resolve_descriptor(
 
     Every refusal of :func:`make_test_function` happens here, and nothing
     here draws, so a whole benchmark can be checked before anything is built.
-    ``seed`` and ``dim`` fall back to the descriptor's fields.
+    ``seed`` falls back to the descriptor's field.
     """
     if seed is None:
         seed = desc.seed
     if seed is None or seed < 0:
         raise ValueError(f"{desc.label}: a non-negative seed is required, in the descriptor or supplied")
-    if dim is None:
-        dim = desc.dim
     if dim is None or dim < 1:
         raise ValueError(f"{desc.label}: a positive dimension is required")
 
@@ -463,8 +448,8 @@ def make_test_function(
     """Build the concrete function instance a descriptor describes.
 
     The same (descriptor, seed, dim) always produces the same shifts and
-    rotations. ``seed`` and ``dim`` fall back to the descriptor's fields; a
-    descriptor that cannot build is refused by :func:`resolve_descriptor`.
+    rotations. ``seed`` falls back to the descriptor's field; a descriptor
+    that cannot build is refused by :func:`resolve_descriptor`.
     """
     seed, space, entries = resolve_descriptor(desc, seed, dim)
     single = desc.kind is not None
@@ -551,6 +536,5 @@ def default_suite() -> list[FunctionDescriptor]:
     return [FunctionDescriptor(label, seed=derive_seed(_SUITE_SEED, label), **kwargs) for label, kwargs in entries]
 
 
-def suite_by_label(suite: list[FunctionDescriptor] | None = None) -> dict[str, FunctionDescriptor]:
-    suite = suite if suite is not None else default_suite()
-    return {d.label: d for d in suite}
+def suite_by_label() -> dict[str, FunctionDescriptor]:
+    return {d.label: d for d in default_suite()}

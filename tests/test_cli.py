@@ -284,3 +284,20 @@ def test_a_json_file_that_does_not_load_is_a_usage_error_naming_it(tmp_path, com
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
     assert f"cannot load {path}: " in res.output and message in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--algo", "de", "--function", "shifted_rosenbrock", "--dim", "1"],
+        ["rse", "--function", "shifted_rosenbrock", "--dim", "1"],
+        ["rse", "--dim", "1"],
+    ],
+    ids=["run", "rse_function", "rse_suite"],
+)
+def test_a_function_that_cannot_build_at_dim_is_a_usage_error_naming_it(args):
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
+    assert "shifted_rosenbrock: rosenbrock needs dim >= 2" in res.output
+    assert "function,dim" not in res.output  # refused before any row is printed

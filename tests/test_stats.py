@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from sqgde import stats
 from sqgde.stats import ALPHA, EXACT_CUTOFF, WilcoxonResult, _average_ranks, wilcoxon_signed_rank
 
 
@@ -148,14 +149,16 @@ def test_antisymmetry(seed):
     assert rev.p_value == pytest.approx(fwd.p_value, abs=1e-12)
 
 
-def test_exact_and_approx_agree_for_moderate_n():
+def test_exact_and_approx_agree_for_moderate_n(monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(40):
         n = int(rng.integers(15, 21))
         a = rng.standard_normal(n) + 0.3
         b = rng.standard_normal(n)
         exact = wilcoxon_signed_rank(a, b)  # n <= 20 uses enumeration
-        approx = wilcoxon_signed_rank(a, b, exact_cutoff=0)
+        with monkeypatch.context() as m:
+            m.setattr(stats, "EXACT_CUTOFF", 0)
+            approx = wilcoxon_signed_rank(a, b)
         assert exact.method == "exact_enumeration"
         assert approx.method == "normal_approximation"
         assert abs(exact.p_value - approx.p_value) < 0.02
