@@ -29,6 +29,7 @@ weighted sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,16 +148,27 @@ def distinct_indices(blocked: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
     ``blocked`` is a boolean (n, pop_size) mask. Each row draws a uniform
     key per column and takes its k unblocked columns with the smallest
     keys, in key order, so every row is a uniform ordered sample without
-    replacement. Raises InsufficientPopulation if a row has fewer than k
+    replacement. The picks are k argmin passes over the keys, each setting
+    its pick to inf, so the cost grows with k; tied keys go to the lower
+    column. Raises InsufficientPopulation if a row has fewer than k
     unblocked columns.
     """
     blocked = np.asarray(blocked, dtype=bool)
-    available = blocked.shape[1] - int(blocked.sum(axis=1).max(initial=0))
-    if k > available:
-        raise InsufficientPopulation(f"need {k} distinct indices but only {available} are available")
-    keys = np.array(rng.random(blocked.shape), dtype=float)
+    keys = rng.random(blocked.shape)
     keys[blocked] = np.inf
-    return np.argsort(keys, axis=1)[:, :k]
+    flat, starts = keys.reshape(-1), np.arange(len(keys)) * blocked.shape[1]
+    idx = np.empty((len(keys), k), dtype=np.intp)
+    for j in range(k):
+        pick = keys.argmin(axis=1)
+        idx[:, j] = pick
+        pick += starts  # its position in the flat keys
+        last = flat[pick]
+        flat[pick] = np.inf
+    # A row's last pick is inf only if the row had fewer than k unblocked columns.
+    if k and np.isinf(last).any():
+        available = blocked.shape[1] - int(blocked.sum(axis=1).max())
+        raise InsufficientPopulation(f"need {k} distinct indices but only {available} are available")
+    return idx
 
 
 def _others(rows, pop_size: int) -> np.ndarray:
@@ -195,8 +207,12 @@ def sqg_steps(x_best: np.ndarray, diffs: np.ndarray, gaps: np.ndarray, F: float,
     is left), the mutant falls back to a plain mean-difference step from
     x_best. ``eps_den`` may be given per row.
     """
+    return _sqg_steps(x_best, diffs, np.linalg.norm(diffs, axis=2), gaps, F, eps_den)
+
+
+def _sqg_steps(x_best, diffs, dist, gaps, F, eps_den):
+    """:func:`sqg_steps` given the pair lengths ``dist`` = ||diffs||, shape (n, w)."""
     w = diffs.shape[1]
-    dist = np.linalg.norm(diffs, axis=2)
     usable = np.isfinite(gaps) & (dist > 0.0)
     weights = np.divide(gaps, dist, out=np.zeros_like(dist), where=usable)
     s = np.einsum("nw,nwd->nd", weights, diffs)
@@ -216,11 +232,18 @@ def sqg_pairs(X: np.ndarray, rows, w: int, rng: RngStream, eps_pair: float = 0.0
     converged population) stops there. Returns the (n, w) index arrays b
     and c and the boolean mask of those degenerate rows.
     """
+    return _sqg_pairs(X, rows, w, rng, eps_pair)[:3]
+
+
+def _sqg_pairs(X, rows, w, rng, eps_pair):
+    """:func:`sqg_pairs`, plus the differences X[b] - X[c], shape (n, w, D), and their lengths."""
     pop_size = len(X)
     blocked = _others(rows, pop_size)
     idx = distinct_indices(blocked, 2 * w, rng)
     b, c = idx[:, 0::2], idx[:, 1::2]  # views: repairs write through to idx
-    bad = np.linalg.norm(X[b] - X[c], axis=2) <= eps_pair
+    diffs = X[b] - X[c]
+    dist = np.linalg.norm(diffs, axis=2)
+    bad = dist <= eps_pair
     degenerate = np.zeros(len(idx), dtype=bool)
     for k in np.flatnonzero(bad.any(axis=0)):
         redo = np.flatnonzero(bad[:, k] & ~degenerate)
@@ -234,12 +257,14 @@ def sqg_pairs(X: np.ndarray, rows, w: int, rng: RngStream, eps_pair: float = 0.0
             # Never short: 2 w - 1 members are in use, and pop_size >= 2 w + 1.
             new = distinct_indices(used, 2, rng)
             b[redo, k], c[redo, k] = new[:, 0], new[:, 1]
-            redo = redo[np.linalg.norm(X[b[redo, k]] - X[c[redo, k]], axis=1) <= eps_pair]
+            diffs[redo, k] = X[new[:, 0]] - X[new[:, 1]]
+            dist[redo, k] = np.linalg.norm(diffs[redo, k], axis=1)
+            redo = redo[dist[redo, k] <= eps_pair]
             if redo.size == 0:
                 break
         else:
             degenerate[redo] = True
-    return b, c, degenerate
+    return b, c, degenerate, diffs, dist
 
 
 def sqg_donors(
@@ -254,10 +279,10 @@ def sqg_donors(
 ) -> np.ndarray:
     """Quasi-gradient donors for the target rows; degenerate rows take the plain step."""
     X = pop.genomes
-    b, c, degenerate = sqg_pairs(X, rows, w, rng, eps_pair)
+    b, c, degenerate, diffs, dist = _sqg_pairs(X, rows, w, rng, eps_pair)
     with np.errstate(invalid="ignore"):  # inf - inf gaps are left out as NaN
         gaps = pop.fitness[b] - pop.fitness[c]
-    return sqg_steps(X[best], X[b] - X[c], gaps, F, np.where(degenerate, np.inf, eps_den))
+    return _sqg_steps(X[best], diffs, dist, gaps, F, np.where(degenerate, np.inf, eps_den))
 
 
 def mutate_rand1(pop: Population, target: int, F: float, rng: RngStream) -> np.ndarray:
@@ -319,10 +344,14 @@ def exponential_masks(n: int, d: int, CR: float, rng: RngStream) -> np.ndarray:
     draws stay below CR, capped at the full length. CR = 0 copies exactly
     one gene; CR = 1 copies the whole donor.
     """
-    start = rng.integers(d, size=n)
-    grow = rng.random((n, d - 1)) < CR
-    length = 1 + np.cumprod(grow, axis=1).sum(axis=1)
-    return (np.arange(d) - start[:, None]) % d < length[:, None]
+    start = rng.integers(d, size=n)[:, None]
+    # grow[:, -1] stays False: a block whose d - 1 draws all grow has length d.
+    grow = np.zeros((n, d), dtype=bool)
+    np.less(rng.random((n, d - 1)), CR, out=grow[:, :-1])
+    end = start + 1 + grow.argmin(axis=1, keepdims=True)
+    cols = np.arange(d)
+    # columns start to end - 1; those past d - 1 wrap round to the front
+    return ((cols >= start) & (cols < end)) | (cols < end - d)
 
 
 def crossover_binomial(target: np.ndarray, donor: np.ndarray, CR: float, rng: RngStream) -> np.ndarray:
@@ -354,8 +383,11 @@ def sqg_gradient_estimate(
     if delta <= 0:
         raise ValueError("delta must be positive")
     x = np.asarray(x, dtype=float)
-    z = np.asarray(rng.uniform(-1.0, 1.0, (r, x.size)), dtype=float)
-    values = evaluator.evaluate_batch(np.vstack([x, x + delta * z]))
+    z = rng.uniform(-1.0, 1.0, (r, x.size))
+    batch = np.empty((r + 1, x.size))
+    batch[0] = x
+    batch[1:] = x + delta * z
+    values = evaluator.evaluate_batch(batch)
     if values.size < r + 1:
         raise BudgetExhausted(f"budget of {evaluator.t_max} evaluations spent")
     return ((values[1:] - values[0]) / delta) @ z
@@ -425,7 +457,7 @@ def run_sqg(config: SQGConfig, fn, t_max: int, seed: int) -> RunTrace:
             xi = sqg_gradient_estimate(evaluator, x, config.r, config.delta, rng)
         except BudgetExhausted:
             return evaluator.trace()
-        norm = float(np.linalg.norm(xi))
-        if np.isfinite(norm) and norm > 0.0:
+        norm = math.sqrt(xi @ xi)  # the value np.linalg.norm gives a 1-D array
+        if math.isfinite(norm) and norm > 0.0:
             x = space.clip(x - (step_scale * config.decay ** t) * (xi / norm))
         t += 1

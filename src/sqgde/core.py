@@ -22,6 +22,7 @@ __all__ = [
     "make_rng",
     "derive_seed",
     "record_dict",
+    "refuse_unknown_keys",
     "SearchSpace",
     "ranked_fitness",
     "Population",
@@ -76,6 +77,12 @@ def _plain(value):
 def record_dict(record) -> dict:
     """A dataclass's fields that are not None, in field order, as JSON holds them."""
     return {f.name: _plain(v) for f in fields(record) if (v := getattr(record, f.name)) is not None}
+
+
+def refuse_unknown_keys(d: dict, known, what: str) -> None:
+    """Refuse a record holding a key not in ``known``: a misspelt key would silently take its default."""
+    if unknown := [key for key in d if key not in known]:
+        raise ValueError(f"{what} has unknown keys {unknown}; known keys: {', '.join(known)}")
 
 
 @dataclass(frozen=True)

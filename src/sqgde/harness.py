@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .algos import DEConfig, SQGConfig, run_de, run_sqg
-from .core import STREAM_VERSION, RunTrace, derive_seed, record_dict
+from .core import STREAM_VERSION, RunTrace, derive_seed, record_dict, refuse_unknown_keys
 from .metrics import (
     ErtResult,
     NormalizationUndefined,
@@ -167,7 +167,12 @@ class BenchmarkSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkSpec":
-        """Missing entries take the defaults: all presets, the default suite, the protocol."""
+        """Missing entries take the defaults: all presets, the default suite, the protocol.
+
+        The ``stream_version`` a spec.json records is accepted; any other
+        unknown key is refused.
+        """
+        refuse_unknown_keys(d, [f.name for f in fields(cls)] + ["stream_version"], "benchmark spec")
         algos = [
             algorithm_preset(e) if isinstance(e, str) else AlgorithmSpec.from_dict(e)
             for e in d.get("algorithms", ALGORITHM_PRESETS)
@@ -362,6 +367,31 @@ def _run_task(*cell):
     return list(_cell_results(*cell))
 
 
+def _one_blas_thread() -> None:
+    """Pool initializer: one OpenBLAS thread per worker, so N workers do not oversubscribe N cores.
+
+    ``OPENBLAS_NUM_THREADS`` cannot do it: OpenBLAS reads it when numpy
+    loads, before the fork. In a forked process the setter first starts
+    OpenBLAS's thread pool again, and its idle thread would spin for about
+    0.1 s of CPU; shutting the pool down stops that, and with one thread
+    OpenBLAS never starts it again. Both functions are the ones numpy's
+    scipy-openblas wheel exports; where they are absent this does nothing.
+    """
+    import ctypes
+
+    from numpy.linalg import _umath_linalg  # linked against numpy's BLAS
+
+    blas = ctypes.CDLL(_umath_linalg.__file__)
+    setter = getattr(blas, "scipy_openblas_set_num_threads64_", None)
+    shutdown = getattr(blas, "blas_thread_shutdown_", None)
+    if setter is None or shutdown is None:
+        return
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+    setter(1)
+    shutdown()
+
+
 def _run_pool(tasks, workers: int, handle) -> None:
     """Run ``tasks`` on ``workers`` processes, with at most two per worker in flight.
 
@@ -371,7 +401,7 @@ def _run_pool(tasks, workers: int, handle) -> None:
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     todo, pending = iter(tasks), set()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
         try:
             while True:
                 for task in islice(todo, 2 * workers - len(pending)):

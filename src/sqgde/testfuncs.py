@@ -11,12 +11,12 @@ a seed fully reproduces the function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
 
-from .core import RngStream, SearchSpace, derive_seed, make_rng, record_dict
+from .core import RngStream, SearchSpace, derive_seed, make_rng, record_dict, refuse_unknown_keys
 
 __all__ = [
     "BaseFunction",
@@ -342,6 +342,7 @@ class ComponentDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ComponentDescriptor":
+        refuse_unknown_keys(d, ("kind", "sigma", "lambda", "bias"), "composition component")
         lam = d.get("lambda")
         lam = None if lam is None else float(lam)
         return cls(d["kind"], float(d.get("sigma", 1.0)), lam, float(d.get("bias", 0.0)))
@@ -373,6 +374,7 @@ class FunctionDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FunctionDescriptor":
+        refuse_unknown_keys(d, [f.name for f in fields(cls)], f"function {d.get('label')!r}")
         casts = dict(
             kind=str,
             composition=lambda entries: [ComponentDescriptor.from_dict(c) for c in entries],

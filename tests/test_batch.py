@@ -13,8 +13,10 @@ import pytest
 from scipy.stats import chisquare
 
 from sqgde.algos import (
+    InsufficientPopulation,
     best2_donors,
     distinct_indices,
+    exponential_masks,
     rand1_donors,
     sqg_donors,
     sqg_pairs,
@@ -144,6 +146,19 @@ def test_sqg_steps_plain_fallback_matches_per_pair_formula():
     npt.assert_allclose(step[0], _sqg_reference(x_best, pairs, 0.8), rtol=RTOL, atol=RTOL)
 
 
+def test_sqg_donors_with_repaired_pairs_match_steps_of_the_returned_pairs():
+    pop = _population(11, n=24, d=5)
+    pop.genomes[1::2] = pop.genomes[::2]  # every member has a twin, so many pairs coincide
+    X, y = pop.genomes, pop.fitness
+    rows, best, eps = np.arange(pop.size), int(np.argmin(y)), 1e-12
+    b, c, degenerate = sqg_pairs(X, rows, 5, make_rng(12), eps)
+    donors = sqg_donors(pop, rows, best, 5, 0.8, make_rng(12), eps, eps)
+    first = distinct_indices(_self_blocked(pop.size), 10, make_rng(12))
+    assert (first[:, 0::2] != b).any() and not degenerate.any()  # pairs were redrawn, and all repaired
+    expected = sqg_steps(X[best], X[b] - X[c], y[b] - y[c], 0.8, np.where(degenerate, np.inf, eps))
+    npt.assert_array_equal(donors, expected)
+
+
 def test_sqg_pairs_resamples_only_degenerate_rows():
     rng = make_rng(6)
     X = rng.standard_normal((14, 3))
@@ -186,3 +201,57 @@ def test_distinct_indices_each_role_uniform_over_others():
         for role in range(k):
             counts = np.delete(np.bincount(idx[rows == target, role], minlength=n), target)
             assert chisquare(counts).pvalue > 0.001, (target, role, counts)
+
+
+def _argsort_reference(blocked, k, rng):
+    """The full-sort formulation: a key per column, blocked ones inf, the k smallest in key order."""
+    keys = rng.random(blocked.shape)
+    keys[blocked] = np.inf
+    return np.argsort(keys, axis=1)[:, :k]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_distinct_indices_match_full_sort(seed):
+    shape_rng = make_rng(100 + seed)
+    n, pop = shape_rng.integers(1, 40), shape_rng.integers(2, 101)
+    blocked = shape_rng.random((n, pop)) < 0.5 * shape_rng.random()
+    free = pop - int(blocked.sum(axis=1).max())
+    for k in range(1, free + 1):
+        rng, twin = make_rng(seed), make_rng(seed)
+        npt.assert_array_equal(distinct_indices(blocked, k, rng), _argsort_reference(blocked, k, twin))
+        assert rng.bit_generator.state == twin.bit_generator.state
+    with pytest.raises(InsufficientPopulation, match=f"need {free + 1} distinct indices but only {free} are available"):
+        distinct_indices(blocked, free + 1, make_rng(seed))
+
+
+class _TiedKeys:
+    """A stream whose every key is the same."""
+
+    def random(self, shape):
+        return np.full(shape, 0.5)
+
+
+def test_distinct_indices_ties_go_to_the_lower_column():
+    blocked = np.zeros((3, 6), dtype=bool)
+    blocked[0, 0] = blocked[1, [1, 3]] = blocked[2, 5] = True
+    assert distinct_indices(blocked, 3, _TiedKeys()).tolist() == [[1, 2, 3], [0, 2, 4], [0, 1, 2]]
+
+
+# --- crossover -------------------------------------------------------------------
+
+
+def _exponential_reference(n, d, CR, rng):
+    """Block length by a running product of the grow draws, membership by a cyclic remainder."""
+    start = rng.integers(d, size=n)
+    grow = rng.random((n, d - 1)) < CR
+    length = 1 + np.cumprod(grow, axis=1).sum(axis=1)
+    return (np.arange(d) - start[:, None]) % d < length[:, None]
+
+
+@pytest.mark.parametrize("CR", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 3, 30])
+def test_exponential_masks_match_cyclic_remainder_form(d, CR):
+    rng, twin = make_rng(d), make_rng(d)
+    for n in (1, 500):
+        npt.assert_array_equal(exponential_masks(n, d, CR, rng), _exponential_reference(n, d, CR, twin))
+    assert rng.bit_generator.state == twin.bit_generator.state

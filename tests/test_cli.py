@@ -273,9 +273,12 @@ def test_run_and_rse_reject_non_positive_values_up_front(args):
         (["run", "--algo", "de", "--function"], '{"label": "f",', "Expecting"),
         (["rse", "--function"], '{"label": "f",', "Expecting"),
         (["run", "--algo", "de", "--function"], '{"functions": []}', "it is a suite file"),
+        (["bench", "--quiet", "--config"], '{"budgett": 50}', "unknown keys ['budgett']"),
+        (["rse", "--function"], '{"label": "f", "kind": "sphere", "rotatd": true}', "unknown keys ['rotatd']"),
     ],
     ids=["bench_config_that_does_not_parse", "bench_config_unknown_preset", "run_function_that_does_not_parse",
-         "rse_function_that_does_not_parse", "run_function_suite_file"],
+         "rse_function_that_does_not_parse", "run_function_suite_file", "bench_config_unknown_key",
+         "rse_function_unknown_key"],
 )
 def test_a_json_file_that_does_not_load_is_a_usage_error_naming_it(tmp_path, command, text, message):
     path = tmp_path / "f.json"

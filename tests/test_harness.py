@@ -100,6 +100,12 @@ def test_benchmark_spec_defaults_fill_in():
     assert (spec.budget, spec.reps) == (1000, 100)
 
 
+def test_benchmark_spec_refuses_unknown_keys_but_the_stream_version():
+    with pytest.raises(ValueError, match=r"unknown keys \['budgett'\]"):
+        BenchmarkSpec.from_dict({"budgett": 50})
+    assert BenchmarkSpec.from_dict({"budget": 50, "stream_version": STREAM_VERSION}).budget == 50
+
+
 def test_benchmark_spec_validation():
     fns = [FunctionDescriptor(label="f", kind="sphere", seed=1)]
     with pytest.raises(ValueError):
@@ -400,6 +406,37 @@ def test_error_in_the_parent_cancels_queued_runs(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="crashed"):
         run_benchmark(sphere_spec(tmp_path / "out", reps=40), workers=2)
     assert len(list(started.iterdir())) <= 20
+
+
+def _blas_threads():
+    """numpy's scipy-openblas thread count getter; skips the test where the wheel lacks it."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    getter = getattr(ctypes.CDLL(_umath_linalg.__file__), "scipy_openblas_get_num_threads64_", None)
+    if getter is None:
+        pytest.skip("numpy's BLAS exports no scipy-openblas thread count")
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter
+
+
+@fork_only
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts a process's threads in /proc")
+def test_pool_workers_run_one_blas_thread_and_no_idle_pool(tmp_path, monkeypatch):
+    threads, seen, real = _blas_threads(), tmp_path / "threads", harness.execute_run
+    seen.mkdir()
+    in_parent = threads()
+
+    def counting_run(algo, fn, budget, seed):
+        # BLAS threads, then the worker's own threads: an idle OpenBLAS pool thread spins
+        (seen / f"{threads()}-{len(os.listdir('/proc/self/task'))}").touch()
+        return real(algo, fn, budget, seed)
+
+    monkeypatch.setattr(harness, "execute_run", counting_run)
+    run_benchmark(sphere_spec(tmp_path / "out", reps=4), workers=2)
+    assert [p.name for p in seen.iterdir()] == ["1-1"]
+    assert threads() == in_parent
 
 
 @fork_only

@@ -379,6 +379,20 @@ def test_descriptor_roundtrip():
     assert desc.to_dict()["composition"][0]["lambda"] == 2.0
 
 
+@pytest.mark.parametrize(
+    "record, unknown",
+    [
+        ({"label": "f", "kind": "sphere", "rotatd": True, "seed": 1}, "rotatd"),
+        ({"label": "f", "composition": [{"kind": "sphere", "sigam": 2.0}]}, "sigam"),
+    ],
+    ids=["descriptor", "component"],
+)
+def test_descriptor_refuses_unknown_keys(record, unknown):
+    # a misspelt key would otherwise build the function with that field's default
+    with pytest.raises(ValueError, match=f"unknown keys \\['{unknown}'\\]"):
+        FunctionDescriptor.from_dict(record)
+
+
 def test_suite_roundtrip_through_json():
     # spec.json holds the descriptors inline, and a resume compares them as JSON
     suite = default_suite()
