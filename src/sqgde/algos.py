@@ -189,16 +189,18 @@ def best2_donors(X: np.ndarray, best: int, idx: np.ndarray, F: float) -> np.ndar
     return X[best] + F * ((X[idx[:, 0]] - X[idx[:, 1]]) + (X[idx[:, 2]] - X[idx[:, 3]]))
 
 
-def sqg_steps(x_best: np.ndarray, diffs: np.ndarray, gaps: np.ndarray, F: float, eps_den=0.0) -> np.ndarray:
+def sqg_steps(
+    x_best: np.ndarray, diffs: np.ndarray, dist: np.ndarray, gaps: np.ndarray, F: float, eps_den=0.0
+) -> np.ndarray:
     """Fitness-difference weighted mutants around the population best.
 
     Row i has w difference vectors ``diffs[i]`` = x_b - x_c, shape (n, w, D),
-    and fitness gaps ``gaps[i]`` = y_b - y_c, shape (n, w). Each pair
-    contributes its difference vector weighted by the fitness gap per unit
-    distance. The weighted sum S is rescaled by
-    phi = (||sum of differences|| / w) / ||S||, so the step length always
-    equals the mean difference-vector length regardless of the fitness
-    scale, and the direction descends the quasi-gradient:
+    their lengths ``dist[i]``, shape (n, w), and fitness gaps ``gaps[i]`` =
+    y_b - y_c, shape (n, w). Each pair contributes its difference vector
+    weighted by the fitness gap per unit distance. The weighted sum S is
+    rescaled by phi = (||sum of differences|| / w) / ||S||, so the step
+    length always equals the mean difference-vector length regardless of
+    the fitness scale, and the direction descends the quasi-gradient:
 
         donor = x_best - F * phi * S
 
@@ -207,11 +209,6 @@ def sqg_steps(x_best: np.ndarray, diffs: np.ndarray, gaps: np.ndarray, F: float,
     is left), the mutant falls back to a plain mean-difference step from
     x_best. ``eps_den`` may be given per row.
     """
-    return _sqg_steps(x_best, diffs, np.linalg.norm(diffs, axis=2), gaps, F, eps_den)
-
-
-def _sqg_steps(x_best, diffs, dist, gaps, F, eps_den):
-    """:func:`sqg_steps` given the pair lengths ``dist`` = ||diffs||, shape (n, w)."""
     w = diffs.shape[1]
     usable = np.isfinite(gaps) & (dist > 0.0)
     weights = np.divide(gaps, dist, out=np.zeros_like(dist), where=usable)
@@ -230,13 +227,9 @@ def sqg_pairs(X: np.ndarray, rows, w: int, rng: RngStream, eps_pair: float = 0.0
     from the members its row does not use, up to pop_size times; pairs are
     repaired in order, and a row whose pair stays degenerate (e.g. a
     converged population) stops there. Returns the (n, w) index arrays b
-    and c and the boolean mask of those degenerate rows.
+    and c, the boolean mask of those degenerate rows, the differences
+    X[b] - X[c], shape (n, w, D), and their lengths, shape (n, w).
     """
-    return _sqg_pairs(X, rows, w, rng, eps_pair)[:3]
-
-
-def _sqg_pairs(X, rows, w, rng, eps_pair):
-    """:func:`sqg_pairs`, plus the differences X[b] - X[c], shape (n, w, D), and their lengths."""
     pop_size = len(X)
     blocked = _others(rows, pop_size)
     idx = distinct_indices(blocked, 2 * w, rng)
@@ -279,10 +272,10 @@ def sqg_donors(
 ) -> np.ndarray:
     """Quasi-gradient donors for the target rows; degenerate rows take the plain step."""
     X = pop.genomes
-    b, c, degenerate, diffs, dist = _sqg_pairs(X, rows, w, rng, eps_pair)
+    b, c, degenerate, diffs, dist = sqg_pairs(X, rows, w, rng, eps_pair)
     with np.errstate(invalid="ignore"):  # inf - inf gaps are left out as NaN
         gaps = pop.fitness[b] - pop.fitness[c]
-    return _sqg_steps(X[best], diffs, dist, gaps, F, np.where(degenerate, np.inf, eps_den))
+    return sqg_steps(X[best], diffs, dist, gaps, F, np.where(degenerate, np.inf, eps_den))
 
 
 def mutate_rand1(pop: Population, target: int, F: float, rng: RngStream) -> np.ndarray:
@@ -301,10 +294,11 @@ def sqg_mutant(x_best: np.ndarray, pairs, F: float) -> np.ndarray:
     if not pairs:
         raise ValueError("at least one pair is required")
     diffs = np.array([[np.asarray(xb, dtype=float) - np.asarray(xc, dtype=float) for (xb, _), (xc, _) in pairs]])
-    if np.any(np.linalg.norm(diffs, axis=2) == 0.0):
+    dist = np.linalg.norm(diffs, axis=2)
+    if np.any(dist == 0.0):
         raise ValueError("quasi-gradient pair has identical points")
     gaps = np.array([[float(yb) - float(yc) for (_, yb), (_, yc) in pairs]])
-    return sqg_steps(np.asarray(x_best, dtype=float), diffs, gaps, F)[0]
+    return sqg_steps(np.asarray(x_best, dtype=float), diffs, dist, gaps, F)[0]
 
 
 def sqg_donor(

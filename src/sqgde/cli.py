@@ -14,6 +14,7 @@ from . import harness
 from .harness import (
     ALGORITHM_PRESETS,
     BenchmarkSpec,
+    _check_names,
     default_benchmark_spec,
     execute_run,
 )
@@ -22,7 +23,6 @@ from .testfuncs import (
     FunctionDescriptor,
     default_suite,
     make_test_function,
-    resolve_descriptor,
     suite_by_label,
 )
 
@@ -46,7 +46,9 @@ def _load(path, from_dict):
 def _descriptor(payload: dict) -> FunctionDescriptor:
     if "functions" in payload:
         raise ValueError("it is a suite file; pass a single function label or descriptor file")
-    return FunctionDescriptor.from_dict(payload)
+    desc = FunctionDescriptor.from_dict(payload)
+    _check_names("function label", [desc.label])
+    return desc
 
 
 def _resolve_function(label: str) -> FunctionDescriptor:
@@ -60,13 +62,12 @@ def _resolve_function(label: str) -> FunctionDescriptor:
     )
 
 
-def _buildable(desc: FunctionDescriptor, dim: int) -> FunctionDescriptor:
-    """``desc`` if it builds at ``dim``; one that cannot is a usage error naming it."""
+def _build(desc: FunctionDescriptor, dim: int):
+    """``desc`` built at ``dim``; one that cannot build is a usage error naming it."""
     try:
-        resolve_descriptor(desc, dim=dim)
+        return make_test_function(desc, dim=dim)
     except ValueError as err:
         raise click.BadParameter(str(err)) from err
-    return desc
 
 
 @main.command()
@@ -79,15 +80,14 @@ def _buildable(desc: FunctionDescriptor, dim: int) -> FunctionDescriptor:
 def run(algo, function_label, dim, budget, seed, out):
     """Run one algorithm once on one function and print the outcome."""
     spec = ALGORITHM_PRESETS[algo]
-    desc = _buildable(_resolve_function(function_label), dim)
-    fn = make_test_function(desc, dim=dim)
+    fn = _build(_resolve_function(function_label), dim)
     trace = execute_run(spec, fn, budget, seed)
-    click.echo(f"algorithm={spec.name} function={desc.label} dim={dim} seed={seed}")
+    click.echo(f"algorithm={spec.name} function={fn.label} dim={dim} seed={seed}")
     click.echo(f"evals_used={trace.final_evals} best_fitness={trace.final_best!r}")
     if out:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"{spec.name}__{desc.label}__d{dim}__s{seed}.csv"
+        path = out_dir / f"{spec.name}__{fn.label}__d{dim}__s{seed}.csv"
         harness.write_trace(path, trace)
         click.echo(f"trace written to {path}")
 
@@ -114,7 +114,10 @@ def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quie
             raise click.BadParameter(f"{name} not in the spec: {missing}")
         if picked:
             changes[name] = [known[p] for p in picked]
-    spec = dataclasses.replace(spec, **changes)
+    try:
+        spec = dataclasses.replace(spec, **changes)
+    except ValueError as err:  # e.g. a repeated --dim
+        raise click.BadParameter(str(err)) from err
 
     import logging  # as in the harness, only a benchmark run loads it
 
@@ -144,11 +147,11 @@ def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quie
 def rse(function_label, dim, budget, reps, seed):
     """Print the uniform random-search target per function (sqgde bench stores them)."""
     descs = [_resolve_function(function_label)] if function_label else default_suite()
-    descs = [_buildable(desc, dim) for desc in descs]
+    fns = [_build(desc, dim) for desc in descs]
     click.echo(",".join(harness.RSE_COLUMNS))
-    for desc in descs:
-        target = harness.rse_target(make_test_function(desc, dim=dim), budget, reps, seed)
-        click.echo(f"{desc.label},{dim},{budget},{reps},{target.value!r}")
+    for fn in fns:
+        target = harness.rse_target(fn, budget, reps, seed)
+        click.echo(f"{fn.label},{dim},{budget},{reps},{target.value!r}")
 
 
 @main.command(name="summarize")

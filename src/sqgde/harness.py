@@ -32,6 +32,7 @@ import csv
 import fcntl
 import json
 import os
+import re
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import groupby, islice, product
@@ -79,6 +80,15 @@ OVERALL_CATEGORY = "overall"
 _TASK_RUNS = 4
 # The fields every spec.json records; a file without one is refused.
 _SPEC_FIELDS = ("algorithms", "functions", "dims", "budget", "reps", "master_seed")
+# An algorithm name or function label: it becomes an unquoted CSV field and a
+# part of a trace file name, whose parts "__" separates.
+_NAME = re.compile(r"[A-Za-z0-9]+(?:[._-][A-Za-z0-9]+)*")
+
+
+def _check_names(what: str, values) -> None:
+    """Refuse, naming it, a value that cannot be a CSV field and a part of a file name."""
+    if bad := [v for v in values if not (isinstance(v, str) and _NAME.fullmatch(v))]:
+        raise ValueError(f"{what} {bad[0]!r} must be letters and digits joined by single '.', '_' or '-'")
 
 
 # Each algorithm kind spec.json names: its config type and its run function.
@@ -151,16 +161,19 @@ class BenchmarkSpec:
             raise ValueError("at least one function is required")
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
+        if len(set(self.dims)) != len(self.dims):
+            raise ValueError("dims must be unique")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if self.reps < 1:
             raise ValueError("reps must be at least 1")
-        names = [a.name for a in self.algorithms]
-        if len(set(names)) != len(names):
-            raise ValueError("algorithm names must be unique")
-        labels = [f.label for f in self.functions]
-        if len(set(labels)) != len(labels):
-            raise ValueError("function labels must be unique")
+        for what, names in (
+            ("algorithm name", [a.name for a in self.algorithms]),
+            ("function label", [f.label for f in self.functions]),
+        ):
+            _check_names(what, names)
+            if len(set(names)) != len(names):
+                raise ValueError(f"{what}s must be unique")
 
     def to_dict(self) -> dict:
         return record_dict(self)
@@ -181,13 +194,6 @@ class BenchmarkSpec:
         functions = [FunctionDescriptor.from_dict(f) for f in funcs] if funcs else default_suite()
         casts = dict(dims=lambda v: list(map(int, v)), budget=int, reps=int, master_seed=int, output_dir=str)
         return cls(algos, functions, **{k: cast(d[k]) for k, cast in casts.items() if k in d})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "BenchmarkSpec":
-        return cls.from_dict(json.loads(text))
 
 
 def default_benchmark_spec() -> BenchmarkSpec:
@@ -221,8 +227,6 @@ RUNS_COLUMNS = [f.name for f in fields(RunRecord)]
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
@@ -248,8 +252,7 @@ def _csv_text(header: list[str], rows) -> str:
 
 def write_trace(path: Path, trace: RunTrace) -> None:
     """Write a run's best-so-far trace as ``eval,best`` CSV lines."""
-    rows = [(e, f) for e, f in trace.points]
-    _atomic_write_text(path, _csv_text(["eval", "best"], rows))
+    _atomic_write_text(path, _csv_text(["eval", "best"], trace.points))
 
 
 def _read_trace(path: Path) -> RunTrace:
@@ -475,7 +478,7 @@ def _resume_record(out: Path, spec: BenchmarkSpec) -> dict:
         for field in ("budget", "master_seed")
         if record[field] != getattr(spec, field)
     ]
-    new = json.loads(spec.to_json())
+    new = spec.to_dict()
     for group, key in (("algorithms", "name"), ("functions", "label")):
         recorded = {entry[key]: entry for entry in record[group]}
         clashes += [f"{group[:-1]} {e[key]!r} changed" for e in new[group] if recorded.get(e[key], e) != e]
@@ -532,6 +535,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
 
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    replace(spec)  # the spec's checks again: its lists may have changed since it was built
     for desc, dim in product(spec.functions, spec.dims):
         resolve_descriptor(desc, dim=dim)
     out, log = Path(spec.output_dir), logging.getLogger(__name__)
@@ -699,8 +703,6 @@ def build_summary_rows(
     if len(category_order) > 1:
         groups.append((OVERALL_CATEGORY, list(labels)))
     for cat, cat_labels in groups:
-        if not cat_labels:
-            continue
         for dim in dims:
             per_algo: dict[str, list[ErtResult]] = {}
             for algo in algo_names:

@@ -70,6 +70,8 @@ def test_de_config_validation():
         DEConfig("best2bin", pop_size=5)
     with pytest.raises(ValueError):
         DEConfig("sqgbin", w=5, pop_size=6)  # needs 2w + 2 = 12
+    with pytest.raises(ValueError, match="w must be at least 1"):
+        DEConfig("sqgbin", w=0)
     DEConfig("sqgbin", w=5, pop_size=12)
 
 
@@ -370,6 +372,16 @@ def test_gradient_estimate_constant_function_is_zero():
     xi = sqg_gradient_estimate(ev, np.zeros(4), 5, 1e-3, make_rng(0))
     npt.assert_array_equal(xi, np.zeros(4))
     assert ev.used == 6  # one base point plus r perturbations
+
+
+def test_gradient_estimate_refuses_bad_settings():
+    ev = BudgetedEvaluator(lambda x, rng: 3.0, 100)
+    with pytest.raises(ValueError, match="r must be at least 1"):
+        sqg_gradient_estimate(ev, np.zeros(2), 0, 1e-3, make_rng(0))
+    for delta in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            sqg_gradient_estimate(ev, np.zeros(2), 2, delta, make_rng(0))
+    assert ev.used == 0
 
 
 def test_gradient_estimate_scripted_1d():

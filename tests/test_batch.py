@@ -130,7 +130,7 @@ def test_sqg_donors_match_per_pair_formula():
     rows = np.arange(pop.size)
     best = int(np.argmin(y))
     # the same stream gives sqg_donors the same index arrays as sqg_pairs
-    b, c, degenerate = sqg_pairs(X, rows, 5, make_rng(4))
+    b, c, degenerate, _, _ = sqg_pairs(X, rows, 5, make_rng(4))
     donors = sqg_donors(pop, rows, best, 5, 0.8, make_rng(4))
     assert not degenerate.any()
     for i in rows:
@@ -142,7 +142,7 @@ def test_sqg_steps_plain_fallback_matches_per_pair_formula():
     x_best = np.array([1.0, -1.0, 0.5])
     diffs = make_rng(5).standard_normal((1, 3, 3))
     pairs = [((x_best + dv, 4.0), (x_best, 4.0)) for dv in diffs[0]]
-    step = sqg_steps(x_best, diffs, np.zeros((1, 3)), 0.8)
+    step = sqg_steps(x_best, diffs, np.linalg.norm(diffs, axis=2), np.zeros((1, 3)), 0.8)
     npt.assert_allclose(step[0], _sqg_reference(x_best, pairs, 0.8), rtol=RTOL, atol=RTOL)
 
 
@@ -151,11 +151,14 @@ def test_sqg_donors_with_repaired_pairs_match_steps_of_the_returned_pairs():
     pop.genomes[1::2] = pop.genomes[::2]  # every member has a twin, so many pairs coincide
     X, y = pop.genomes, pop.fitness
     rows, best, eps = np.arange(pop.size), int(np.argmin(y)), 1e-12
-    b, c, degenerate = sqg_pairs(X, rows, 5, make_rng(12), eps)
+    b, c, degenerate, diffs, dist = sqg_pairs(X, rows, 5, make_rng(12), eps)
     donors = sqg_donors(pop, rows, best, 5, 0.8, make_rng(12), eps, eps)
     first = distinct_indices(_self_blocked(pop.size), 10, make_rng(12))
     assert (first[:, 0::2] != b).any() and not degenerate.any()  # pairs were redrawn, and all repaired
-    expected = sqg_steps(X[best], X[b] - X[c], y[b] - y[c], 0.8, np.where(degenerate, np.inf, eps))
+    # the repaired differences and lengths are those of the returned pairs
+    npt.assert_array_equal(diffs, X[b] - X[c])
+    npt.assert_array_equal(dist, np.linalg.norm(X[b] - X[c], axis=2))
+    expected = sqg_steps(X[best], diffs, dist, y[b] - y[c], 0.8, np.where(degenerate, np.inf, eps))
     npt.assert_array_equal(donors, expected)
 
 
@@ -163,10 +166,11 @@ def test_sqg_pairs_resamples_only_degenerate_rows():
     rng = make_rng(6)
     X = rng.standard_normal((14, 3))
     X[1] = X[0]  # members 0 and 1 coincide
-    b, c, degenerate = sqg_pairs(X, np.arange(14), 3, rng, eps_pair=1e-12)
+    b, c, degenerate, diffs, dist = sqg_pairs(X, np.arange(14), 3, rng, eps_pair=1e-12)
     assert not degenerate.any()
-    lengths = np.linalg.norm(X[b] - X[c], axis=2)
-    assert np.all(lengths > 1e-12)
+    npt.assert_array_equal(diffs, X[b] - X[c])
+    npt.assert_array_equal(dist, np.linalg.norm(X[b] - X[c], axis=2))
+    assert np.all(dist > 1e-12)
     for i in range(14):
         used = np.concatenate([b[i], c[i]])
         assert len(set(used)) == 6 and i not in used
@@ -174,7 +178,7 @@ def test_sqg_pairs_resamples_only_degenerate_rows():
 
 def test_sqg_pairs_converged_rows_are_degenerate():
     X = np.ones((10, 2))
-    _, _, degenerate = sqg_pairs(X, np.arange(10), 2, make_rng(7), eps_pair=1e-12)
+    degenerate = sqg_pairs(X, np.arange(10), 2, make_rng(7), eps_pair=1e-12)[2]
     assert degenerate.all()
 
 

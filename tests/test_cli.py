@@ -69,7 +69,7 @@ def test_run_command_rejects_unknown_function():
 def test_bench_and_summarize_commands(tmp_path):
     out = tmp_path / "results"
     config = tmp_path / "spec.json"
-    config.write_text(_config(out).to_json())
+    config.write_text(json.dumps(_config(out).to_dict()))
     res = invoke("bench", "--config", config, "--quiet")
     assert res.exit_code == 0
     assert "8 runs recorded" in res.output
@@ -84,7 +84,7 @@ def test_bench_and_summarize_commands(tmp_path):
 def test_bench_overrides_restrict_matrix(tmp_path):
     out = tmp_path / "results"
     config = tmp_path / "spec.json"
-    config.write_text(_config(out).to_json())
+    config.write_text(json.dumps(_config(out).to_dict()))
     res = invoke(
         "bench", "--config", config, "--quiet",
         "--algo", "de_small", "--function", "s2", "--reps", 1,
@@ -97,9 +97,43 @@ def test_bench_overrides_restrict_matrix(tmp_path):
 
 def test_bench_rejects_unknown_algo(tmp_path):
     config = tmp_path / "spec.json"
-    config.write_text(_config(tmp_path / "results").to_json())
+    config.write_text(json.dumps(_config(tmp_path / "results").to_dict()))
     res = CliRunner().invoke(main, ["bench", "--config", str(config), "--algo", "unknown"])
     assert res.exit_code != 0
+
+
+def test_bench_refuses_repeated_dims(tmp_path):
+    out = tmp_path / "results"
+    args = ["--algo", "de", "--function", "shifted_sphere", "--budget", "200", "--reps", "2", "--seed", "7"]
+    res = CliRunner().invoke(main, ["bench", *args, "--dim", "3", "--dim", "3", "--out", str(out), "--quiet"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
+    assert "dims must be unique" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "group, key, value",
+    [
+        ("functions", "label", "a,b"),
+        ("functions", "label", "../../escaped"),
+        ("functions", "label", 5),
+        ("functions", "label", "s__2"),
+        ("algorithms", "name", "de__small"),
+    ],
+    ids=["comma", "path", "number", "label_double_underscore", "name_double_underscore"],
+)
+def test_bench_refuses_names_the_result_files_cannot_hold(tmp_path, group, key, value):
+    out = tmp_path / "results"
+    record = _config(out).to_dict()
+    record[group][0][key] = value
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(record))
+    res = CliRunner().invoke(main, ["bench", "--config", str(config), "--quiet"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
+    assert f"{'function label' if key == 'label' else 'algorithm name'} {value!r}" in res.output
+    assert not out.exists()
 
 
 def _record_stream_version(out, version):
@@ -146,7 +180,7 @@ def _over_budget_row(out):
 def test_bench_refusals_exit_1_with_their_message(tmp_path, damage, args, message):
     out = tmp_path / "results"
     config = tmp_path / "spec.json"
-    config.write_text(_config(out).to_json())
+    config.write_text(json.dumps(_config(out).to_dict()))
     assert invoke("bench", "--config", config, "--quiet").exit_code == 0
     damage(out)
     res = CliRunner().invoke(main, ["bench", "--config", str(config), "--quiet", *map(str, args)])
@@ -170,7 +204,7 @@ def test_summarize_without_spec_exits_1_with_its_message(tmp_path):
 def test_summarize_refuses_a_malformed_spec_naming_it(tmp_path, damage, message):
     out = tmp_path / "results"
     config = tmp_path / "spec.json"
-    config.write_text(_config(out).to_json())
+    config.write_text(json.dumps(_config(out).to_dict()))
     assert invoke("bench", "--config", config, "--quiet").exit_code == 0
     damage(out)
     res = CliRunner().invoke(main, ["summarize", "--out", str(out)])
@@ -181,7 +215,7 @@ def test_summarize_refuses_a_malformed_spec_naming_it(tmp_path, damage, message)
 
 def test_bench_logs_one_line_per_target_and_per_run_unless_quiet(tmp_path):
     config = tmp_path / "spec.json"
-    config.write_text(_config(tmp_path / "loud").to_json())
+    config.write_text(json.dumps(_config(tmp_path / "loud").to_dict()))
     lines = invoke("bench", "--config", config).output.splitlines()
     assert sorted(line.split()[1] for line in lines if line.startswith("rse ")) == ["r2", "s2"]
     assert len([line for line in lines if line.startswith("run ")]) == 8  # 2 algorithms x 2 functions x 2 reps
@@ -242,7 +276,7 @@ def test_wilcoxon_command_rejects_missing_column(tmp_path):
 def test_bench_rejects_non_positive_values_up_front(tmp_path, option):
     out = tmp_path / "results"
     config = tmp_path / "spec.json"
-    config.write_text(_config(out).to_json())
+    config.write_text(json.dumps(_config(out).to_dict()))
     res = CliRunner().invoke(main, ["bench", "--config", str(config), "--quiet", option, "0"])
     assert res.exit_code == 2
     assert f"Invalid value for '{option}'" in res.output
@@ -275,10 +309,15 @@ def test_run_and_rse_reject_non_positive_values_up_front(args):
         (["run", "--algo", "de", "--function"], '{"functions": []}', "it is a suite file"),
         (["bench", "--quiet", "--config"], '{"budgett": 50}', "unknown keys ['budgett']"),
         (["rse", "--function"], '{"label": "f", "kind": "sphere", "rotatd": true}', "unknown keys ['rotatd']"),
+        (["run", "--algo", "de", "--function"], '{"label": "a,b", "kind": "sphere", "seed": 3}', "label 'a,b' must"),
+        (["rse", "--function"], '{"label": "../../x", "kind": "sphere", "seed": 3}', "label '../../x' must"),
+        (["run", "--algo", "de", "--function"], '{"label": 5, "kind": "sphere", "seed": 3}', "label 5 must"),
+        (["rse", "--function"], '{"label": "f__g", "kind": "sphere", "seed": 3}', "label 'f__g' must"),
     ],
     ids=["bench_config_that_does_not_parse", "bench_config_unknown_preset", "run_function_that_does_not_parse",
          "rse_function_that_does_not_parse", "run_function_suite_file", "bench_config_unknown_key",
-         "rse_function_unknown_key"],
+         "rse_function_unknown_key", "run_label_with_comma", "rse_label_with_path", "run_label_number",
+         "rse_label_with_double_underscore"],
 )
 def test_a_json_file_that_does_not_load_is_a_usage_error_naming_it(tmp_path, command, text, message):
     path = tmp_path / "f.json"

@@ -51,6 +51,12 @@ def test_search_space_rejects_degenerate_bounds():
         SearchSpace.box(3, 5.0, 5.0)
     with pytest.raises(ValueError):
         SearchSpace.box(2, 1.0, -1.0)
+    with pytest.raises(ValueError, match="dim must be at least 1"):
+        SearchSpace.box(0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="bounds must have shape"):
+        SearchSpace(3, np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError, match="bounds must have shape"):
+        SearchSpace(2, np.zeros((2, 1)), np.ones((2, 1)))
 
 
 def test_search_space_clip_and_contains():
@@ -60,6 +66,23 @@ def test_search_space_clip_and_contains():
     assert np.all((space.lower <= inside) & (inside <= space.upper))
     assert not np.all((space.lower <= outside) & (outside <= space.upper))
     assert space.mean_range == 2.0
+
+
+def test_search_space_clip_equals_np_clip():
+    # zero bounds of both signs, below and above
+    lower = np.array([0.0, -0.0, -1.0, -1.0, -2.0, 1.0])
+    upper = np.array([1.0, 1.0, 0.0, -0.0, 2.0, 3.0])
+    space = SearchSpace(6, lower, upper)
+    rows = np.array([
+        [np.nan, -0.0, -0.0, 0.0, np.inf, -np.inf],
+        [-0.0, 0.0, 0.5, -0.0, -3.0, 2.0],
+        [0.0, np.nan, -1.0, np.nan, -np.inf, np.nan],
+        [2.0, -5.0, 7.0, -0.0, 0.0, 1.0],
+    ])
+    for x in (rows, rows[1], rows[2]):
+        got, want = space.clip(x), np.clip(x, space.lower, space.upper)
+        npt.assert_array_equal(got, want)  # NaN where np.clip gives NaN
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_search_space_sample_within_bounds():
@@ -85,6 +108,17 @@ def test_init_population_same_seed_identical():
     p2 = init_population(space, 5, make_rng(42))
     for a, b in zip(p1.members, p2.members):
         npt.assert_array_equal(a.genome, b.genome)
+
+
+def test_population_refusals():
+    with pytest.raises(ValueError, match="genomes must be an"):
+        Population(np.zeros(3))
+    with pytest.raises(ValueError, match="genomes must be an"):
+        Population(np.zeros((2, 3, 1)))
+    with pytest.raises(ValueError, match="one value per member"):
+        Population(np.zeros((3, 2)), [1.0, 2.0])
+    with pytest.raises(ValueError, match="pop_size must be at least 1"):
+        init_population(SearchSpace.box(2, 0.0, 1.0), 0, make_rng(0))
 
 
 def _pop(fitnesses):
@@ -125,6 +159,21 @@ def test_evaluator_single_budget():
     with pytest.raises(BudgetExhausted):
         ev.evaluate(np.array([0.0]))
     assert ev.used == 1
+
+
+def test_evaluator_refusals():
+    for t_max in (0, -1):
+        with pytest.raises(ValueError, match="t_max must be at least 1"):
+            BudgetedEvaluator(sphere, t_max)
+
+    class Batched:
+        space = SearchSpace.box(2, -1.0, 1.0)
+
+        def __call__(self, X, rng=None):
+            return np.zeros((len(X), 1))  # one column too many
+
+    with pytest.raises(ValueError, match=r"objective returned shape \(3, 1\) for 3 points"):
+        BudgetedEvaluator(Batched(), 10).evaluate_batch(np.zeros((3, 2)))
 
 
 def test_evaluator_known_optimum():

@@ -3,6 +3,7 @@ import fcntl
 import json
 import multiprocessing
 import os
+import re
 import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -88,7 +89,7 @@ def test_small_population_sqg_strategy_rejected():
 
 def test_benchmark_spec_json_roundtrip(tmp_path):
     spec = small_spec(tmp_path / "r")
-    again = BenchmarkSpec.from_json(spec.to_json())
+    again = BenchmarkSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert again == spec
 
 
@@ -118,6 +119,45 @@ def test_benchmark_spec_validation():
         BenchmarkSpec(algorithms=[algorithm_preset("de")], functions=fns, dims=[0])
     with pytest.raises(ValueError):
         BenchmarkSpec(algorithms=[algorithm_preset("de")], functions=fns, dims=[2], reps=0)
+    with pytest.raises(ValueError, match="at least one function is required"):
+        BenchmarkSpec(algorithms=[algorithm_preset("de")], functions=[], dims=[2])
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        BenchmarkSpec(algorithms=[algorithm_preset("de")], functions=fns, dims=[2], budget=0)
+    with pytest.raises(ValueError, match="function labels must be unique"):
+        BenchmarkSpec(algorithms=[algorithm_preset("de")], functions=fns * 2, dims=[2])
+    with pytest.raises(ValueError, match="dims must be unique"):  # each run of the dim would run twice
+        BenchmarkSpec(algorithms=[algorithm_preset("de")], functions=fns, dims=[2, 3, 2])
+
+
+@pytest.mark.parametrize(
+    "what, algorithm, label",
+    [
+        ("function label", "de", "a,b"),  # an unquoted comma splits the runs.csv row
+        ("function label", "de", "../../escaped"),  # a trace path outside the directory
+        ("function label", "de", 5),  # not a string: resumes would never match its rows
+        ("function label", "de", "f__g"),  # "__" separates the parts of a trace file name
+        ("algorithm name", "de__x", "f"),
+    ],
+    ids=["comma", "path", "number", "label_double_underscore", "name_double_underscore"],
+)
+def test_benchmark_spec_refuses_names_the_result_files_cannot_hold(tmp_path, what, algorithm, label):
+    record = {
+        "algorithms": [{"name": algorithm, "kind": "de", "strategy": "rand1exp", "pop_size": 10}],
+        "functions": [{"label": label, "kind": "sphere", "seed": 3}],
+        "dims": [2],
+        "budget": 60,
+        "reps": 2,
+        "output_dir": str(tmp_path / "out"),
+    }
+    bad = label if what == "function label" else algorithm
+    with pytest.raises(ValueError, match=re.escape(f"{what} {bad!r} must be letters and digits")):
+        run_benchmark(BenchmarkSpec.from_dict(record))
+    with pytest.raises(ValueError, match=re.escape(f"{what} {bad!r}")):
+        ensure_rse_targets(BenchmarkSpec.from_dict(record))
+    assert not (tmp_path / "out").exists()
+    # letters and digits joined by single separators are accepted
+    record["algorithms"][0]["name"], record["functions"][0]["label"] = "de-1.b", "sphere_2.x-y"
+    assert [r.key for r in run_benchmark(BenchmarkSpec.from_dict(record))][0] == ("de-1.b", "sphere_2.x-y", 2, 0)
 
 
 def test_default_benchmark_spec_shape():
@@ -471,7 +511,7 @@ def test_resume_refuses_other_stream_version(tmp_path, recorded):
     # a directory written before stream versions existed: spec.json without
     # a version (or with an older one), plus results
     spec = small_spec(tmp_path)
-    record = json.loads(spec.to_json())
+    record = spec.to_dict()
     if recorded is not None:
         record["stream_version"] = recorded
     (tmp_path / "spec.json").write_text(json.dumps(record))
@@ -513,7 +553,7 @@ def test_rse_targets_alone_record_their_benchmark(tmp_path):
     sphere = FunctionDescriptor(label="f", kind="sphere", seed=3)
     spec = replace(sphere_spec(tmp_path, reps=2), functions=[sphere], dims=[3], master_seed=1)
     ensure_rse_targets(spec)
-    assert BenchmarkSpec.from_json((tmp_path / "spec.json").read_text()) == spec
+    assert BenchmarkSpec.from_dict(json.loads((tmp_path / "spec.json").read_text())) == spec
     before = {name: (tmp_path / name).read_bytes() for name in ("spec.json", "rse.csv")}
     other = FunctionDescriptor(label="f", kind="rastrigin", seed=9)
     for changes, clash in (
@@ -546,7 +586,7 @@ def test_resume_adds_algorithms_functions_dims_and_reps(tmp_path):
     )
     records = run_benchmark(wider)
     assert len(records) == 3 + 2 * 2 * 2
-    recorded = BenchmarkSpec.from_json((tmp_path / "spec.json").read_text())
+    recorded = BenchmarkSpec.from_dict(json.loads((tmp_path / "spec.json").read_text()))
     assert [a.name for a in recorded.algorithms] == ["de_small", "sqg_small"]
     assert [f.label for f in recorded.functions] == ["sphere2", "rast2"]
     assert (recorded.dims, recorded.reps) == ([2, 3], 3)
@@ -566,6 +606,24 @@ def test_function_that_does_not_build_records_no_spec(tmp_path):
     for name in ("fixed", "fresh"):
         summarize(tmp_path / name)
     assert _results(tmp_path / "fixed") == _results(tmp_path / "fresh")
+
+
+def test_run_benchmark_refuses_zero_workers(tmp_path):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run_benchmark(small_spec(tmp_path / "out"), workers=0)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_spec_changed_after_it_was_built_is_checked_again(tmp_path):
+    spec = small_spec(tmp_path / "out")
+    spec.dims.append(2)
+    with pytest.raises(ValueError, match="dims must be unique"):
+        run_benchmark(spec)
+    spec.dims.pop()
+    spec.functions[0] = replace(spec.functions[0], label="a,b")
+    with pytest.raises(ValueError, match="function label 'a,b'"):
+        ensure_rse_targets(spec)
+    assert not (tmp_path / "out").exists()
 
 
 def test_workers_do_not_change_results(tmp_path):
@@ -854,7 +912,7 @@ def test_summarize_refuses_overbudget_rows(tmp_path):
 def test_summarize_needs_records(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
-    (out / "spec.json").write_text(small_spec(out).to_json())
+    (out / "spec.json").write_text(json.dumps(small_spec(out).to_dict()))
     with pytest.raises(ValueError):
         summarize(out)
 

@@ -139,6 +139,11 @@ def test_rotation_d1_is_sign():
         assert abs(m[0, 0]) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_rotation_refuses_zero_dim():
+    with pytest.raises(ValueError, match="dim must be at least 1"):
+        random_rotation(0, make_rng(0))
+
+
 def test_rotation_orthogonality():
     m = random_rotation(10, make_rng(0))
     npt.assert_allclose(m @ m.T, np.eye(10), atol=1e-10)
@@ -295,6 +300,10 @@ def _component(kind, shift, sigma=1.0, lam=1.0, bias=0.0):
 def test_composition_needs_two_components():
     with pytest.raises(ValueError):
         Composition((_component("sphere", [0.0, 0.0]),))
+    # and a positive sigma and lambda for each
+    for sigma, lam in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)):
+        with pytest.raises(ValueError, match="sigma and lambda must be positive"):
+            Composition((_component("sphere", [0.0, 0.0]), _component("sphere", [1.0, 1.0], sigma, lam)))
 
 
 def test_weights_at_component_optimum_dominate():
