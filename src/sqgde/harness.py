@@ -23,7 +23,9 @@ Artifacts under the output directory:
 * ``traces/``        per-run best-so-far traces, ``eval,best`` per line
 * ``ert.csv``        expected running times (written by ``summarize``)
 * ``summary.csv``    per-category means and tests vs the best algorithm
-* ``bnfv/``          mean/median normalized convergence curves on a grid
+* ``bnfv.csv``       mean/median normalized convergence curves of every cell
+                     on one grid, ``normalized`` false where a zero target
+                     leaves the raw best-so-far (written by ``summarize``)
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import json
 import os
 import re
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import groupby, islice, product
 from pathlib import Path
 
@@ -46,6 +48,7 @@ from .metrics import (
     ErtResult,
     NormalizationUndefined,
     RseTarget,
+    best_on_grid,
     bnfv_on_grid,
     expected_running_time,
     estimate_rse_target,
@@ -73,6 +76,7 @@ __all__ = [
 ERT_COLUMNS = ["algorithm", "function", "dim", "ert", "lower_bound", "success_rate"]
 SUMMARY_COLUMNS = ["category", "dim", "algorithm", "mean_ert", "flag", "p_vs_best"]
 RSE_COLUMNS = ["function", "dim", "budget", "reps", "value"]
+BNFV_COLUMNS = ["algorithm", "function", "dim", "normalized", "eval", "mean", "median"]
 BNFV_GRID_STEP = 10
 OVERALL_CATEGORY = "overall"
 # Runs per pool task: one build serves them all, and a task is small enough
@@ -80,8 +84,9 @@ OVERALL_CATEGORY = "overall"
 _TASK_RUNS = 4
 # The fields every spec.json records; a file without one is refused.
 _SPEC_FIELDS = ("algorithms", "functions", "dims", "budget", "reps", "master_seed")
-# An algorithm name or function label: it becomes an unquoted CSV field and a
-# part of a trace file name, whose parts "__" separates.
+# An algorithm name, function label or function category: each becomes an
+# unquoted CSV field, and a name or label a part of a trace file name, whose
+# parts "__" separates.
 _NAME = re.compile(r"[A-Za-z0-9]+(?:[._-][A-Za-z0-9]+)*")
 
 
@@ -174,6 +179,10 @@ class BenchmarkSpec:
             _check_names(what, names)
             if len(set(names)) != len(names):
                 raise ValueError(f"{what}s must be unique")
+        categories = [f.category for f in self.functions]
+        _check_names("function category", categories)
+        if OVERALL_CATEGORY in categories:
+            raise ValueError(f"function category {OVERALL_CATEGORY!r} is reserved for the summary over all functions")
 
     def to_dict(self) -> dict:
         return record_dict(self)
@@ -216,18 +225,17 @@ class RunRecord:
         return (self.algorithm, self.function, self.dim, self.rep)
 
     @property
+    def row(self) -> tuple:
+        """The runs.csv fields, in ``RUNS_COLUMNS`` order."""
+        return (self.algorithm, self.function, self.dim, self.rep, self.seed, self.evals_used, self.best_fitness)
+
+    @property
     def trace_path(self) -> str:
         """The run's trace file, relative to the output directory."""
         return f"traces/{self.algorithm}__{self.function}__d{self.dim}__r{self.rep:04d}.csv"
 
 
 RUNS_COLUMNS = [f.name for f in fields(RunRecord)]
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -243,7 +251,8 @@ def _update_text(path: Path, text: str) -> None:
 
 
 def _csv_line(row) -> str:
-    return ",".join(map(_fmt, row)) + "\n"
+    """One CSV line of ``str`` fields, with a bool written ``true`` or ``false``."""
+    return ",".join([("true" if v else "false") if type(v) is bool else str(v) for v in row]) + "\n"
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -313,7 +322,7 @@ def _load_runs(out: Path, budget: int):
 
 
 def _write_runs(path: Path, records: list[RunRecord]) -> None:
-    rows = [astuple(r) for r in sorted(records, key=lambda r: r.key)]
+    rows = [r.row for r in sorted(records, key=lambda r: r.key)]
     _update_text(path, _csv_text(RUNS_COLUMNS, rows))
 
 
@@ -583,7 +592,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                     return
                 write_trace(out / key.trace_path, result)
                 new_records.append(key)
-                fh.write(_csv_line(astuple(key)))
+                fh.write(_csv_line(key.row))
                 fh.flush()
                 log.info("run  %s %s d=%d rep=%d  best=%.6g", *key.key, key.best_fitness)
 
@@ -618,7 +627,7 @@ class SummaryResult:
 
 
 def summarize(output_dir: str | Path) -> SummaryResult:
-    """Build ert.csv, summary.csv and normalized convergence curves.
+    """Build ert.csv, summary.csv and bnfv.csv, the normalized convergence curves.
 
     Expected running times are measured against the stored random-search
     targets. Per category and dimension, each algorithm's mean ERT is
@@ -637,11 +646,10 @@ def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
     cat_of = {f.label: f.category for f in spec.functions}
     cells = [(algo, label, dim) for algo in algo_names for label in labels for dim in spec.dims]
     grid = list(range(BNFV_GRID_STEP, spec.budget + 1, BNFV_GRID_STEP))
-    bnfv_dir = out / "bnfv"
-    bnfv_dir.mkdir(exist_ok=True)
 
     # One cell's traces at a time: the runs come in key order.
     ert_by_cell: dict[tuple[str, str, int], ErtResult] = {}
+    curves = []
     for cell, runs in groupby(_load_runs(out, spec.budget), key=lambda run: run[0].key[:3]):
         _, label, dim = cell
         target = targets.get((label, dim))
@@ -649,9 +657,10 @@ def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
             raise ValueError(f"missing random-search target for {label} d={dim}")
         traces = [trace for _, trace in runs]
         ert_by_cell[cell] = expected_running_time(traces, target.value, spec.budget)
-        _write_bnfv_curves(bnfv_dir, *cell, traces, target, grid)
+        curves.append(_bnfv_rows(*cell, traces, target, grid))
     if not ert_by_cell:
         raise ValueError(f"no run records found under {out}")
+    _atomic_write_text(out / "bnfv.csv", _csv_line(BNFV_COLUMNS) + "".join(curves))
     ert_rows = [
         dict(algorithm=a, function=f, dim=d, ert=e.value, lower_bound=e.lower_bound, success_rate=e.success_rate)
         for a, f, d in cells
@@ -669,18 +678,17 @@ def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
     return SummaryResult(ert_rows, summary_rows)
 
 
-def _write_bnfv_curves(bnfv_dir: Path, algo, label, dim, traces, target, grid) -> None:
+def _bnfv_rows(algo, label, dim, traces, target, grid) -> str:
+    """A cell's bnfv.csv rows: mean and median over its runs at each grid point."""
     try:
         curves = np.array([bnfv_on_grid(tr, target, grid) for tr in traces])
-        header = ["eval", "mean_bnfv", "median_bnfv"]
+        normalized = "true"
     except NormalizationUndefined:
         # Zero target: fall back to raw best fitness values.
-        curves = np.array([[tr.best_at(int(e)) for e in grid] for tr in traces])
-        header = ["eval", "mean_bfv", "median_bfv"]
-    mean = curves.mean(axis=0)
-    median = np.median(curves, axis=0)
-    rows = [(e, float(m), float(md)) for e, m, md in zip(grid, mean, median)]
-    _atomic_write_text(bnfv_dir / f"{label}__d{dim}__{algo}.csv", _csv_text(header, rows))
+        curves = np.array([best_on_grid(tr, grid) for tr in traces])
+        normalized = "false"
+    mean, median = curves.mean(axis=0).tolist(), np.median(curves, axis=0).tolist()
+    return "".join(f"{algo},{label},{dim},{normalized},{e},{m},{md}\n" for e, m, md in zip(grid, mean, median))
 
 
 def build_summary_rows(

@@ -21,6 +21,7 @@ __all__ = [
     "expected_running_time",
     "RseTarget",
     "estimate_rse_target",
+    "best_on_grid",
     "bnfv_on_grid",
 ]
 
@@ -95,10 +96,18 @@ def estimate_rse_target(fn, budget: int, reps: int, seed: int) -> RseTarget:
     return RseTarget(getattr(fn, "label", "custom"), int(budget), int(reps), total / reps)
 
 
+def best_on_grid(trace: RunTrace, grid) -> np.ndarray:
+    """``trace.best_at`` at each point of an evaluation grid, by one search of the trace."""
+    points = np.array(trace.points, dtype=float).reshape(-1, 2)
+    bests = np.concatenate(([np.inf], points[:, 1]))
+    return bests[np.searchsorted(points[:, 0], np.asarray(grid).astype(int), side="right")]
+
+
 def bnfv_on_grid(trace: RunTrace, target: RseTarget, grid) -> np.ndarray:
     """Normalized best-so-far sampled on an evaluation grid (piecewise constant)."""
     if target.value == 0.0:
         raise NormalizationUndefined(
             f"random-search target for {target.function_label} is zero; report raw best fitness instead"
         )
-    return np.array([trace.best_at(int(e)) / target.value for e in grid])
+    with np.errstate(all="ignore"):  # overflow gives inf and inf/inf NaN, as Python floats do, silently
+        return best_on_grid(trace, grid) / target.value

@@ -120,8 +120,10 @@ def test_bench_refuses_repeated_dims(tmp_path):
         ("functions", "label", 5),
         ("functions", "label", "s__2"),
         ("algorithms", "name", "de__small"),
+        ("functions", "category", "easy,hard"),  # an unquoted comma splits the summary.csv row
+        ("functions", "category", "overall"),  # the name of summary.csv's group of all functions
     ],
-    ids=["comma", "path", "number", "label_double_underscore", "name_double_underscore"],
+    ids=["comma", "path", "number", "label_double_underscore", "name_double_underscore", "category_comma", "overall"],
 )
 def test_bench_refuses_names_the_result_files_cannot_hold(tmp_path, group, key, value):
     out = tmp_path / "results"
@@ -132,7 +134,8 @@ def test_bench_refuses_names_the_result_files_cannot_hold(tmp_path, group, key, 
     res = CliRunner().invoke(main, ["bench", "--config", str(config), "--quiet"])
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
-    assert f"{'function label' if key == 'label' else 'algorithm name'} {value!r}" in res.output
+    what = {"label": "function label", "name": "algorithm name", "category": "function category"}[key]
+    assert f"{what} {value!r}" in res.output
     assert not out.exists()
 
 

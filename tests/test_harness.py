@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import fcntl
 import json
 import multiprocessing
@@ -30,7 +31,7 @@ from sqgde.harness import (
     summarize,
     write_trace,
 )
-from sqgde.metrics import ErtResult
+from sqgde.metrics import ErtResult, bnfv_on_grid
 from sqgde.testfuncs import ComponentDescriptor, FunctionDescriptor, make_test_function
 
 
@@ -158,6 +159,29 @@ def test_benchmark_spec_refuses_names_the_result_files_cannot_hold(tmp_path, wha
     # letters and digits joined by single separators are accepted
     record["algorithms"][0]["name"], record["functions"][0]["label"] = "de-1.b", "sphere_2.x-y"
     assert [r.key for r in run_benchmark(BenchmarkSpec.from_dict(record))][0] == ("de-1.b", "sphere_2.x-y", 2, 0)
+
+
+@pytest.mark.parametrize(
+    "category, message",
+    [
+        ("easy,hard", "must be letters and digits"),  # an unquoted comma splits the summary.csv row
+        ("overall", "is reserved"),  # summary.csv's group of all functions would appear twice per dim
+    ],
+    ids=["comma", "overall"],
+)
+def test_benchmark_spec_refuses_categories_the_summary_cannot_hold(tmp_path, category, message):
+    functions = [
+        {"label": "f", "kind": "sphere", "seed": 3, "category": category},
+        {"label": "g", "kind": "sphere", "seed": 4, "category": "x"},
+    ]
+    record = {"algorithms": ["de", "de2"], "functions": functions, "dims": [3], "budget": 200, "reps": 2}
+    record["output_dir"] = str(tmp_path / "out")
+    with pytest.raises(ValueError, match=re.escape(f"function category {category!r} {message}")):
+        BenchmarkSpec.from_dict(record)
+    assert not (tmp_path / "out").exists()
+    # categories repeat: one category may hold every function
+    functions[0]["category"] = functions[1]["category"] = "easy"
+    assert [f.category for f in BenchmarkSpec.from_dict(record).functions] == ["easy", "easy"]
 
 
 def test_default_benchmark_spec_shape():
@@ -880,6 +904,12 @@ def test_seeds_differ_across_reps(tmp_path):
     assert len(set(de_seeds)) == len(de_seeds)
 
 
+def _bnfv_cell(out, algo, label, dim):
+    """A cell's rows of bnfv.csv, each as a dict of its fields."""
+    with open(out / "bnfv.csv", newline="") as fh:
+        return [r for r in csv.DictReader(fh) if (r["algorithm"], r["function"], r["dim"]) == (algo, label, str(dim))]
+
+
 def test_summarize_outputs(tmp_path):
     out = tmp_path / "out"
     run_benchmark(small_spec(out))
@@ -887,7 +917,17 @@ def test_summarize_outputs(tmp_path):
     assert len(result.ert_rows) == 2  # algorithms x functions x dims
     assert (out / "ert.csv").exists()
     assert (out / "summary.csv").exists()
-    assert (out / "bnfv" / "sphere2__d2__de_small.csv").exists()
+    curve = _bnfv_cell(out, "de_small", "sphere2", 2)
+    assert [int(r["eval"]) for r in curve] == list(range(10, 61, 10))
+    assert {r["normalized"] for r in curve} == {"true"}
+    assert not (out / "bnfv").exists()  # one file, not one per cell
+    # the per-cell directory of older versions is left as it is
+    (out / "bnfv").mkdir()
+    (out / "bnfv" / "sphere2__d2__de_small.csv").write_text("eval,mean_bnfv,median_bnfv\n")
+    before = (out / "bnfv.csv").read_bytes()
+    summarize(out)
+    assert (out / "bnfv.csv").read_bytes() == before
+    assert (out / "bnfv" / "sphere2__d2__de_small.csv").read_text() == "eval,mean_bnfv,median_bnfv\n"
     # single category: one row per algorithm, best algorithm has no p-value
     assert len(result.summary_rows) == 2
     best_rows = [r for r in result.summary_rows if r["p_vs_best"] == ""]
@@ -932,13 +972,38 @@ def test_summarize_writes_raw_best_values_against_a_zero_target(tmp_path):
     header, row = (out / "rse.csv").read_text().splitlines()
     (out / "rse.csv").write_text(f"{header}\n{row.rsplit(',', 1)[0]},0.0\n")
     summarize(out)
-    curve = (out / "bnfv" / "sphere2__d2__de_small.csv").read_text().splitlines()
-    assert curve[0] == "eval,mean_bfv,median_bfv"
+    curve = _bnfv_cell(out, "de_small", "sphere2", 2)
+    assert {r["normalized"] for r in curve} == {"false"}  # raw best-so-far values
     # the budget is the last grid point, where each run's best is its final best
     runs = [line.split(",") for line in (out / "runs.csv").read_text().splitlines()[1:]]
     finals = [float(cols[6]) for cols in runs if cols[0] == "de_small"]
-    last = [float(v) for v in curve[-1].split(",")]
+    last = [float(curve[-1][c]) for c in ("eval", "mean", "median")]
     assert last == pytest.approx([60, np.mean(finals), np.median(finals)], rel=1e-12)
+
+
+def test_bnfv_csv_holds_every_cell_in_key_order(tmp_path):
+    spec = small_spec(tmp_path / "out", reps=3)
+    spec.functions.append(FunctionDescriptor(label="rastrigin2", kind="rastrigin", seed=4))
+    spec.dims = [2, 3]
+    out = tmp_path / "out"
+    records = run_benchmark(spec)
+    summarize(out)
+    lines = (out / "bnfv.csv").read_text().splitlines()
+    assert lines[0] == "algorithm,function,dim,normalized,eval,mean,median"
+    grid = list(range(10, 61, 10))
+    cells = sorted({r.key[:3] for r in records})
+    assert len(cells) == 2 * 2 * 2
+    assert len(lines) == 1 + len(cells) * len(grid)
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(a, f, int(d), int(e)) for a, f, d, _, e, _, _ in rows] == [(*c, e) for c in cells for e in grid]
+    targets = harness._load_rse(out / "rse.csv")
+    for i, (algo, label, dim) in enumerate(cells):
+        traces = [_read_trace(out / r.trace_path) for r in records if r.key[:3] == (algo, label, dim)]
+        curves = np.array([bnfv_on_grid(tr, targets[(label, dim)], grid) for tr in traces])
+        cell_rows = rows[i * len(grid) : (i + 1) * len(grid)]
+        assert {r[3] for r in cell_rows} == {"true"}
+        assert [float(r[5]) for r in cell_rows] == curves.mean(axis=0).tolist()
+        assert [float(r[6]) for r in cell_rows] == np.median(curves, axis=0).tolist()
 
 
 # --- summary table construction ---------------------------------------------

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqgde.core import RunTrace, SearchSpace, make_rng
 from sqgde.metrics import (
     NormalizationUndefined,
     RseTarget,
+    best_on_grid,
     bnfv_on_grid,
     estimate_rse_target,
     expected_running_time,
@@ -140,6 +141,35 @@ def test_bnfv_on_grid_piecewise_constant():
     values = bnfv_on_grid(trace, target, grid)
     assert values[0] == np.inf  # before the first recorded point
     np.testing.assert_allclose(values[1:], [2.0, 2.0, 0.4, 0.4])
+
+
+@st.composite
+def _traces(draw):
+    """A valid trace, possibly empty: increasing evaluation indices, non-increasing bests."""
+    evals = sorted(draw(st.lists(st.integers(1, 200), unique=True, max_size=12)))
+    values = st.floats(allow_nan=False)
+    bests = sorted(draw(st.lists(values, min_size=len(evals), max_size=len(evals))), reverse=True)
+    return RunTrace(tuple(zip(evals, bests)), draw(st.integers(evals[-1] if evals else 0, 250)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _traces(),
+    st.lists(st.integers(0, 300), max_size=30),
+    st.floats(allow_nan=False).filter(lambda v: v != 0.0),  # tiny, huge, infinite and negative targets
+    st.booleans(),
+)
+@example(RunTrace((), 0), [0, 10], 2.5, False)  # empty trace: inf everywhere
+@example(RunTrace(((5, 3.0), (9, -1.0)), 20), [0, 4, 5, 8, 9, 20, 300], -2.5, True)  # before, at and past the points
+def test_bnfv_on_grid_equals_its_per_point_definition(trace, grid, value, as_array):
+    target = RseTarget("f", 1000, 10, value)
+    points = np.array(grid) if as_array else grid
+    raw = np.array([trace.best_at(int(e)) for e in grid])
+    normalized = np.array([trace.best_at(int(e)) / target.value for e in grid])
+    assert best_on_grid(trace, points).tobytes() == raw.tobytes()
+    assert bnfv_on_grid(trace, target, points).tobytes() == normalized.tobytes()
+    with pytest.raises(NormalizationUndefined):
+        bnfv_on_grid(trace, RseTarget("f", 1000, 10, 0.0), points)
 
 
 def test_rse_noisy_function_sees_noise():
