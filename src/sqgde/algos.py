@@ -17,9 +17,10 @@ selection at once). The per-member functions (``mutate_rand1``,
 same kernels.
 
 ``run_sqg`` is a standalone normalized quasi-gradient descent with a warm
-start drawn from a uniform sample. All loops stop exactly at the
-evaluation budget; a generation interrupted mid-way keeps the selections
-already decided and discards the rest.
+start drawn from a uniform sample. The evaluator alone ends a run: a
+batch that does not fit in the rest of the budget has the rows that fit
+evaluated, then raises ``BudgetExhausted``, and the run returns the
+evaluator's trace.
 
 A NaN or infinite fitness ranks as +inf (see ``core.ranked_fitness``):
 such a member is never the best and always loses greedy selection, and a
@@ -29,6 +30,7 @@ weighted sum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -382,8 +384,6 @@ def sqg_gradient_estimate(
     batch[0] = x
     batch[1:] = x + delta * z
     values = evaluator.evaluate_batch(batch)
-    if values.size < r + 1:
-        raise BudgetExhausted(f"budget of {evaluator.t_max} evaluations spent")
     return ((values[1:] - values[0]) / delta) @ z
 
 
@@ -402,28 +402,27 @@ def run_de(config: DEConfig, fn, t_max: int, seed: int) -> RunTrace:
     """One budgeted DE run; returns the best-so-far trace.
 
     The population is synchronous: donors are built from the current
-    generation and survivors replace it wholesale. If the budget runs out
-    mid-generation, selections already decided are kept and the remaining
-    targets carry over unchanged.
+    generation and survivors replace it wholesale. The evaluator ends the
+    run where the budget ends, inside a batch or, checked before each
+    generation's donors are built, on a generation boundary.
     """
     rng = make_rng(seed)
     evaluator = BudgetedEvaluator(fn, t_max, rng)
     space = fn.space
     pop = init_population(space, config.pop_size, rng)
-    values = evaluator.evaluate_batch(pop.genomes)
-    if values.size < pop.size:
-        return evaluator.trace()
-    pop.fitness = ranked_fitness(values)
-
     eps = 1e-12 * space.mean_range
     masks = exponential_masks if config.strategy == "rand1exp" else binomial_masks
-    while not evaluator.exhausted:
-        donors = space.clip(_donors(config, pop, rng, eps))
-        trials = np.where(masks(pop.size, space.dim, config.CR, rng), donors, pop.genomes)
-        values = evaluator.evaluate_batch(trials)
-        won = np.flatnonzero(select_trials(pop.fitness[: values.size], values))
-        pop.genomes[won] = trials[won]
-        pop.fitness[won] = ranked_fitness(values[won])
+    try:
+        pop.fitness = ranked_fitness(evaluator.evaluate_batch(pop.genomes))
+        while not evaluator.exhausted:
+            donors = space.clip(_donors(config, pop, rng, eps))
+            trials = np.where(masks(pop.size, space.dim, config.CR, rng), donors, pop.genomes)
+            values = evaluator.evaluate_batch(trials)
+            won = np.flatnonzero(select_trials(pop.fitness, values))
+            pop.genomes[won] = trials[won]
+            pop.fitness[won] = ranked_fitness(values[won])
+    except BudgetExhausted:
+        pass
     return evaluator.trace()
 
 
@@ -437,21 +436,14 @@ def run_sqg(config: SQGConfig, fn, t_max: int, seed: int) -> RunTrace:
     rng = make_rng(seed)
     evaluator = BudgetedEvaluator(fn, t_max, rng)
     space = fn.space
-
     warm = space.sample_uniform(rng, config.warm_start_samples)
-    values = evaluator.evaluate_batch(warm)
-    if values.size < len(warm):
-        return evaluator.trace()
-
-    x = warm[int(np.argmin(ranked_fitness(values)))]
     step_scale = config.step0 * space.mean_range
-    t = 0
-    while True:
-        try:
+    try:
+        x = warm[int(np.argmin(ranked_fitness(evaluator.evaluate_batch(warm))))]
+        for t in itertools.count():
             xi = sqg_gradient_estimate(evaluator, x, config.r, config.delta, rng)
-        except BudgetExhausted:
-            return evaluator.trace()
-        norm = math.sqrt(xi @ xi)  # the value np.linalg.norm gives a 1-D array
-        if math.isfinite(norm) and norm > 0.0:
-            x = space.clip(x - (step_scale * config.decay ** t) * (xi / norm))
-        t += 1
+            norm = math.sqrt(xi @ xi)  # the value np.linalg.norm gives a 1-D array
+            if math.isfinite(norm) and norm > 0.0:
+                x = space.clip(x - (step_scale * config.decay ** t) * (xi / norm))
+    except BudgetExhausted:
+        return evaluator.trace()

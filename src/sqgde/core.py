@@ -23,6 +23,8 @@ __all__ = [
     "derive_seed",
     "record_dict",
     "refuse_unknown_keys",
+    "json_value",
+    "json_fields",
     "SearchSpace",
     "ranked_fitness",
     "Population",
@@ -83,6 +85,23 @@ def refuse_unknown_keys(d: dict, known, what: str) -> None:
     """Refuse a record holding a key not in ``known``: a misspelt key would silently take its default."""
     if unknown := [key for key in d if key not in known]:
         raise ValueError(f"{what} has unknown keys {unknown}; known keys: {', '.join(known)}")
+
+
+# The values a JSON field of each type takes. JSON keeps booleans apart from
+# numbers, and a cast would change a value of another type: bool("false") is True.
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
+def json_value(key: str, value, kind: str):
+    """``value`` if it has the JSON type ``kind``, a float field's as a float; refuses another, naming ``key``."""
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"{key} must be a JSON {kind}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
+def json_fields(d: dict, casts: dict, what: str) -> dict:
+    """``d``'s entries that ``casts`` names, each by its cast: a function, or a JSON type for :func:`json_value`."""
+    return {k: c(d[k]) if callable(c) else json_value(f"{what}: {k}", d[k], c) for k, c in casts.items() if k in d}
 
 
 @dataclass(frozen=True)
@@ -160,14 +179,11 @@ class Population:
     NaN marks a member whose evaluation is pending.
     """
 
-    def __init__(self, genomes, fitness=None):
+    def __init__(self, genomes):
         self.genomes = np.array(genomes, dtype=float)
         if self.genomes.ndim != 2:
             raise ValueError("genomes must be an (N, D) array")
-        n = len(self.genomes)
-        self.fitness = np.full(n, np.nan) if fitness is None else ranked_fitness(fitness)
-        if self.fitness.shape != (n,):
-            raise ValueError("fitness must hold one value per member")
+        self.fitness = np.full(len(self.genomes), np.nan)
 
     @property
     def size(self) -> int:
@@ -206,7 +222,7 @@ class RunTrace:
     final_evals: int
 
     def __post_init__(self):
-        pts = tuple((int(e), float(f)) for e, f in self.points)
+        pts = tuple(self.points)
         object.__setattr__(self, "points", pts)
         last_e, last_f = 0, float("inf")
         for e, f in pts:
@@ -241,8 +257,9 @@ class BudgetedEvaluator:
     wrapper of one) is called once per batch as ``fn(X, rng)`` with an
     (n, D) array and returns n values; any other callable is called as
     ``fn(genome, rng)`` once per row. The stream is used for stochastic
-    objectives (noise draws). Once ``t_max`` evaluations have been spent,
-    :meth:`evaluate` raises :class:`BudgetExhausted`.
+    objectives (noise draws). The evaluator alone ends a run: a request it
+    cannot fully serve within ``t_max`` evaluations raises
+    :class:`BudgetExhausted`, after evaluating what fits.
     """
 
     def __init__(self, fn: Callable, t_max: int, rng: RngStream | None = None):
@@ -260,24 +277,24 @@ class BudgetedEvaluator:
     def exhausted(self) -> bool:
         return self.used >= self.t_max
 
-    @property
-    def remaining(self) -> int:
-        return self.t_max - self.used
-
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate the rows of ``X`` that fit in the budget, in order.
+        """Evaluate the rows of ``X`` in order and return their values.
 
-        Only ``X[:remaining]`` is evaluated, so the result may be shorter
-        than ``X``. Improvements are logged in row order, as if the rows
-        had been evaluated one by one.
+        Improvements are logged in row order, as if the rows had been
+        evaluated one by one. If the budget cannot hold every row, the rows
+        that fit are evaluated and logged (the objective, and its noise
+        draws, see only those), then :class:`BudgetExhausted` is raised.
         """
-        X = np.asarray(X, dtype=float)[: self.remaining]
-        if not self._batched or len(X) == 0:
+        X = np.asarray(X, dtype=float)
+        if not self._batched:
             return np.array([self.evaluate(x) for x in X], dtype=float)
-        values = np.asarray(self.fn(X, self.rng), dtype=float)
-        if values.shape != (len(X),):
-            raise ValueError(f"objective returned shape {values.shape} for {len(X)} points")
+        fit = X[: self.t_max - self.used]
+        values = np.asarray(self.fn(fit, self.rng), dtype=float) if len(fit) else np.empty(0)
+        if values.shape != (len(fit),):
+            raise ValueError(f"objective returned shape {values.shape} for {len(fit)} points")
         self._log(values.tolist())
+        if len(fit) < len(X):
+            raise BudgetExhausted(f"budget of {self.t_max} evaluations spent")
         return values
 
     def evaluate(self, genome: np.ndarray) -> float:

@@ -30,7 +30,6 @@ Artifacts under the output directory:
 
 from __future__ import annotations
 
-import csv
 import fcntl
 import json
 import os
@@ -43,7 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from .algos import DEConfig, SQGConfig, run_de, run_sqg
-from .core import STREAM_VERSION, RunTrace, derive_seed, record_dict, refuse_unknown_keys
+from .core import STREAM_VERSION, RunTrace, derive_seed, record_dict
+from .core import json_fields, json_value, refuse_unknown_keys
 from .metrics import (
     ErtResult,
     NormalizationUndefined,
@@ -76,6 +76,7 @@ __all__ = [
 ERT_COLUMNS = ["algorithm", "function", "dim", "ert", "lower_bound", "success_rate"]
 SUMMARY_COLUMNS = ["category", "dim", "algorithm", "mean_ert", "flag", "p_vs_best"]
 RSE_COLUMNS = ["function", "dim", "budget", "reps", "value"]
+TRACE_COLUMNS = ["eval", "best"]
 BNFV_COLUMNS = ["algorithm", "function", "dim", "normalized", "eval", "mean", "median"]
 BNFV_GRID_STEP = 10
 OVERALL_CATEGORY = "overall"
@@ -119,14 +120,15 @@ class AlgorithmSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AlgorithmSpec":
-        name = d["name"]
-        kind = d.get("kind")
-        params = {k: v for k, v in d.items() if k not in ("name", "kind")}
-        if kind is None:
-            return cls(name, replace(algorithm_preset(name).config, **params))
-        if kind not in _KINDS:
+        """Preset ``name`` with ``d``'s parameters, or a ``kind``'s config of them; each has its field's JSON type."""
+        name, kind = d["name"], d.get("kind")
+        if kind is not None and kind not in _KINDS:
             raise ValueError(f"unknown algorithm kind {kind!r}")
-        return cls(name, _KINDS[kind][0](**params))
+        preset = algorithm_preset(name).config if kind is None else None
+        types = {f.name: f.type for f in fields(preset or _KINDS[kind][0])}
+        refuse_unknown_keys(d, ["name", "kind", *types], f"algorithm {name!r}")
+        params = json_fields(d, types, f"algorithm {name!r}")
+        return cls(name, replace(preset, **params) if preset else _KINDS[kind][0](**params))
 
 
 # The four protocol optimizers: classic DE, best-of-two-differences DE,
@@ -201,8 +203,9 @@ class BenchmarkSpec:
         ]
         funcs = d.get("functions")
         functions = [FunctionDescriptor.from_dict(f) for f in funcs] if funcs else default_suite()
-        casts = dict(dims=lambda v: list(map(int, v)), budget=int, reps=int, master_seed=int, output_dir=str)
-        return cls(algos, functions, **{k: cast(d[k]) for k, cast in casts.items() if k in d})
+        casts = dict(budget="int", reps="int", master_seed="int", output_dir="str")
+        casts["dims"] = lambda v: [json_value("benchmark spec: each of dims", dim, "int") for dim in v]
+        return cls(algos, functions, **json_fields(d, casts, "benchmark spec"))
 
 
 def default_benchmark_spec() -> BenchmarkSpec:
@@ -261,18 +264,26 @@ def _csv_text(header: list[str], rows) -> str:
 
 def write_trace(path: Path, trace: RunTrace) -> None:
     """Write a run's best-so-far trace as ``eval,best`` CSV lines."""
-    _atomic_write_text(path, _csv_text(["eval", "best"], trace.points))
+    _atomic_write_text(path, _csv_text(TRACE_COLUMNS, trace.points))
+
+
+def _read_rows(path: Path, columns: list[str]) -> list[list[str]] | None:
+    """The fields of each newline-ended row of a results file under ``columns``.
+
+    Every field the harness writes is unquoted, so a row is its line split
+    at the commas. A row the file was cut inside has no newline, so it is
+    never returned. A missing file or another header gives None.
+    """
+    lines = path.read_text().split("\n")[:-1] if path.exists() else []
+    return [line.split(",") for line in lines[1:]] if lines[:1] == [",".join(columns)] else None
 
 
 def _read_trace(path: Path) -> RunTrace:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["eval", "best"]:
-            raise ValueError(f"unexpected trace header in {path}: {header}")
-        points = [(int(e), float(b)) for e, b in reader]
-    final_evals = points[-1][0] if points else 0
-    return RunTrace(tuple(points), final_evals)
+    """A trace file's run; ValueError for a missing file, another header or a point that does not parse."""
+    if (rows := _read_rows(path, TRACE_COLUMNS)) is None:
+        raise ValueError(f"{path} is missing or has another header")
+    points = tuple((int(e), float(b)) for e, b in rows)
+    return RunTrace(points, points[-1][0] if points else 0)
 
 
 def _check_evals_used(records, budget: int) -> None:
@@ -281,27 +292,17 @@ def _check_evals_used(records, budget: int) -> None:
             raise RuntimeError(f"run {rec.key} used {rec.evals_used} evaluations, over the budget {budget}")
 
 
-def _read_rows(path: Path, columns: list[str]):
-    """Yield the fields of each newline-ended row of a results CSV under ``columns``.
-
-    A row the file was cut inside has no newline, so it is never yielded; a
-    missing file or another header yields nothing.
-    """
-    lines = path.read_text().split("\n")[:-1] if path.exists() else []
-    if lines[:1] == [",".join(columns)]:
-        yield from csv.reader(lines[1:])
-
-
 def _load_runs(out: Path, budget: int):
     """Yield (record, trace) of each recorded run, in key order.
 
     A row counts only if a newline ends it and its evals_used and
-    best_fitness equal the last point of its trace. Other rows, and rows
-    whose trace is missing or does not parse, are skipped so their runs are
-    run again. A row over the budget raises RuntimeError.
+    best_fitness equal the last point of its trace; a trace cut before its
+    final newline has lost that point. Other rows, and rows whose trace is
+    missing or does not parse, are skipped so their runs are run again. A
+    row over the budget raises RuntimeError.
     """
     records: dict[tuple, RunRecord] = {}
-    for row in _read_rows(out / "runs.csv", RUNS_COLUMNS):
+    for row in _read_rows(out / "runs.csv", RUNS_COLUMNS) or []:
         try:
             algorithm, function, dim, rep, seed, evals_used, best = row
             numbers = int(dim), int(rep), int(seed), int(evals_used), float(best)
@@ -329,7 +330,7 @@ def _write_runs(path: Path, records: list[RunRecord]) -> None:
 def _load_rse(path: Path) -> dict[tuple[str, int], RseTarget]:
     """The stored targets by (function, dim); a row that does not parse is estimated again."""
     targets: dict[tuple[str, int], RseTarget] = {}
-    for row in _read_rows(path, RSE_COLUMNS):
+    for row in _read_rows(path, RSE_COLUMNS) or []:
         try:
             function, dim, budget, reps, value = row
             targets[(function, int(dim))] = RseTarget(function, int(budget), int(reps), float(value))

@@ -32,11 +32,8 @@ class WilcoxonResult:
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks of ``x``; tied values share the mean of their ranks.
 
-    Equals ``scipy.stats.rankdata(x)``, NaN included: any NaN makes every
-    rank NaN.
+    Equals ``scipy.stats.rankdata(x)``.
     """
-    if np.isnan(x).any():
-        return np.full(x.size, np.nan)
     order = np.argsort(x, kind="stable")
     xs = x[order]
     starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import RngStream, SearchSpace, derive_seed, make_rng, record_dict, refuse_unknown_keys
+from .core import RngStream, SearchSpace, derive_seed, make_rng, record_dict
+from .core import json_fields, json_value, refuse_unknown_keys
 
 __all__ = [
     "BaseFunction",
@@ -153,7 +154,6 @@ class BaseFunction:
     the base inside compositions.
     """
 
-    name: str
     fn: Callable[[np.ndarray], np.ndarray]
     half_range: float
     optimum_offset: float = 0.0
@@ -161,18 +161,16 @@ class BaseFunction:
 
 
 BASE_FUNCTIONS: dict[str, BaseFunction] = {
-    "sphere": BaseFunction("sphere", _sphere, 100.0),
-    "schwefel12": BaseFunction("schwefel12", _schwefel12, 100.0),
-    "elliptic": BaseFunction("elliptic", _elliptic, 100.0),
-    "rosenbrock": BaseFunction("rosenbrock", _rosenbrock, 100.0, optimum_offset=1.0, min_dim=2),
-    "rastrigin": BaseFunction("rastrigin", _rastrigin, 5.0),
-    "ackley": BaseFunction("ackley", _ackley, 32.0),
-    "griewank": BaseFunction("griewank", _griewank, 600.0),
-    "weierstrass": BaseFunction("weierstrass", _weierstrass, 0.5),
-    "griewank_rosenbrock": BaseFunction(
-        "griewank_rosenbrock", _griewank_rosenbrock, 5.0, optimum_offset=1.0, min_dim=2
-    ),
-    "schaffer_f6": BaseFunction("schaffer_f6", _schaffer_f6, 100.0, min_dim=2),
+    "sphere": BaseFunction(_sphere, 100.0),
+    "schwefel12": BaseFunction(_schwefel12, 100.0),
+    "elliptic": BaseFunction(_elliptic, 100.0),
+    "rosenbrock": BaseFunction(_rosenbrock, 100.0, optimum_offset=1.0, min_dim=2),
+    "rastrigin": BaseFunction(_rastrigin, 5.0),
+    "ackley": BaseFunction(_ackley, 32.0),
+    "griewank": BaseFunction(_griewank, 600.0),
+    "weierstrass": BaseFunction(_weierstrass, 0.5),
+    "griewank_rosenbrock": BaseFunction(_griewank_rosenbrock, 5.0, optimum_offset=1.0, min_dim=2),
+    "schaffer_f6": BaseFunction(_schaffer_f6, 100.0, min_dim=2),
 }
 
 
@@ -342,10 +340,10 @@ class ComponentDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ComponentDescriptor":
-        refuse_unknown_keys(d, ("kind", "sigma", "lambda", "bias"), "composition component")
-        lam = d.get("lambda")
-        lam = None if lam is None else float(lam)
-        return cls(d["kind"], float(d.get("sigma", 1.0)), lam, float(d.get("bias", 0.0)))
+        casts = {"kind": "str", "sigma": "float", "lambda": "float", "bias": "float"}
+        refuse_unknown_keys(d, casts, "composition component")
+        c = json_fields({k: v for k, v in d.items() if v is not None}, casts, "composition component")
+        return cls(c["kind"], c.get("sigma", 1.0), c.get("lambda"), c.get("bias", 0.0))
 
 
 @dataclass
@@ -374,20 +372,13 @@ class FunctionDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FunctionDescriptor":
-        refuse_unknown_keys(d, [f.name for f in fields(cls)], f"function {d.get('label')!r}")
-        casts = dict(
-            kind=str,
-            composition=lambda entries: [ComponentDescriptor.from_dict(c) for c in entries],
-            bounds=lambda b: tuple(map(float, b)),
-            shifted=bool,
-            rotated=bool,
-            noisy=bool,
-            optimum_on_bounds=bool,
-            bias=float,
-            category=str,
-            seed=int,
-        )
-        return cls(d["label"], **{k: cast(d[k]) for k, cast in casts.items() if d.get(k) is not None})
+        what = f"function {d.get('label')!r}"
+        # Each field after the label by its annotation's type: "str", "bool", ...
+        casts = {f.name: f.type.removesuffix(" | None") for f in fields(cls)[1:]}
+        casts["composition"] = lambda entries: [ComponentDescriptor.from_dict(c) for c in entries]
+        casts["bounds"] = lambda b: tuple(json_value(f"{what}: each of bounds", x, "float") for x in b)
+        refuse_unknown_keys(d, ["label", *casts], what)
+        return cls(d["label"], **json_fields({k: v for k, v in d.items() if v is not None}, casts, what))
 
 
 def _sample_shift(space: SearchSpace, rng: RngStream, shifted: bool, on_bounds: bool) -> np.ndarray:

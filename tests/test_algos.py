@@ -21,12 +21,14 @@ from sqgde.algos import (
     sqg_gradient_estimate,
     sqg_mutant,
 )
-from sqgde.core import BudgetedEvaluator, Population, best_index, make_rng
+from sqgde.core import BudgetedEvaluator, Population, best_index, make_rng, ranked_fitness
 from sqgde.testfuncs import FunctionDescriptor, custom_function, make_test_function
 
 
 def _pop(genomes, fitnesses):
-    return Population(np.asarray(genomes, dtype=float), list(fitnesses))
+    pop = Population(np.asarray(genomes, dtype=float))
+    pop.fitness = ranked_fitness(list(fitnesses))
+    return pop
 
 
 class ScriptedRng:

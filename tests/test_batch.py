@@ -22,7 +22,7 @@ from sqgde.algos import (
     sqg_pairs,
     sqg_steps,
 )
-from sqgde.core import BudgetedEvaluator, Population, make_rng
+from sqgde.core import BudgetedEvaluator, BudgetExhausted, Population, make_rng, ranked_fitness
 from sqgde.testfuncs import BASE_FUNCTIONS, default_suite, make_test_function, suite_by_label
 
 RTOL = 1e-12
@@ -80,7 +80,9 @@ def test_budget_cut_batch_draws_noise_only_for_evaluated_rows():
     fn = make_test_function(suite_by_label()["shifted_schwefel12_noisy"], dim=5)
     rng, ref = make_rng(3), make_rng(3)
     ev = BudgetedEvaluator(fn, 4, rng)
-    assert ev.evaluate_batch(fn.space.sample_uniform(make_rng(4), 9)).size == 4
+    with pytest.raises(BudgetExhausted):
+        ev.evaluate_batch(fn.space.sample_uniform(make_rng(4), 9))
+    assert ev.used == 4
     ref.standard_normal(4)
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -90,7 +92,9 @@ def test_budget_cut_batch_draws_noise_only_for_evaluated_rows():
 
 def _population(seed, n=20, d=6):
     rng = make_rng(seed)
-    return Population(rng.standard_normal((n, d)), rng.standard_normal(n))
+    pop = Population(rng.standard_normal((n, d)))
+    pop.fitness = ranked_fitness(rng.standard_normal(n))
+    return pop
 
 
 def _self_blocked(n):

@@ -332,6 +332,24 @@ def test_a_json_file_that_does_not_load_is_a_usage_error_naming_it(tmp_path, com
 
 
 @pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"budget": 50.9, "reps": 1.5}, "budget must be a JSON int, got 50.9"),
+        ({"algorithms": [{"name": "x", "kind": "de", "strategy": "rand1exp", "pop_size": 10.5}]}, "got 10.5"),
+        ({"functions": [{"label": "f", "kind": "sphere", "noisy": "false", "seed": 3}]}, "got 'false'"),
+    ],
+    ids=["fractional_budget_and_reps", "fractional_pop_size", "string_bool"],
+)
+def test_bench_refuses_a_config_value_of_another_json_type_and_writes_nothing(tmp_path, config, message):
+    path, out = tmp_path / "c.json", tmp_path / "out"
+    path.write_text(json.dumps({**config, "dims": [2], "output_dir": str(out)}))
+    res = CliRunner().invoke(main, ["bench", "--quiet", "--config", str(path)])
+    assert res.exit_code == 2
+    assert f"cannot load {path}: " in res.output and message in res.output
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["run", "--algo", "de", "--function", "shifted_rosenbrock", "--dim", "1"],

@@ -14,7 +14,9 @@ from sqgde.core import (
     derive_seed,
     init_population,
     make_rng,
+    ranked_fitness,
 )
+from sqgde.testfuncs import make_test_function, suite_by_label
 
 
 def sphere(x, rng=None):
@@ -115,14 +117,14 @@ def test_population_refusals():
         Population(np.zeros(3))
     with pytest.raises(ValueError, match="genomes must be an"):
         Population(np.zeros((2, 3, 1)))
-    with pytest.raises(ValueError, match="one value per member"):
-        Population(np.zeros((3, 2)), [1.0, 2.0])
     with pytest.raises(ValueError, match="pop_size must be at least 1"):
         init_population(SearchSpace.box(2, 0.0, 1.0), 0, make_rng(0))
 
 
 def _pop(fitnesses):
-    return Population(np.zeros((len(fitnesses), 1)), fitnesses)
+    pop = Population(np.zeros((len(fitnesses), 1)))
+    pop.fitness = ranked_fitness(fitnesses)
+    return pop
 
 
 def test_best_index_minimum():
@@ -254,11 +256,59 @@ def test_run_trace_lookups_equal_linear_scans(evals, values):
 def test_evaluate_batch_stops_at_budget_and_logs_in_row_order():
     ev = BudgetedEvaluator(sphere, 4)
     ev.evaluate(np.array([3.0]))
-    values = ev.evaluate_batch(np.array([[4.0], [2.0], [1.0], [0.5], [0.0]]))
-    npt.assert_array_equal(values, [16.0, 4.0, 1.0])  # only the rows the budget allows
-    assert ev.exhausted
+    with pytest.raises(BudgetExhausted):
+        ev.evaluate_batch(np.array([[4.0], [2.0], [1.0], [0.5], [0.0]]))
+    assert ev.used == 4 and ev.exhausted  # only the rows the budget allows
     assert ev.trace().points == ((1, 9.0), (3, 4.0), (4, 1.0))
-    assert ev.evaluate_batch(np.zeros((2, 1))).size == 0
+    with pytest.raises(BudgetExhausted):  # a spent budget evaluates nothing
+        ev.evaluate_batch(np.zeros((2, 1)))
+    assert ev.used == 4
+
+
+class _Recorder:
+    """An objective that records every row it is given; batched if it carries ``fn``'s space."""
+
+    def __init__(self, fn, batched):
+        self.fn, self.rows = fn, []
+        if batched:
+            self.space = fn.space
+
+    def __call__(self, x, rng):
+        self.rows += np.reshape(x, (-1, np.shape(x)[-1])).tolist()
+        return self.fn(x, rng)
+
+
+_NOISY = make_test_function(suite_by_label()["shifted_schwefel12_noisy"], dim=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    noisy=st.booleans(),
+    t_max=st.integers(1, 40),
+    sizes=st.lists(st.integers(0, 15), min_size=1, max_size=6),
+)
+def test_evaluate_batch_spends_exactly_the_budget(noisy, t_max, sizes):
+    """Each batch evaluates the rows that fit, as one-by-one calls would, and raises if any is left."""
+    points = make_rng(1)
+    objective = _Recorder(_NOISY, batched=True) if noisy else _Recorder(sphere, batched=False)
+    rng, ref_rng = make_rng(2), make_rng(2)
+    ev = BudgetedEvaluator(objective, t_max, rng)
+    ref = BudgetedEvaluator(objective.fn, t_max, ref_rng)  # one row per call
+    evaluated = []
+    for n in sizes:
+        batch, fits = points.uniform(-50.0, 50.0, (n, 3)), min(n, t_max - ev.used)
+        if fits < n:
+            with pytest.raises(BudgetExhausted):
+                ev.evaluate_batch(batch)
+        else:
+            assert ev.evaluate_batch(batch).shape == (n,)
+        for x in batch[:fits]:
+            ref.evaluate(x)
+        evaluated += batch[:fits].tolist()
+        assert objective.rows == evaluated  # only the rows that fit, in order
+        assert ev.used == len(evaluated) <= t_max
+        assert ev.trace() == ref.trace()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # noise drawn for those rows only
 
 
 def test_evaluate_batch_calls_objectives_with_a_space_once():

@@ -108,6 +108,41 @@ def test_benchmark_spec_refuses_unknown_keys_but_the_stream_version():
     assert BenchmarkSpec.from_dict({"budget": 50, "stream_version": STREAM_VERSION}).budget == 50
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"budget": 50.9}, "benchmark spec: budget must be a JSON int, got 50.9"),
+        ({"reps": 1.5}, "benchmark spec: reps must be a JSON int, got 1.5"),
+        ({"master_seed": "5"}, "benchmark spec: master_seed must be a JSON int, got '5'"),
+        ({"dims": [10, True]}, "benchmark spec: each of dims must be a JSON int, got True"),
+        ({"output_dir": 3}, "benchmark spec: output_dir must be a JSON str, got 3"),
+        (
+            {"algorithms": [{"name": "x", "kind": "de", "strategy": "rand1exp", "pop_size": 10.5}]},
+            "algorithm 'x': pop_size must be a JSON int, got 10.5",
+        ),
+        ({"algorithms": [{"name": "de", "F": True}]}, "algorithm 'de': F must be a JSON float, got True"),
+        ({"algorithms": [{"name": "sqg", "r": 2.0}]}, "algorithm 'sqg': r must be a JSON int, got 2.0"),
+        ({"algorithms": [{"name": "x", "kind": "de", "strategy": 1}]}, "algorithm 'x': strategy must be a JSON str"),
+        ({"functions": [{"label": "f", "kind": "sphere", "seed": 3.9}]}, "function 'f': seed must be a JSON int"),
+    ],
+    ids=["budget", "reps", "master_seed", "dims", "output_dir", "pop_size", "F", "r", "strategy", "function"],
+)
+def test_benchmark_spec_refuses_values_of_another_json_type(record, message):
+    # int(50.9) would run budget 50 and record it as what was asked
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BenchmarkSpec.from_dict(record)
+
+
+def test_algorithm_spec_refuses_unknown_parameters():
+    with pytest.raises(ValueError, match=r"algorithm 'de' has unknown keys \['G'\]"):
+        AlgorithmSpec.from_dict({"name": "de", "G": 0.5})
+
+
+def test_algorithm_spec_takes_integers_for_float_parameters():
+    config = AlgorithmSpec.from_dict({"name": "x", "kind": "de", "strategy": "rand1exp", "F": 1, "CR": 0}).config
+    assert (config.F, config.CR) == (1.0, 0.0) and type(config.F) is float
+
+
 def test_benchmark_spec_validation():
     fns = [FunctionDescriptor(label="f", kind="sphere", seed=1)]
     with pytest.raises(ValueError):
@@ -359,8 +394,9 @@ def _swap_first_points(text):
         lambda text: text.replace("eval,best", "evals,best"),
         _swap_first_points,
         _drop_last_point,  # parses, but disagrees with the row
+        lambda text: text[:-1],  # the last point lost only its newline
     ],
-    ids=["missing", "empty", "bad_header", "out_of_order", "disagrees"],
+    ids=["missing", "empty", "bad_header", "out_of_order", "disagrees", "no_final_newline"],
 )
 def test_resume_runs_again_a_run_with_a_bad_trace(tmp_path, damage):
     run_benchmark(sphere_spec(tmp_path / "fresh"))

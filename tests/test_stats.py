@@ -44,11 +44,6 @@ def test_average_ranks_equal_scipy_rankdata(values):
     assert np.array_equal(_average_ranks(x), rankdata(x))
 
 
-def test_average_ranks_propagate_nan_like_scipy():
-    x = np.array([2.0, np.nan, 1.0])
-    assert np.isnan(_average_ranks(x)).all() and np.isnan(rankdata(x)).all()
-
-
 def test_package_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

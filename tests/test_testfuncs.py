@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -400,6 +401,37 @@ def test_descriptor_refuses_unknown_keys(record, unknown):
     # a misspelt key would otherwise build the function with that field's default
     with pytest.raises(ValueError, match=f"unknown keys \\['{unknown}'\\]"):
         FunctionDescriptor.from_dict(record)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"label": "f", "kind": "sphere", "noisy": "false", "seed": 3}, "noisy must be a JSON bool, got 'false'"),
+        ({"label": "f", "kind": "sphere", "rotated": "no", "seed": 3}, "rotated must be a JSON bool, got 'no'"),
+        ({"label": "f", "kind": "sphere", "shifted": 1, "seed": 3}, "shifted must be a JSON bool, got 1"),
+        ({"label": "f", "kind": "sphere", "seed": 3.9}, "seed must be a JSON int, got 3.9"),
+        ({"label": "f", "kind": "sphere", "seed": True}, "seed must be a JSON int, got True"),
+        ({"label": "f", "kind": "sphere", "seed": 3, "bias": False}, "bias must be a JSON float, got False"),
+        ({"label": "f", "kind": "sphere", "seed": 3, "bounds": [-1, "1"]}, "each of bounds must be a JSON float"),
+        ({"label": "f", "kind": 5, "seed": 3}, "kind must be a JSON str, got 5"),
+        ({"label": "f", "kind": "sphere", "seed": 3, "category": 1}, "category must be a JSON str, got 1"),
+        ({"label": "f", "composition": [{"kind": "sphere", "sigma": "2"}]}, "sigma must be a JSON float, got '2'"),
+        ({"label": "f", "composition": [{"kind": "sphere", "lambda": True}]}, "lambda must be a JSON float, got True"),
+    ],
+    ids=["bool_string", "bool_word", "bool_number", "int_fraction", "int_bool", "float_bool", "bounds_string",
+         "str_number", "category_number", "component_float_string", "component_float_bool"],
+)
+def test_descriptor_refuses_values_of_another_json_type(record, message):
+    # a cast would build another function: bool("false") is True, int(3.9) is 3
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FunctionDescriptor.from_dict(record)
+
+
+def test_descriptor_takes_integers_for_float_fields():
+    desc = FunctionDescriptor.from_dict(
+        {"label": "f", "composition": [{"kind": "sphere", "sigma": 2}, {"kind": "ackley"}], "bounds": [-5, 5]}
+    )
+    assert desc.bounds == (-5.0, 5.0) and type(desc.composition[0].sigma) is float
 
 
 def test_suite_roundtrip_through_json():
