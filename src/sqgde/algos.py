@@ -134,10 +134,10 @@ class SQGConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("r must be at least 1")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.step0 <= 0:
-            raise ValueError("step0 must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
+        if not 0.0 < self.step0 < math.inf:
+            raise ValueError("step0 must be positive and finite")
         if not 0.0 < self.decay <= 1.0:
             raise ValueError("decay must lie in (0, 1]")
         if self.warm_start_samples < 1:
@@ -376,8 +376,8 @@ def sqg_gradient_estimate(
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     x = np.asarray(x, dtype=float)
     z = rng.uniform(-1.0, 1.0, (r, x.size))
     batch = np.empty((r + 1, x.size))

@@ -89,7 +89,7 @@ def refuse_unknown_keys(d: dict, known, what: str) -> None:
 
 # The values a JSON field of each type takes. JSON keeps booleans apart from
 # numbers, and a cast would change a value of another type: bool("false") is True.
-_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str, "list": list}
 
 
 def json_value(key: str, value, kind: str):

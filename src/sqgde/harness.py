@@ -193,16 +193,19 @@ class BenchmarkSpec:
     def from_dict(cls, d: dict) -> "BenchmarkSpec":
         """Missing entries take the defaults: all presets, the default suite, the protocol.
 
-        The ``stream_version`` a spec.json records is accepted; any other
-        unknown key is refused.
+        An entry that is there is used as it is, so an empty or ``null`` list
+        is refused. The ``stream_version`` a spec.json records is accepted;
+        any other unknown key is refused.
         """
         refuse_unknown_keys(d, [f.name for f in fields(cls)] + ["stream_version"], "benchmark spec")
+        for key in ("algorithms", "functions", "dims"):
+            if key in d:
+                json_value(f"benchmark spec: {key}", d[key], "list")
         algos = [
             algorithm_preset(e) if isinstance(e, str) else AlgorithmSpec.from_dict(e)
             for e in d.get("algorithms", ALGORITHM_PRESETS)
         ]
-        funcs = d.get("functions")
-        functions = [FunctionDescriptor.from_dict(f) for f in funcs] if funcs else default_suite()
+        functions = [FunctionDescriptor.from_dict(f) for f in d["functions"]] if "functions" in d else default_suite()
         casts = dict(budget="int", reps="int", master_seed="int", output_dir="str")
         casts["dims"] = lambda v: [json_value("benchmark spec: each of dims", dim, "int") for dim in v]
         return cls(algos, functions, **json_fields(d, casts, "benchmark spec"))

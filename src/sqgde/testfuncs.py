@@ -24,9 +24,6 @@ __all__ = [
     "BASE_FUNCTIONS",
     "random_rotation",
     "CompositionComponent",
-    "Composition",
-    "composition_weights",
-    "compose_eval",
     "TestFunction",
     "custom_function",
     "ComponentDescriptor",
@@ -223,35 +220,20 @@ class CompositionComponent:
         return base.fn(z)
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Gaussian-weighted mixture of transformed base landscapes."""
-
-    components: tuple[CompositionComponent, ...]
-    sigma2: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) < 2:
-            raise ValueError("a composition needs at least 2 components")
-        for c in self.components:
-            if c.sigma <= 0 or c.lam <= 0:
-                raise ValueError("component sigma and lambda must be positive")
-        object.__setattr__(self, "sigma2", np.array([c.sigma for c in self.components]) ** 2)
-
-
-def _mixture(comp: Composition, X: np.ndarray):
+def _mixture(comps: tuple[CompositionComponent, ...], sigma2: np.ndarray, X: np.ndarray):
     """Weights and component values plus biases, both (..., K), of points (..., D).
 
-    One pass per component: its value and its squared distance to its shift
-    come from one x - shift. That difference lives only inside ``value``, so
-    the rotated copy replaces it rather than adding to the peak memory.
+    ``sigma2`` holds each component's sigma^2. One pass per component: its
+    value and its squared distance to its shift come from one x - shift.
+    That difference lives only inside ``value``, so the rotated copy replaces
+    it rather than adding to the peak memory. If every unnormalized weight
+    of a point underflows to zero, the nearest component takes weight 1.
     """
-    k = len(comp.components)
+    k = len(comps)
     sq_dists, vals = np.empty(X.shape[:-1] + (k,)), np.empty(X.shape[:-1] + (k,))
-    for i, c in enumerate(comp.components):
+    for i, c in enumerate(comps):
         vals[..., i] = c.value(X, sq_dists[..., i]) + c.bias
-    w = np.exp(-sq_dists / (2.0 * X.shape[-1] * comp.sigma2))
+    w = np.exp(-sq_dists / (2.0 * X.shape[-1] * sigma2))
     total = w.sum(axis=-1)
     dead = total <= 0.0
     w /= np.where(dead, 1.0, total)[..., None]
@@ -260,30 +242,17 @@ def _mixture(comp: Composition, X: np.ndarray):
     return w, vals
 
 
-def composition_weights(comp: Composition, x: np.ndarray) -> np.ndarray:
-    """Normalized Gaussian mixture weights based on distance to each shift.
-
-    Maps points (..., D) to weights (..., K). If every unnormalized weight
-    of a point underflows to zero, the nearest component takes weight 1.
-    Shares the pass of :func:`compose_eval`, so it costs as much.
-    """
-    return _mixture(comp, np.asarray(x, dtype=float))[0]
-
-
-def compose_eval(comp: Composition, x: np.ndarray):
-    """Mixture value of points (..., D): sum_i w_i(x) * (component_i value + bias_i), shape (...)."""
-    w, vals = _mixture(comp, np.asarray(x, dtype=float))
-    return (w * vals).sum(axis=-1)
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """A concrete box-bounded objective, evaluated as ``fn(x, rng)``.
 
     ``x`` holds points of shape (..., D) and gives values of shape (...),
     with one noise draw per point in C order; a single point (D,) gives a
-    float. A body that is a plain callable (see :func:`custom_function`)
-    takes one point and is called once per point, in C order.
+    float. A built function's ``body`` is the tuple of its components: one
+    gives its value, then the noise, then its bias, and several are mixed by
+    their Gaussian weights. A body that is a plain callable (see
+    :func:`custom_function`) takes one point and is called once per point,
+    in C order.
 
     ``noisy`` multiplies the zero-normalized value by (1 + 0.4 |N(0, 1)|)
     before the bias is added, so noisy values never fall below the noiseless
@@ -292,22 +261,30 @@ class TestFunction:
 
     label: str
     space: SearchSpace
-    body: CompositionComponent | Composition | Callable[[np.ndarray], float]
+    body: tuple[CompositionComponent, ...] | Callable[[np.ndarray], float]
     noisy: bool = False
+    # Each component's sigma^2, once per build: an sqg run makes hundreds of
+    # 6-row calls, and each pays every fixed cost of a call.
+    sigma2: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sigma2 = np.array([c.sigma for c in self.body]) ** 2 if isinstance(self.body, tuple) else None
+        object.__setattr__(self, "sigma2", sigma2)
 
     def __call__(self, x, rng: RngStream | None = None):
         x = np.asarray(x, dtype=float)
         if x.ndim < 1 or x.shape[-1] != self.space.dim:
             raise ValueError(f"expected points of shape (..., {self.space.dim})")
         bias = 0.0
-        if isinstance(self.body, CompositionComponent):
-            raw = self.body.value(x)
-            bias = self.body.bias
-        elif isinstance(self.body, Composition):
-            raw = compose_eval(self.body, x)
-        else:
+        if not isinstance(self.body, tuple):
             rows = x.reshape(-1, x.shape[-1])
             raw = np.array([float(self.body(row)) for row in rows]).reshape(x.shape[:-1])
+        elif len(self.body) == 1:
+            raw = self.body[0].value(x)
+            bias = self.body[0].bias
+        else:
+            w, vals = _mixture(self.body, self.sigma2, x)
+            raw = (w * vals).sum(axis=-1)
         if self.noisy:
             if rng is None:
                 raise ValueError("a noisy function needs an rng stream")
@@ -424,8 +401,10 @@ def resolve_descriptor(
             raise ValueError(f"{desc.label}: unknown base function kind {c.kind!r}")
         if dim < BASE_FUNCTIONS[c.kind].min_dim:
             raise ValueError(f"{desc.label}: {c.kind} needs dim >= {BASE_FUNCTIONS[c.kind].min_dim}")
-        if c.sigma <= 0 or (c.lam is not None and c.lam <= 0):
-            raise ValueError(f"{desc.label}: component sigma and lambda must be positive")
+        if not (0.0 < c.sigma < np.inf and (c.lam is None or 0.0 < c.lam < np.inf)):
+            raise ValueError(f"{desc.label}: component sigma and lambda must be positive and finite")
+        if not -np.inf < c.bias < np.inf:
+            raise ValueError(f"{desc.label}: a bias must be finite, got {c.bias}")
 
     half_range = BASE_FUNCTIONS[desc.kind].half_range if single else 5.0
     bounds = tuple(desc.bounds) if desc.bounds is not None else (-half_range, half_range)
@@ -445,7 +424,6 @@ def make_test_function(
     that cannot build is refused by :func:`resolve_descriptor`.
     """
     seed, space, entries = resolve_descriptor(desc, seed, dim)
-    single = desc.kind is not None
     half_width = float(space.upper[0] - space.lower[0]) / 2.0
 
     rng = make_rng(seed)
@@ -455,13 +433,7 @@ def make_test_function(
         shift = _sample_shift(space, rng, desc.shifted, desc.optimum_on_bounds)
         rotation = random_rotation(space.dim, rng) if desc.rotated else None
         comps.append(CompositionComponent(c.kind, shift, rotation, c.bias, c.sigma, lam))
-
-    return TestFunction(
-        label=desc.label,
-        space=space,
-        body=comps[0] if single else Composition(tuple(comps)),
-        noisy=desc.noisy,
-    )
+    return TestFunction(label=desc.label, space=space, body=tuple(comps), noisy=desc.noisy)
 
 
 _SUITE_SEED = 101

@@ -88,6 +88,10 @@ def test_sqg_config_validation():
         SQGConfig(decay=1.5)
     with pytest.raises(ValueError):
         SQGConfig(warm_start_samples=0)
+    # a NaN or infinite delta never leaves the warm start; spec.json cannot hold NaN
+    for bad in (dict(delta=np.nan), dict(delta=np.inf), dict(step0=np.nan), dict(step0=np.inf)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            SQGConfig(**bad)
 
 
 # --- index sampling ----------------------------------------------------------
@@ -380,7 +384,7 @@ def test_gradient_estimate_refuses_bad_settings():
     ev = BudgetedEvaluator(lambda x, rng: 3.0, 100)
     with pytest.raises(ValueError, match="r must be at least 1"):
         sqg_gradient_estimate(ev, np.zeros(2), 0, 1e-3, make_rng(0))
-    for delta in (0.0, -1e-3):
+    for delta in (0.0, -1e-3, np.nan, np.inf):
         with pytest.raises(ValueError, match="delta must be positive"):
             sqg_gradient_estimate(ev, np.zeros(2), 2, delta, make_rng(0))
     assert ev.used == 0

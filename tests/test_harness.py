@@ -124,8 +124,14 @@ def test_benchmark_spec_refuses_unknown_keys_but_the_stream_version():
         ({"algorithms": [{"name": "sqg", "r": 2.0}]}, "algorithm 'sqg': r must be a JSON int, got 2.0"),
         ({"algorithms": [{"name": "x", "kind": "de", "strategy": 1}]}, "algorithm 'x': strategy must be a JSON str"),
         ({"functions": [{"label": "f", "kind": "sphere", "seed": 3.9}]}, "function 'f': seed must be a JSON int"),
+        # an empty or null list is what was written, not a missing entry
+        ({"functions": []}, "at least one function is required"),
+        ({"functions": None}, "benchmark spec: functions must be a JSON list, got None"),
+        ({"algorithms": None}, "benchmark spec: algorithms must be a JSON list, got None"),
+        ({"dims": None}, "benchmark spec: dims must be a JSON list, got None"),
     ],
-    ids=["budget", "reps", "master_seed", "dims", "output_dir", "pop_size", "F", "r", "strategy", "function"],
+    ids=["budget", "reps", "master_seed", "dims", "output_dir", "pop_size", "F", "r", "strategy", "function",
+         "empty_functions", "null_functions", "null_algorithms", "null_dims"],
 )
 def test_benchmark_spec_refuses_values_of_another_json_type(record, message):
     # int(50.9) would run budget 50 and record it as what was asked
@@ -846,6 +852,17 @@ def test_a_directory_in_use_is_refused(tmp_path, call):
             label="bad", composition=[ComponentDescriptor("sphere", lam=-1.0), ComponentDescriptor("ackley")], seed=3
         ),
         FunctionDescriptor(
+            label="bad", composition=[ComponentDescriptor("sphere", sigma=np.nan), ComponentDescriptor("ackley")], seed=3
+        ),
+        FunctionDescriptor(
+            label="bad", composition=[ComponentDescriptor("sphere", lam=np.inf), ComponentDescriptor("ackley")], seed=3
+        ),
+        FunctionDescriptor(
+            label="bad", composition=[ComponentDescriptor("sphere", bias=np.nan), ComponentDescriptor("ackley")], seed=3
+        ),
+        FunctionDescriptor(label="bad", kind="sphere", bias=np.nan, seed=3),
+        FunctionDescriptor(label="bad", kind="sphere", bias=-np.inf, seed=3),
+        FunctionDescriptor(
             label="bad",
             composition=[ComponentDescriptor("sphere"), ComponentDescriptor("ackley")],
             bias=100.0,
@@ -868,6 +885,11 @@ def test_a_directory_in_use_is_refused(tmp_path, call):
         "one_component",
         "zero_sigma",
         "negative_lambda",
+        "nan_sigma",
+        "infinite_lambda",
+        "nan_component_bias",
+        "nan_bias",
+        "negative_infinite_bias",
         "composition_bias",
         "composition_optimum_on_bounds",
     ],
