@@ -11,20 +11,9 @@ from pathlib import Path
 import click
 
 from . import harness
-from .harness import (
-    ALGORITHM_PRESETS,
-    BenchmarkSpec,
-    _check_names,
-    default_benchmark_spec,
-    execute_run,
-)
+from .harness import ALGORITHM_PRESETS, BenchmarkSpec, default_benchmark_spec, execute_run
 from .stats import wilcoxon_signed_rank
-from .testfuncs import (
-    FunctionDescriptor,
-    default_suite,
-    make_test_function,
-    suite_by_label,
-)
+from .testfuncs import FunctionDescriptor, make_test_function, suite_by_label
 
 
 POSITIVE = click.IntRange(min=1)
@@ -39,31 +28,25 @@ def _load(path, from_dict):
     """``from_dict`` of the JSON file a user named; a file that does not load is a usage error naming it."""
     try:
         return from_dict(json.loads(Path(path).read_text()))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+    except (OSError, ValueError) as err:
         raise click.BadParameter(f"cannot load {path}: {err}") from err
 
 
-def _descriptor(payload: dict) -> FunctionDescriptor:
-    if "functions" in payload:
+def _descriptor(payload) -> FunctionDescriptor:
+    if isinstance(payload, dict) and "functions" in payload:
         raise ValueError("it is a suite file; pass a single function label or descriptor file")
-    desc = FunctionDescriptor.from_dict(payload)
-    _check_names("function label", [desc.label])
-    return desc
+    return FunctionDescriptor.from_dict(payload)
 
 
-def _resolve_function(label: str) -> FunctionDescriptor:
+def _function(label: str, dim: int):
+    """The suite function or descriptor file ``label`` built at ``dim``; either failing is a usage error naming it."""
     table = suite_by_label()
     if label in table:
-        return table[label]
-    if Path(label).exists():
-        return _load(label, _descriptor)
-    raise click.BadParameter(
-        f"unknown function {label!r}; known labels: {', '.join(sorted(table))}"
-    )
-
-
-def _build(desc: FunctionDescriptor, dim: int):
-    """``desc`` built at ``dim``; one that cannot build is a usage error naming it."""
+        desc = table[label]
+    elif Path(label).exists():
+        desc = _load(label, _descriptor)
+    else:
+        raise click.BadParameter(f"unknown function {label!r}; known labels: {', '.join(sorted(table))}")
     try:
         return make_test_function(desc, dim=dim)
     except ValueError as err:
@@ -80,7 +63,7 @@ def _build(desc: FunctionDescriptor, dim: int):
 def run(algo, function_label, dim, budget, seed, out):
     """Run one algorithm once on one function and print the outcome."""
     spec = ALGORITHM_PRESETS[algo]
-    fn = _build(_resolve_function(function_label), dim)
+    fn = _function(function_label, dim)
     trace = execute_run(spec, fn, budget, seed)
     click.echo(f"algorithm={spec.name} function={fn.label} dim={dim} seed={seed}")
     click.echo(f"evals_used={trace.final_evals} best_fitness={trace.final_best!r}")
@@ -146,8 +129,7 @@ def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quie
 @click.option("--seed", type=int, default=BenchmarkSpec.master_seed, show_default=True, help="Master seed.")
 def rse(function_label, dim, budget, reps, seed):
     """Print the uniform random-search target per function (sqgde bench stores them)."""
-    descs = [_resolve_function(function_label)] if function_label else default_suite()
-    fns = [_build(desc, dim) for desc in descs]
+    fns = [_function(label, dim) for label in ([function_label] if function_label else suite_by_label())]
     click.echo(",".join(harness.RSE_COLUMNS))
     for fn in fns:
         target = harness.rse_target(fn, budget, reps, seed)

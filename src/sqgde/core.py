@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -23,8 +24,10 @@ __all__ = [
     "derive_seed",
     "record_dict",
     "refuse_unknown_keys",
+    "check_names",
     "json_value",
     "json_fields",
+    "json_list",
     "SearchSpace",
     "ranked_fitness",
     "Population",
@@ -87,16 +90,37 @@ def refuse_unknown_keys(d: dict, known, what: str) -> None:
         raise ValueError(f"{what} has unknown keys {unknown}; known keys: {', '.join(known)}")
 
 
+# An algorithm name, function label or function category: each becomes an
+# unquoted CSV field, and a name or label a part of a trace file name, whose
+# parts "__" separates.
+_NAME = re.compile(r"[A-Za-z0-9]+(?:[._-][A-Za-z0-9]+)*")
+
+
+def check_names(what: str, values) -> None:
+    """Refuse, naming it, a value that cannot be a CSV field and a part of a file name."""
+    if bad := [v for v in values if not (isinstance(v, str) and _NAME.fullmatch(v))]:
+        raise ValueError(f"{what} {bad[0]!r} must be letters and digits joined by single '.', '_' or '-'")
+
+
 # The values a JSON field of each type takes. JSON keeps booleans apart from
 # numbers, and a cast would change a value of another type: bool("false") is True.
-_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str, "list": list}
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str, "list": list, "object": dict}
 
 
 def json_value(key: str, value, kind: str):
     """``value`` if it has the JSON type ``kind``, a float field's as a float; refuses another, naming ``key``."""
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _JSON_TYPES[kind]):
         raise ValueError(f"{key} must be a JSON {kind}, got {value!r}")
-    return float(value) if kind == "float" else value
+    try:
+        return float(value) if kind == "float" else value
+    except OverflowError:  # an integer of over 308 digits
+        raise ValueError(f"{key} is out of the range of a float") from None
+
+
+def json_list(what: str, key: str, value, entry) -> list:
+    """``value``, a JSON list, each entry by ``entry``: a function, or a JSON type for :func:`json_value`."""
+    entries = json_value(f"{what}: {key}", value, "list")
+    return [entry(e) if callable(entry) else json_value(f"{what}: each of {key}", e, entry) for e in entries]
 
 
 def json_fields(d: dict, casts: dict, what: str) -> dict:

@@ -33,9 +33,8 @@ from __future__ import annotations
 import fcntl
 import json
 import os
-import re
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import groupby, islice, product
 from pathlib import Path
 
@@ -43,7 +42,7 @@ import numpy as np
 
 from .algos import DEConfig, SQGConfig, run_de, run_sqg
 from .core import STREAM_VERSION, RunTrace, derive_seed, record_dict
-from .core import json_fields, json_value, refuse_unknown_keys
+from .core import check_names, json_fields, json_list, json_value, refuse_unknown_keys
 from .metrics import (
     ErtResult,
     NormalizationUndefined,
@@ -85,17 +84,6 @@ OVERALL_CATEGORY = "overall"
 _TASK_RUNS = 4
 # The fields every spec.json records; a file without one is refused.
 _SPEC_FIELDS = ("algorithms", "functions", "dims", "budget", "reps", "master_seed")
-# An algorithm name, function label or function category: each becomes an
-# unquoted CSV field, and a name or label a part of a trace file name, whose
-# parts "__" separates.
-_NAME = re.compile(r"[A-Za-z0-9]+(?:[._-][A-Za-z0-9]+)*")
-
-
-def _check_names(what: str, values) -> None:
-    """Refuse, naming it, a value that cannot be a CSV field and a part of a file name."""
-    if bad := [v for v in values if not (isinstance(v, str) and _NAME.fullmatch(v))]:
-        raise ValueError(f"{what} {bad[0]!r} must be letters and digits joined by single '.', '_' or '-'")
-
 
 # Each algorithm kind spec.json names: its config type and its run function.
 _KINDS = {"de": (DEConfig, run_de), "sqg": (SQGConfig, run_sqg)}
@@ -119,15 +107,21 @@ class AlgorithmSpec:
         return {"name": self.name, "kind": _kind_of(self.config), **asdict(self.config)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AlgorithmSpec":
-        """Preset ``name`` with ``d``'s parameters, or a ``kind``'s config of them; each has its field's JSON type."""
-        name, kind = d["name"], d.get("kind")
-        if kind is not None and kind not in _KINDS:
+    def from_dict(cls, d: dict | str) -> "AlgorithmSpec":
+        """A preset's name, or a record: preset ``name`` with ``d``'s parameters, or a ``kind``'s config of them."""
+        if isinstance(d, str):
+            return algorithm_preset(d)
+        name = json_value("algorithm", d, "object").get("name")
+        check_names("algorithm name", [name])
+        what, kind = f"algorithm {name!r}", d.get("kind")
+        if kind is not None and json_value(f"{what}: kind", kind, "str") not in _KINDS:
             raise ValueError(f"unknown algorithm kind {kind!r}")
         preset = algorithm_preset(name).config if kind is None else None
-        types = {f.name: f.type for f in fields(preset or _KINDS[kind][0])}
-        refuse_unknown_keys(d, ["name", "kind", *types], f"algorithm {name!r}")
-        params = json_fields(d, types, f"algorithm {name!r}")
+        config_fields = fields(preset or _KINDS[kind][0])
+        refuse_unknown_keys(d, ["name", "kind", *(f.name for f in config_fields)], what)
+        params = json_fields(d, {f.name: f.type for f in config_fields}, what)
+        if not preset and (missing := [f.name for f in config_fields if f.default is MISSING and f.name not in d]):
+            raise ValueError(f"{what} needs {', '.join(missing)}")
         return cls(name, replace(preset, **params) if preset else _KINDS[kind][0](**params))
 
 
@@ -178,11 +172,11 @@ class BenchmarkSpec:
             ("algorithm name", [a.name for a in self.algorithms]),
             ("function label", [f.label for f in self.functions]),
         ):
-            _check_names(what, names)
+            check_names(what, names)
             if len(set(names)) != len(names):
                 raise ValueError(f"{what}s must be unique")
         categories = [f.category for f in self.functions]
-        _check_names("function category", categories)
+        check_names("function category", categories)
         if OVERALL_CATEGORY in categories:
             raise ValueError(f"function category {OVERALL_CATEGORY!r} is reserved for the summary over all functions")
 
@@ -197,18 +191,15 @@ class BenchmarkSpec:
         is refused. The ``stream_version`` a spec.json records is accepted;
         any other unknown key is refused.
         """
-        refuse_unknown_keys(d, [f.name for f in fields(cls)] + ["stream_version"], "benchmark spec")
-        for key in ("algorithms", "functions", "dims"):
-            if key in d:
-                json_value(f"benchmark spec: {key}", d[key], "list")
-        algos = [
-            algorithm_preset(e) if isinstance(e, str) else AlgorithmSpec.from_dict(e)
-            for e in d.get("algorithms", ALGORITHM_PRESETS)
-        ]
-        functions = [FunctionDescriptor.from_dict(f) for f in d["functions"]] if "functions" in d else default_suite()
+        what = "benchmark spec"
+        refuse_unknown_keys(json_value(what, d, "object"), [f.name for f in fields(cls)] + ["stream_version"], what)
         casts = dict(budget="int", reps="int", master_seed="int", output_dir="str")
-        casts["dims"] = lambda v: [json_value("benchmark spec: each of dims", dim, "int") for dim in v]
-        return cls(algos, functions, **json_fields(d, casts, "benchmark spec"))
+        casts["algorithms"] = lambda v: json_list(what, "algorithms", v, AlgorithmSpec.from_dict)
+        casts["functions"] = lambda v: json_list(what, "functions", v, FunctionDescriptor.from_dict)
+        casts["dims"] = lambda v: json_list(what, "dims", v, "int")
+        given = json_fields(d, casts, what)
+        algos = given.pop("algorithms", list(ALGORITHM_PRESETS.values()))
+        return cls(algos, given.pop("functions") if "functions" in given else default_suite(), **given)
 
 
 def default_benchmark_spec() -> BenchmarkSpec:
@@ -452,34 +443,33 @@ def _locked(out: Path):
         os.close(fd)
 
 
-def _read_spec(path: Path) -> tuple[dict, BenchmarkSpec]:
-    """A spec.json's record and spec; refuses, naming it, one that does not parse or lacks a field."""
+def _read_spec(path: Path) -> tuple[object, BenchmarkSpec]:
+    """A spec.json's stream version and spec; refuses, naming it, one that does not parse or lacks a field."""
     try:
-        record = json.loads(path.read_text())
+        record = json_value("spec.json", json.loads(path.read_text()), "object")
         if missing := [name for name in _SPEC_FIELDS if name not in record]:
             raise ValueError(f"no {', '.join(missing)}")
-        return record, BenchmarkSpec.from_dict(record)
-    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        return record.get("stream_version"), BenchmarkSpec.from_dict(record)
+    except ValueError as err:
         raise ValueError(f"{path} is not a readable spec.json ({err}). Write to a new output directory.") from err
 
 
-def _resume_record(out: Path, spec: BenchmarkSpec) -> dict:
-    """The spec.json content covering both the runs recorded in ``out`` and ``spec``'s.
+def _merged_spec(out: Path, spec: BenchmarkSpec) -> BenchmarkSpec:
+    """The spec covering both the runs recorded in ``out`` and ``spec``'s.
 
     Refuses to add ``spec``'s results to a directory recorded for another
     benchmark. Results computed under different stream versions differ for
     the same seeds, so a spec.json that records another version (or none: it
     predates versioning, stream version 1) is refused. The recorded budget
     and master seed must match, and so must every algorithm config and
-    function descriptor that both specs name. Adding algorithms, functions,
-    dims or reps resumes: the record lists the recorded entries first, then
-    the new ones, and the larger reps.
+    function descriptor that both specs name, as JSON records. Adding
+    algorithms, functions, dims or reps resumes: the merged spec lists the
+    recorded entries first, then the new ones, and takes the larger reps.
     """
     path = out / "spec.json"
     if not path.exists():
-        return {**spec.to_dict(), "stream_version": STREAM_VERSION}
-    record = _read_spec(path)[0]
-    found = record.get("stream_version")
+        return spec
+    found, recorded = _read_spec(path)
     if found != STREAM_VERSION:
         raise ValueError(
             f"{path} records RNG stream version {found if found is not None else 'none (1)'}, but this "
@@ -487,23 +477,23 @@ def _resume_record(out: Path, spec: BenchmarkSpec) -> dict:
             "Write to a new output directory."
         )
     clashes = [
-        f"{field} {record[field]} != {getattr(spec, field)}"
+        f"{field} {getattr(recorded, field)} != {getattr(spec, field)}"
         for field in ("budget", "master_seed")
-        if record[field] != getattr(spec, field)
+        if getattr(recorded, field) != getattr(spec, field)
     ]
-    new = spec.to_dict()
+    merged = {}
     for group, key in (("algorithms", "name"), ("functions", "label")):
-        recorded = {entry[key]: entry for entry in record[group]}
-        clashes += [f"{group[:-1]} {e[key]!r} changed" for e in new[group] if recorded.get(e[key], e) != e]
-        new[group] = record[group] + [e for e in new[group] if e[key] not in recorded]
+        known = {getattr(e, key): e.to_dict() for e in getattr(recorded, group)}
+        new = [(getattr(e, key), e) for e in getattr(spec, group)]
+        clashes += [f"{group[:-1]} {n!r} changed" for n, e in new if n in known and known[n] != e.to_dict()]
+        merged[group] = getattr(recorded, group) + [e for n, e in new if n not in known]
     if clashes:
         raise ValueError(
             f"{path} records another benchmark ({'; '.join(clashes)}); resuming "
             "would mix results of the two. Write to a new output directory."
         )
-    new["dims"] = record["dims"] + [d for d in new["dims"] if d not in record["dims"]]
-    new["reps"] = max(record["reps"], new["reps"])
-    return {**new, "stream_version": STREAM_VERSION}
+    dims = recorded.dims + [d for d in spec.dims if d not in recorded.dims]
+    return replace(spec, **merged, dims=dims, reps=max(recorded.reps, spec.reps))
 
 
 def ensure_rse_targets(spec: BenchmarkSpec) -> dict[tuple[str, int], RseTarget]:
@@ -554,7 +544,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
     out, log = Path(spec.output_dir), logging.getLogger(__name__)
     out.mkdir(parents=True, exist_ok=True)
     with _locked(out):
-        record = _resume_record(out, spec)
+        merged = _merged_spec(out, spec)
         rse_path, runs_path = out / "rse.csv", out / "runs.csv"
         targets = _load_rse(rse_path)
         if stale := {t.budget for t in targets.values()} - {spec.budget}:
@@ -562,6 +552,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                 f"budget mismatch for {rse_path}: rse.csv {min(stale)}, spec {spec.budget}; random-search "
                 "targets and runs of different budgets must not be mixed. Write to a new output directory."
             )
+        record = {**merged.to_dict(), "stream_version": STREAM_VERSION}
         _update_text(out / "spec.json", json.dumps(record, indent=2) + "\n")
         existing = {}
         if with_runs:
@@ -574,7 +565,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
         # its missing runs, in (algorithm, rep) order.
         cells = []
         for desc, dim in product(spec.functions, spec.dims):
-            target, reps = targets.get((desc.label, dim)), record["reps"]
+            target, reps = targets.get((desc.label, dim)), merged.reps
             target_reps = 0 if target is not None and target.reps >= reps else reps
             runs = [
                 (algo, rep, run_seed(spec.master_seed, algo.name, desc.label, dim, rep))
@@ -646,9 +637,8 @@ def summarize(output_dir: str | Path) -> SummaryResult:
 def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
     targets = _load_rse(out / "rse.csv")
     algo_names = [a.name for a in spec.algorithms]
-    labels = [f.label for f in spec.functions]
     cat_of = {f.label: f.category for f in spec.functions}
-    cells = [(algo, label, dim) for algo in algo_names for label in labels for dim in spec.dims]
+    cells = [(algo, label, dim) for algo in algo_names for label in cat_of for dim in spec.dims]
     grid = list(range(BNFV_GRID_STEP, spec.budget + 1, BNFV_GRID_STEP))
 
     # One cell's traces at a time: the runs come in key order.
@@ -670,16 +660,15 @@ def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
         for a, f, d in cells
         if (e := ert_by_cell.get((a, f, d)))
     ]
-
-    _atomic_write_text(out / "ert.csv", _csv_text(ERT_COLUMNS, [[r[c] for c in ERT_COLUMNS] for r in ert_rows]))
-
-    summary_rows = build_summary_rows(
-        ert_by_cell, algo_names, labels, cat_of, spec.dims, list(dict.fromkeys(cat_of.values()))
-    )
-    _atomic_write_text(
-        out / "summary.csv", _csv_text(SUMMARY_COLUMNS, [[r[c] for c in SUMMARY_COLUMNS] for r in summary_rows])
-    )
+    _write_table(out / "ert.csv", ERT_COLUMNS, ert_rows)
+    summary_rows = build_summary_rows(ert_by_cell, algo_names, cat_of, spec.dims)
+    _write_table(out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
     return SummaryResult(ert_rows, summary_rows)
+
+
+def _write_table(path: Path, columns: list[str], rows: list[dict]) -> None:
+    """ert.csv or summary.csv: each row's ``columns``, in order."""
+    _atomic_write_text(path, _csv_text(columns, [[r[c] for c in columns] for r in rows]))
 
 
 def _bnfv_rows(algo, label, dim, traces, target, grid) -> str:
@@ -698,22 +687,24 @@ def _bnfv_rows(algo, label, dim, traces, target, grid) -> str:
 def build_summary_rows(
     ert_by_cell: dict[tuple[str, str, int], ErtResult],
     algo_names: list[str],
-    labels: list[str],
     cat_of: dict[str, str],
     dims: list[int],
-    category_order: list[str],
 ) -> list[dict]:
     """Per-(category, dim) mean ERT per algorithm plus a test vs the best.
 
-    The best algorithm has the lowest mean ERT in the cell; every other
-    algorithm is compared to it with a paired signed-rank test over the
-    per-function ERT values. Lower-bound ERTs enter the means as their
-    bound values and flag the row with ">=".
+    ``cat_of`` maps each function label to its category, in suite order;
+    the categories come in the order of their first label, then, if there
+    are several, ``overall`` over all the labels. The best algorithm has
+    the lowest mean ERT in the cell; every other algorithm is compared to
+    it with a paired signed-rank test over the per-function ERT values.
+    Lower-bound ERTs enter the means as their bound values and flag the
+    row with ">=".
     """
     rows: list[dict] = []
-    groups = [(cat, [l for l in labels if cat_of[l] == cat]) for cat in category_order]
+    category_order = list(dict.fromkeys(cat_of.values()))
+    groups = [(cat, [l for l in cat_of if cat_of[l] == cat]) for cat in category_order]
     if len(category_order) > 1:
-        groups.append((OVERALL_CATEGORY, list(labels)))
+        groups.append((OVERALL_CATEGORY, list(cat_of)))
     for cat, cat_labels in groups:
         for dim in dims:
             per_algo: dict[str, list[ErtResult]] = {}

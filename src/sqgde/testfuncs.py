@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import RngStream, SearchSpace, derive_seed, make_rng, record_dict
-from .core import json_fields, json_value, refuse_unknown_keys
+from .core import check_names, json_fields, json_list, json_value, refuse_unknown_keys
 
 __all__ = [
     "BaseFunction",
@@ -317,10 +317,12 @@ class ComponentDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ComponentDescriptor":
+        what = "composition component"
         casts = {"kind": "str", "sigma": "float", "lambda": "float", "bias": "float"}
-        refuse_unknown_keys(d, casts, "composition component")
-        c = json_fields({k: v for k, v in d.items() if v is not None}, casts, "composition component")
-        return cls(c["kind"], c.get("sigma", 1.0), c.get("lambda"), c.get("bias", 0.0))
+        refuse_unknown_keys(json_value(what, d, "object"), casts, what)
+        c = json_fields({k: v for k, v in d.items() if v is not None}, casts, what)
+        kind = json_value(f"{what}: kind", c.get("kind"), "str")
+        return cls(kind, c.get("sigma", 1.0), c.get("lambda"), c.get("bias", 0.0))
 
 
 @dataclass
@@ -349,13 +351,15 @@ class FunctionDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FunctionDescriptor":
-        what = f"function {d.get('label')!r}"
+        label = json_value("function", d, "object").get("label")
+        check_names("function label", [label])
+        what = f"function {label!r}"
         # Each field after the label by its annotation's type: "str", "bool", ...
         casts = {f.name: f.type.removesuffix(" | None") for f in fields(cls)[1:]}
-        casts["composition"] = lambda entries: [ComponentDescriptor.from_dict(c) for c in entries]
-        casts["bounds"] = lambda b: tuple(json_value(f"{what}: each of bounds", x, "float") for x in b)
+        casts["composition"] = lambda v: json_list(what, "composition", v, ComponentDescriptor.from_dict)
+        casts["bounds"] = lambda v: tuple(json_list(what, "bounds", v, "float"))
         refuse_unknown_keys(d, ["label", *casts], what)
-        return cls(d["label"], **json_fields({k: v for k, v in d.items() if v is not None}, casts, what))
+        return cls(label, **json_fields({k: v for k, v in d.items() if v is not None}, casts, what))
 
 
 def _sample_shift(space: SearchSpace, rng: RngStream, shifted: bool, on_bounds: bool) -> np.ndarray:
@@ -410,8 +414,7 @@ def resolve_descriptor(
     bounds = tuple(desc.bounds) if desc.bounds is not None else (-half_range, half_range)
     if len(bounds) != 2 or not -np.inf < bounds[0] < bounds[1] < np.inf:
         raise ValueError(f"{desc.label}: bounds must be a finite pair with lower < upper, got {bounds}")
-    lo, hi = bounds
-    return seed, SearchSpace(dim, np.full(dim, float(lo)), np.full(dim, float(hi))), entries
+    return seed, SearchSpace.box(dim, *bounds), entries
 
 
 def make_test_function(

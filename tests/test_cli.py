@@ -338,8 +338,9 @@ def test_a_json_file_that_does_not_load_is_a_usage_error_naming_it(tmp_path, com
         ({"algorithms": [{"name": "x", "kind": "de", "strategy": "rand1exp", "pop_size": 10.5}]}, "got 10.5"),
         ({"functions": [{"label": "f", "kind": "sphere", "noisy": "false", "seed": 3}]}, "got 'false'"),
         ({"functions": [], "budget": 10, "reps": 1}, "at least one function is required"),
+        ({"algorithms": [{"name": [1]}]}, "algorithm name [1] must be letters and digits"),
     ],
-    ids=["fractional_budget_and_reps", "fractional_pop_size", "string_bool", "empty_functions"],
+    ids=["fractional_budget_and_reps", "fractional_pop_size", "string_bool", "empty_functions", "list_name"],
 )
 def test_bench_refuses_a_config_value_of_another_json_type_and_writes_nothing(tmp_path, config, message):
     path, out = tmp_path / "c.json", tmp_path / "out"

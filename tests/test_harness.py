@@ -9,9 +9,12 @@ import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqgde import harness
 from sqgde.algos import DEConfig, SQGConfig
@@ -129,14 +132,44 @@ def test_benchmark_spec_refuses_unknown_keys_but_the_stream_version():
         ({"functions": None}, "benchmark spec: functions must be a JSON list, got None"),
         ({"algorithms": None}, "benchmark spec: algorithms must be a JSON list, got None"),
         ({"dims": None}, "benchmark spec: dims must be a JSON list, got None"),
+        # each entry is a record (an algorithm may also be a preset name)
+        ({"functions": [5]}, "function must be a JSON object, got 5"),
+        ({"algorithms": [5]}, "algorithm must be a JSON object, got 5"),
+        ({"algorithms": [{"name": "x", "kind": "de"}]}, "algorithm 'x' needs strategy"),
+        ({"algorithms": [{"name": "de", "F": 10**400}]}, "algorithm 'de': F is out of the range of a float"),
     ],
     ids=["budget", "reps", "master_seed", "dims", "output_dir", "pop_size", "F", "r", "strategy", "function",
-         "empty_functions", "null_functions", "null_algorithms", "null_dims"],
+         "empty_functions", "null_functions", "null_algorithms", "null_dims", "function_entry", "algorithm_entry",
+         "kind_without_strategy", "float_overflow"],
 )
 def test_benchmark_spec_refuses_values_of_another_json_type(record, message):
     # int(50.9) would run budget 50 and record it as what was asked
     with pytest.raises(ValueError, match=re.escape(message)):
         BenchmarkSpec.from_dict(record)
+
+
+# The key names and some values of the real records, so that documents reach
+# past the first refusal of each reader.
+_RECORDS = (AlgorithmSpec, BenchmarkSpec, FunctionDescriptor, ComponentDescriptor)
+_KEYS = sorted(
+    {f.name for cls in (*_RECORDS, DEConfig, SQGConfig) for f in dataclass_fields(cls)} | {"lambda", "stream_version"}
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["de", "sqg", "sqgde", "rand1exp", "sphere", "ackley", "f", "unimodal"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=6),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_JSON, st.sampled_from(_RECORDS))
+def test_a_json_document_is_read_as_a_record_or_refused_with_value_error(document, reader):
+    # one error for a bad record: a caller catches ValueError and nothing else
+    try:
+        assert isinstance(reader.from_dict(document), reader)
+    except ValueError:
+        pass
 
 
 def test_algorithm_spec_refuses_unknown_parameters():
@@ -640,6 +673,20 @@ def test_rse_targets_of_another_budget_are_refused(tmp_path):
         ensure_rse_targets(small_spec(tmp_path))
 
 
+def test_resume_reads_a_recorded_spec_as_the_reader_does(tmp_path):
+    # spec.json may name a preset instead of writing out its entry, as a --config file may
+    spec = replace(small_spec(tmp_path / "names", reps=1), algorithms=[algorithm_preset("de")])
+    run_benchmark(spec)
+    record = json.loads((tmp_path / "names" / "spec.json").read_text())
+    (tmp_path / "names" / "spec.json").write_text(json.dumps({**record, "algorithms": ["de"]}))
+    assert len(run_benchmark(replace(spec, reps=2))) == 2
+    run_benchmark(replace(spec, reps=2, output_dir=str(tmp_path / "entries")))
+    assert (tmp_path / "names" / "runs.csv").read_bytes() == (tmp_path / "entries" / "runs.csv").read_bytes()
+    # the resume records the entry the name stands for
+    recorded = BenchmarkSpec.from_dict(json.loads((tmp_path / "names" / "spec.json").read_text()))
+    assert recorded.algorithms == [algorithm_preset("de")]
+
+
 def test_resume_adds_algorithms_functions_dims_and_reps(tmp_path):
     spec = small_spec(tmp_path, reps=3)
     run_benchmark(replace(spec, algorithms=spec.algorithms[:1]))
@@ -1078,9 +1125,7 @@ def test_summary_rows_dominant_algorithm_p_value():
     for i, label in enumerate(labels):
         cells[("a", label, 30)] = _ert(100.0 + i)
         cells[("b", label, 30)] = _ert(500.0 + i)
-    rows = build_summary_rows(
-        cells, ["a", "b"], labels, {l: "cat" for l in labels}, [30], ["cat"]
-    )
+    rows = build_summary_rows(cells, ["a", "b"], {l: "cat" for l in labels}, [30])
     assert len(rows) == 2
     a_row = next(r for r in rows if r["algorithm"] == "a")
     b_row = next(r for r in rows if r["algorithm"] == "b")
@@ -1097,10 +1142,11 @@ def test_summary_rows_flag_lower_bounds():
         ("b", "f0", 30): _ert(5000.0, lower_bound=True),
         ("b", "f1", 30): _ert(30.0),
     }
-    rows = build_summary_rows(cells, ["a", "b"], labels, {l: "cat" for l in labels}, [30], ["cat"])
+    rows = build_summary_rows(cells, ["a", "b"], {l: "cat" for l in labels}, [30])
     b_row = next(r for r in rows if r["algorithm"] == "b")
     assert b_row["flag"] == ">="
     assert next(r for r in rows if r["algorithm"] == "a")["flag"] == ""
+    assert [r["category"] for r in rows] == ["cat", "cat"]  # one category needs no overall group
 
 
 def test_summary_rows_overall_category():
@@ -1112,9 +1158,13 @@ def test_summary_rows_overall_category():
         ("b", "f0", 30): _ert(15.0),
         ("b", "f1", 30): _ert(25.0),
     }
-    rows = build_summary_rows(cells, ["a", "b"], labels, cat_of, [30], ["easy", "hard"])
+    rows = build_summary_rows(cells, ["a", "b"], cat_of, [30])
     categories = {r["category"] for r in rows}
     assert categories == {"easy", "hard", "overall"}
+    # the categories in the order of their first label, then overall
+    assert [r["category"] for r in rows] == ["easy", "easy", "hard", "hard", "overall", "overall"]
+    rows = build_summary_rows(cells, ["a", "b"], {"f1": "hard", "f0": "easy"}, [30])
+    assert [r["category"] for r in rows] == ["hard", "hard", "easy", "easy", "overall", "overall"]
 
 
 def test_summary_rows_skip_incomplete_cells():
@@ -1124,9 +1174,9 @@ def test_summary_rows_skip_incomplete_cells():
         ("a", "f1", 30): _ert(20.0),
         ("b", "f0", 30): _ert(15.0),  # b is missing f1
     }
-    rows = build_summary_rows(cells, ["a", "b"], labels, {l: "c" for l in labels}, [30], ["c"])
+    rows = build_summary_rows(cells, ["a", "b"], {l: "c" for l in labels}, [30])
     assert [r["algorithm"] for r in rows] == ["a"]
     # no algorithm completes category d (f2), so none completes overall either
     cat_of = {"f0": "c", "f1": "c", "f2": "d"}
-    rows = build_summary_rows(cells, ["a", "b"], [*labels, "f2"], cat_of, [30], ["c", "d"])
+    rows = build_summary_rows(cells, ["a", "b"], cat_of, [30])
     assert [(r["category"], r["algorithm"]) for r in rows] == [("c", "a")]

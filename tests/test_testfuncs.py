@@ -416,9 +416,15 @@ def test_descriptor_refuses_unknown_keys(record, unknown):
         ({"label": "f", "kind": "sphere", "seed": 3, "category": 1}, "category must be a JSON str, got 1"),
         ({"label": "f", "composition": [{"kind": "sphere", "sigma": "2"}]}, "sigma must be a JSON float, got '2'"),
         ({"label": "f", "composition": [{"kind": "sphere", "lambda": True}]}, "lambda must be a JSON float, got True"),
+        # a list field holds a list, and a composition's entries are records
+        ({"label": "f", "kind": "sphere", "seed": 3, "bounds": 5}, "function 'f': bounds must be a JSON list, got 5"),
+        ({"label": "f", "composition": {"kind": "sphere"}}, "function 'f': composition must be a JSON list, got {"),
+        ({"label": "f", "composition": [5, 6]}, "composition component must be a JSON object, got 5"),
+        ({"label": "f", "composition": [{"sigma": 2}]}, "composition component: kind must be a JSON str, got None"),
     ],
     ids=["bool_string", "bool_word", "bool_number", "int_fraction", "int_bool", "float_bool", "bounds_string",
-         "str_number", "category_number", "component_float_string", "component_float_bool"],
+         "str_number", "category_number", "component_float_string", "component_float_bool", "bounds_number",
+         "composition_object", "component_number", "component_without_kind"],
 )
 def test_descriptor_refuses_values_of_another_json_type(record, message):
     # a cast would build another function: bool("false") is True, int(3.9) is 3
