@@ -58,8 +58,8 @@ def _function(label: str, dim: int):
 @click.option("--function", "function_label", required=True, help="Suite label or descriptor JSON path.")
 @click.option("--dim", type=POSITIVE, default=30, show_default=True)
 @click.option("--budget", type=POSITIVE, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), default=None, help="Directory to write the trace file into.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--out", type=click.Path(file_okay=False), default=None, help="Directory to write the trace file into.")
 def run(algo, function_label, dim, budget, seed, out):
     """Run one algorithm once on one function and print the outcome."""
     spec = ALGORITHM_PRESETS[algo]
@@ -77,7 +77,7 @@ def run(algo, function_label, dim, budget, seed, out):
 
 @main.command()
 @click.option("--config", type=click.Path(exists=True), default=None, help="Benchmark spec JSON.")
-@click.option("--out", default=None, help="Output directory (overrides the config).")
+@click.option("--out", type=click.Path(file_okay=False), default=None, help="Output directory (overrides the config).")
 @click.option("--budget", type=POSITIVE, default=None)
 @click.option("--reps", type=POSITIVE, default=None)
 @click.option("--seed", type=int, default=None, help="Master seed.")
@@ -112,7 +112,7 @@ def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quie
         log.setLevel(logging.INFO)
     try:
         records = harness.run_benchmark(spec, workers=workers)
-    except (ValueError, RuntimeError) as err:  # another benchmark's or a busy directory, a row over the budget
+    except (OSError, ValueError, RuntimeError) as err:  # e.g. another benchmark's directory, or a file
         raise click.ClickException(str(err)) from err
     finally:
         log.removeHandler(handler)
@@ -137,12 +137,12 @@ def rse(function_label, dim, budget, reps, seed):
 
 
 @main.command(name="summarize")
-@click.option("--out", required=True, type=click.Path(exists=True), help="Benchmark output directory.")
+@click.option("--out", required=True, type=click.Path(exists=True, file_okay=False), help="Benchmark output directory.")
 def summarize_cmd(out):
     """Build ert.csv, summary.csv and convergence curves from recorded runs."""
     try:
         result = harness.summarize(out)
-    except (FileNotFoundError, ValueError, RuntimeError) as err:  # e.g. no spec.json
+    except (OSError, ValueError, RuntimeError) as err:  # e.g. no spec.json
         raise click.ClickException(str(err)) from err
     click.echo(f"ert.csv: {len(result.ert_rows)} rows")
     click.echo(f"summary.csv: {len(result.summary_rows)} rows")
@@ -156,24 +156,27 @@ def summarize_cmd(out):
 
 
 @main.command()
-@click.argument("csv_path", type=click.Path(exists=True))
+@click.argument("csv_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("col_a")
 @click.argument("col_b")
 def wilcoxon(csv_path, col_a, col_b):
     """Paired signed-rank test between two numeric CSV columns."""
     a, b = [], []
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or col_a not in reader.fieldnames or col_b not in reader.fieldnames:
-            raise click.BadParameter(f"columns {col_a!r}, {col_b!r} not both present in {csv_path}")
-        for row in reader:
-            for col, values in ((col_a, a), (col_b, b)):
-                try:
-                    values.append(float(row[col]))
-                except (TypeError, ValueError) as err:  # a short row gives None
-                    raise click.ClickException(
-                        f"{csv_path} line {reader.line_num}, column {col!r}: {row[col]!r} is not a number"
-                    ) from err
+    try:
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or col_a not in reader.fieldnames or col_b not in reader.fieldnames:
+                raise click.BadParameter(f"columns {col_a!r}, {col_b!r} not both present in {csv_path}")
+            for row in reader:
+                for col, values in ((col_a, a), (col_b, b)):
+                    try:
+                        values.append(float(row[col]))
+                    except (TypeError, ValueError) as err:  # a short row gives None
+                        raise click.ClickException(
+                            f"{csv_path} line {reader.line_num}, column {col!r}: {row[col]!r} is not a number"
+                        ) from err
+    except UnicodeDecodeError as err:
+        raise click.ClickException(f"{csv_path} is not UTF-8 text ({err})") from err
     try:
         res = wilcoxon_signed_rank(a, b)
     except ValueError as err:

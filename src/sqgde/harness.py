@@ -7,12 +7,13 @@ are independent of execution order and worker count, and an interrupted
 directory can be resumed (completed records are skipped by key).
 
 The work is grouped by (function, dim) cell: a cell's random-search target
-if it lacks one, then its missing runs. One process does each cell on one
-build of its function; a process pool cuts each cell's runs into tasks of
-at most four, the first of which estimates the target first, builds once
-per task, keeps two tasks per worker in flight and starts no more workers
-than there are tasks. The parent writes every file, rse.csv once per call,
-and locks the output directory while it works.
+if it lacks one, then its missing runs. The calling process builds each
+cell with work once and cuts its runs into tasks of at most four that carry
+the built function, the first of which estimates the target first. One
+worker runs the tasks in process; a process pool keeps two tasks per worker
+in flight and starts no more workers than there are tasks. The parent
+writes every file, rse.csv once per call, and locks the output directory
+while it works.
 
 Artifacts under the output directory:
 
@@ -79,8 +80,8 @@ TRACE_COLUMNS = ["eval", "best"]
 BNFV_COLUMNS = ["algorithm", "function", "dim", "normalized", "eval", "mean", "median"]
 BNFV_GRID_STEP = 10
 OVERALL_CATEGORY = "overall"
-# Runs per pool task: one build serves them all, and a task is small enough
-# that an error in the parent cancels most of the queued work.
+# Runs per task: a task is small enough that an error in the parent cancels
+# most of the queued pool work. Each pool task pickles its cell's function.
 _TASK_RUNS = 4
 # The fields every spec.json records; a file without one is refused.
 _SPEC_FIELDS = ("algorithms", "functions", "dims", "budget", "reps", "master_seed")
@@ -266,10 +267,16 @@ def _read_rows(path: Path, columns: list[str]) -> list[list[str]] | None:
 
     Every field the harness writes is unquoted, so a row is its line split
     at the commas. A row the file was cut inside has no newline, so it is
-    never returned. A missing file or another header gives None.
+    never returned. A line that is not UTF-8 gives no fields, so it does not
+    parse. A missing file or another header gives None.
     """
-    lines = path.read_text().split("\n")[:-1] if path.exists() else []
-    return [line.split(",") for line in lines[1:]] if lines[:1] == [",".join(columns)] else None
+    rows = []
+    for line in path.read_bytes().split(b"\n")[:-1] if path.exists() else []:
+        try:
+            rows.append(line.decode().split(","))
+        except UnicodeDecodeError:
+            rows.append([])
+    return rows[1:] if rows[:1] == [columns] else None
 
 
 def _read_trace(path: Path) -> RunTrace:
@@ -355,23 +362,23 @@ def rse_target(fn, budget: int, reps: int, master_seed: int) -> RseTarget:
     return estimate_rse_target(fn, budget, reps, derive_seed(master_seed, "rse", fn.label, fn.space.dim))
 
 
-def _cell_results(desc: FunctionDescriptor, dim: int, budget: int, master_seed: int, target_reps: int, runs):
-    """One build of a (function, dim) cell's function, then its work on it.
+def _cell_results(fn, budget: int, master_seed: int, target_reps: int, runs):
+    """A task's work on a built (function, dim) cell.
 
     Yields ((label, dim), target) if ``target_reps`` is not 0, then (record,
     trace) for each (algo, rep, seed) of ``runs``.
     """
-    fn = make_test_function(desc, dim=dim)
+    label, dim = fn.label, fn.space.dim
     if target_reps:
-        yield (desc.label, dim), rse_target(fn, budget, target_reps, master_seed)
+        yield (label, dim), rse_target(fn, budget, target_reps, master_seed)
     for algo, rep, seed in runs:
         trace = execute_run(algo, fn, budget, seed)
-        yield RunRecord(algo.name, desc.label, dim, rep, seed, trace.final_evals, trace.final_best), trace
+        yield RunRecord(algo.name, label, dim, rep, seed, trace.final_evals, trace.final_best), trace
 
 
-def _run_task(*cell):
+def _run_task(*task):
     """A pool task: the whole of ``_cell_results``, returned at once."""
-    return list(_cell_results(*cell))
+    return list(_cell_results(*task))
 
 
 def _one_blas_thread() -> None:
@@ -529,8 +536,8 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
     """The one path of ``ensure_rse_targets`` and ``run_benchmark``: (targets, records).
 
     Every refusal comes before any build or write. Then each (function, dim)
-    cell with work builds once, estimates its target if it lacks one of the
-    recorded reps, and runs its missing runs (none unless ``with_runs``).
+    cell with work builds once, here, estimates its target if it lacks one
+    of the recorded reps, and runs its missing runs (none unless ``with_runs``).
     The parent writes every file, rse.csv once at the end, even after an
     error, if a target was estimated.
     """
@@ -561,9 +568,10 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
             # Keep only the rows that count, so appended rows start on a fresh line.
             _write_runs(runs_path, existing.values())
 
-        # Each cell with work: its target reps (0 if it has its target) and
-        # its missing runs, in (algorithm, rep) order.
-        cells = []
+        # Each cell with work, built once here: its target reps (0 if it has
+        # its target) and its missing runs, in (algorithm, rep) order, cut
+        # into tasks of at most _TASK_RUNS runs. The first task estimates the target.
+        tasks = []
         for desc, dim in product(spec.functions, spec.dims):
             target, reps = targets.get((desc.label, dim)), merged.reps
             target_reps = 0 if target is not None and target.reps >= reps else reps
@@ -574,7 +582,11 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                 if with_runs and (algo.name, desc.label, dim, rep) not in existing
             ]
             if target_reps or runs:
-                cells.append((desc, dim, spec.budget, spec.master_seed, target_reps, runs))
+                fn = make_test_function(desc, dim=dim)
+                tasks += [
+                    (fn, spec.budget, spec.master_seed, target_reps if i == 0 else 0, runs[i : i + _TASK_RUNS])
+                    for i in range(0, max(len(runs), 1), _TASK_RUNS)
+                ]
 
         new_records, estimated = [], []
         with open(runs_path, "a", newline="") if with_runs else nullcontext() as fh:
@@ -593,16 +605,10 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
 
             try:
                 if workers == 1:
-                    for cell in cells:
-                        for result in _cell_results(*cell):
+                    for task in tasks:
+                        for result in _cell_results(*task):
                             handle(*result)
-                elif cells:
-                    # A cell's target is the first work of its first task.
-                    tasks = [
-                        (desc, dim, budget, seed, target_reps if i == 0 else 0, runs[i : i + _TASK_RUNS])
-                        for desc, dim, budget, seed, target_reps, runs in cells
-                        for i in range(0, max(len(runs), 1), _TASK_RUNS)
-                    ]
+                elif tasks:
                     _run_pool(tasks, min(workers, len(tasks)), handle)
             finally:
                 if estimated:

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -154,6 +155,11 @@ def _cut_spec(out):
     (out / "spec.json").write_text("")
 
 
+def _replace_with_a_file(out):
+    shutil.rmtree(out)
+    out.write_text("")
+
+
 def _over_budget_row(out):
     lines = (out / "runs.csv").read_text().splitlines(keepends=True)
     cols = lines[1].split(",")
@@ -170,6 +176,7 @@ def _over_budget_row(out):
         (_over_budget_row, [], "used 61 evaluations, over the budget 60"),
         (_drop_spec_budget, [], "spec.json is not a readable spec.json (no budget)"),
         (_cut_spec, [], "spec.json is not a readable spec.json (Expecting value"),
+        (_replace_with_a_file, [], "File exists"),
     ],
     ids=[
         "another_benchmark",
@@ -178,6 +185,7 @@ def _over_budget_row(out):
         "row_over_budget",
         "spec_without_a_field",
         "spec_that_does_not_parse",
+        "output_dir_is_a_file",
     ],
 )
 def test_bench_refusals_exit_1_with_their_message(tmp_path, damage, args, message):
@@ -197,6 +205,33 @@ def test_summarize_without_spec_exits_1_with_its_message(tmp_path):
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert "Error: " in res.output and "spec.json" in res.output
+
+
+def test_summarize_exits_1_on_a_spec_it_cannot_read(tmp_path):
+    (tmp_path / "spec.json").mkdir()
+    res = CliRunner().invoke(main, ["summarize", "--out", str(tmp_path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a ClickException, not a traceback
+    assert "Error: " in res.output and "Is a directory" in res.output
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--algo", "de", "--function", "shifted_sphere", "--budget", "50"],
+        ["bench", "--quiet", "--function", "shifted_sphere", "--dim", "2", "--budget", "50", "--reps", "1"],
+        ["summarize"],
+    ],
+    ids=["run", "bench", "summarize"],
+)
+def test_an_out_that_is_a_file_is_a_usage_error(tmp_path, command):
+    out = tmp_path / "results"
+    out.write_text("kept")
+    res = CliRunner().invoke(main, [*command, "--out", str(out)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
+    assert f"Invalid value for '--out': Directory '{out}' is a file" in res.output
+    assert out.read_text() == "kept"
 
 
 @pytest.mark.parametrize(
@@ -268,6 +303,22 @@ def test_wilcoxon_command_names_a_bad_cell(tmp_path, row, message):
     assert f"Error: {csv_path} {message}" in res.output
 
 
+def test_wilcoxon_command_refuses_a_directory(tmp_path):
+    res = CliRunner().invoke(main, ["wilcoxon", str(tmp_path), "a", "b"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
+    assert f"File '{tmp_path}' is a directory" in res.output
+
+
+def test_wilcoxon_command_refuses_a_file_that_is_not_utf8_naming_it(tmp_path):
+    csv_path = tmp_path / "pairs.csv"
+    csv_path.write_bytes(b"a,b\n1,2\n\xff,3\n")
+    res = CliRunner().invoke(main, ["wilcoxon", str(csv_path), "a", "b"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a ClickException, not a traceback
+    assert f"Error: {csv_path} is not UTF-8 text" in res.output
+
+
 def test_wilcoxon_command_rejects_missing_column(tmp_path):
     csv_path = tmp_path / "pairs.csv"
     csv_path.write_text("a,b\n1,2\n")
@@ -293,8 +344,9 @@ def test_bench_rejects_non_positive_values_up_front(tmp_path, option):
         ["run", "--algo", "de", "--function", "shifted_sphere", "--dim", "0"],
         ["run", "--algo", "de", "--function", "shifted_sphere", "--budget", "-1"],
         ["rse", "--function", "shifted_sphere", "--reps", "0"],
+        ["run", "--algo", "de", "--function", "shifted_sphere", "--seed", "-1"],  # numpy refuses a negative seed
     ],
-    ids=["run-dim", "run-budget", "rse-reps"],
+    ids=["run-dim", "run-budget", "rse-reps", "run-seed"],
 )
 def test_run_and_rse_reject_non_positive_values_up_front(args):
     res = CliRunner().invoke(main, args)

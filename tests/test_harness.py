@@ -5,7 +5,6 @@ import json
 import multiprocessing
 import os
 import re
-import tempfile
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -511,6 +510,40 @@ def test_resume_does_again_a_newline_ended_row_that_does_not_parse(tmp_path, nam
     assert _results(out) == _results(tmp_path / "fresh")
 
 
+def _not_utf8(line):
+    """Damage a line of a results file with a byte that is not UTF-8."""
+
+    def damage(data):
+        lines = data.splitlines(keepends=True)
+        return b"".join(lines[:line] + [b"\xff" + lines[line]] + lines[line + 1 :])
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "name, damage",
+    [
+        ("runs.csv", lambda data: data + b"\xff\n"),
+        ("runs.csv", _not_utf8(1)),
+        ("rse.csv", _not_utf8(1)),
+        ("traces/de__sphere__d2__r0001.csv", _not_utf8(1)),
+    ],
+    ids=["runs_appended_row", "runs_row", "rse_row", "trace_point"],
+)
+def test_resume_does_again_a_line_that_is_not_utf8(tmp_path, name, damage):
+    run_benchmark(sphere_spec(tmp_path / "fresh", reps=2))
+    out = tmp_path / "damaged"
+    run_benchmark(sphere_spec(out, reps=2))
+    path = out / name
+    path.write_bytes(damage(path.read_bytes()))
+    if name != "rse.csv":  # summarize leaves out the damaged run; a cell without its target is refused
+        summarize(out)
+    run_benchmark(sphere_spec(out, reps=2))
+    for d in ("fresh", "damaged"):
+        summarize(tmp_path / d)
+    assert _results(out) == _results(tmp_path / "fresh")
+
+
 def test_interrupted_matrix_resumes_to_the_same_bytes(tmp_path, monkeypatch):
     out = tmp_path / "resumed"
     _crash_at_trace_write(monkeypatch, 4)
@@ -748,48 +781,6 @@ def test_workers_do_not_change_results(tmp_path):
     )
 
 
-def test_serial_run_builds_each_function_once(tmp_path, monkeypatch):
-    spec = replace(
-        small_spec(tmp_path / "serial", reps=3),
-        functions=[
-            FunctionDescriptor(label="sphere2", kind="sphere", seed=3),
-            FunctionDescriptor(
-                label="hybrid", composition=[ComponentDescriptor("sphere"), ComponentDescriptor("rastrigin")], seed=4
-            ),
-        ],
-        dims=[2, 3],
-    )
-    ensure_rse_targets(spec)  # builds every cell once for its target
-    real, built = harness.make_test_function, []
-
-    def counting_build(desc, seed=None, dim=None):
-        built.append((desc.label, dim))
-        return real(desc, seed=seed, dim=dim)
-
-    monkeypatch.setattr(harness, "make_test_function", counting_build)
-    run_benchmark(spec)
-    monkeypatch.undo()
-    assert sorted(built) == [("hybrid", 2), ("hybrid", 3), ("sphere2", 2), ("sphere2", 3)]
-    run_benchmark(replace(spec, output_dir=str(tmp_path / "pool")), workers=2)
-    assert _results(tmp_path / "serial") == _results(tmp_path / "pool")
-
-
-@fork_only
-def test_pool_builds_once_per_task(tmp_path, monkeypatch):
-    spec = small_spec(tmp_path / "out", reps=5)
-    ensure_rse_targets(spec)  # builds the cell once for its target
-    builds, real = tmp_path / "builds", harness.make_test_function
-    builds.mkdir()
-
-    def counting_build(desc, seed=None, dim=None):
-        os.close(tempfile.mkstemp(dir=builds)[0])
-        return real(desc, seed=seed, dim=dim)
-
-    monkeypatch.setattr(harness, "make_test_function", counting_build)
-    run_benchmark(spec, workers=2)
-    assert len(list(builds.iterdir())) == 3  # 10 runs in tasks of 4, 4 and 2
-
-
 def _two_cell_spec(out, reps=3):
     return replace(
         small_spec(out, reps=reps),
@@ -803,30 +794,39 @@ def _two_cell_spec(out, reps=3):
     )
 
 
-def test_fresh_serial_run_builds_each_cell_once(tmp_path, monkeypatch):
-    real, built = harness.make_test_function, []
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=fork_only)])
+def test_each_cell_builds_once_in_the_caller(tmp_path, monkeypatch, workers):
+    real_build, real_target, built = harness.make_test_function, harness.rse_target, []
+    estimated = tmp_path / "estimated"
+    estimated.mkdir()
 
     def counting_build(desc, seed=None, dim=None):
         built.append((desc.label, dim))
-        return real(desc, seed=seed, dim=dim)
+        return real_build(desc, seed=seed, dim=dim)
+
+    def recording_target(fn, budget, reps, master_seed):
+        (estimated / f"{fn.label}-{fn.space.dim}-{os.getpid()}").touch()
+        return real_target(fn, budget, reps, master_seed)
 
     monkeypatch.setattr(harness, "make_test_function", counting_build)
-    run_benchmark(_two_cell_spec(tmp_path))  # no ensure_rse_targets first: targets and runs share a build
-    assert sorted(built) == [("hybrid", 2), ("hybrid", 3), ("sphere2", 2), ("sphere2", 3)]
-
-
-@fork_only
-def test_fresh_pool_run_estimates_targets_in_its_tasks(tmp_path, monkeypatch):
-    builds, real = tmp_path / "builds", harness.make_test_function
-    builds.mkdir()
-
-    def counting_build(desc, seed=None, dim=None):
-        os.close(tempfile.mkstemp(dir=builds)[0])
-        return real(desc, seed=seed, dim=dim)
-
-    monkeypatch.setattr(harness, "make_test_function", counting_build)
-    run_benchmark(small_spec(tmp_path / "out", reps=5), workers=2)
-    assert len(list(builds.iterdir())) == 3  # 10 runs in tasks of 4, 4 and 2; the first also estimates the target
+    monkeypatch.setattr(harness, "rse_target", recording_target)
+    cells = [("hybrid", 2), ("hybrid", 3), ("sphere2", 2), ("sphere2", 3)]
+    # 10 runs per cell, in tasks of 4, 4 and 2
+    run_benchmark(_two_cell_spec(tmp_path / "fresh", reps=5), workers=workers)  # targets and runs share a build
+    assert sorted(built) == cells
+    where = [name.split("-") for name in sorted(os.listdir(estimated))]
+    assert [(label, int(dim)) for label, dim, _ in where] == cells
+    assert all((pid == str(os.getpid())) == (workers == 1) for _, _, pid in where)  # a pool estimates in its tasks
+    built.clear()
+    ensure_rse_targets(_two_cell_spec(tmp_path / "targets_first", reps=5))  # builds every cell for its target
+    run_benchmark(_two_cell_spec(tmp_path / "targets_first", reps=5), workers=workers)
+    assert sorted(built) == sorted(cells * 2)
+    monkeypatch.undo()
+    run_benchmark(_two_cell_spec(tmp_path / "serial", reps=5))
+    routes = ("fresh", "targets_first", "serial")
+    for name in routes:
+        summarize(tmp_path / name)
+    assert all(_results(tmp_path / name) == _results(tmp_path / "serial") for name in routes)
 
 
 @fork_only
