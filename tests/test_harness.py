@@ -794,39 +794,71 @@ def _two_cell_spec(out, reps=3):
     )
 
 
-@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=fork_only)])
-def test_each_cell_builds_once_in_the_caller(tmp_path, monkeypatch, workers):
-    real_build, real_target, built = harness.make_test_function, harness.rse_target, []
-    estimated = tmp_path / "estimated"
-    estimated.mkdir()
+_TWO_CELLS = [("hybrid", 2), ("hybrid", 3), ("sphere2", 2), ("sphere2", 3)]
+
+
+def _count_builds(monkeypatch):
+    """Record each (label, dim) the harness builds; every build happens in the calling process."""
+    real, built = harness.make_test_function, []
 
     def counting_build(desc, seed=None, dim=None):
         built.append((desc.label, dim))
-        return real_build(desc, seed=seed, dim=dim)
+        return real(desc, seed=seed, dim=dim)
+
+    monkeypatch.setattr(harness, "make_test_function", counting_build)
+    return built
+
+
+def test_serial_run_builds_each_function_once(tmp_path, monkeypatch):
+    spec = _two_cell_spec(tmp_path / "serial")
+    ensure_rse_targets(spec)  # builds every cell once for its target
+    built = _count_builds(monkeypatch)
+    run_benchmark(spec)
+    monkeypatch.undo()
+    assert sorted(built) == _TWO_CELLS
+    run_benchmark(replace(spec, output_dir=str(tmp_path / "pool")), workers=2)
+    assert _results(tmp_path / "serial") == _results(tmp_path / "pool")
+
+
+@fork_only
+def test_pool_builds_once_per_task(tmp_path, monkeypatch):
+    spec = _two_cell_spec(tmp_path / "pool", reps=5)
+    ensure_rse_targets(spec)  # builds every cell once for its target
+    built = _count_builds(monkeypatch)
+    run_benchmark(spec, workers=2)  # 10 runs per cell, in tasks of 4, 4 and 2 that share one build
+    monkeypatch.undo()
+    assert sorted(built) == _TWO_CELLS
+    run_benchmark(_two_cell_spec(tmp_path / "serial", reps=5))
+    assert _results(tmp_path / "pool") == _results(tmp_path / "serial")
+
+
+def test_fresh_serial_run_builds_each_cell_once(tmp_path, monkeypatch):
+    built = _count_builds(monkeypatch)
+    run_benchmark(_two_cell_spec(tmp_path))  # no ensure_rse_targets first: targets and runs share a build
+    assert sorted(built) == _TWO_CELLS
+
+
+@fork_only
+def test_fresh_pool_run_estimates_targets_in_its_tasks(tmp_path, monkeypatch):
+    real_target, estimated = harness.rse_target, tmp_path / "estimated"
+    estimated.mkdir()
 
     def recording_target(fn, budget, reps, master_seed):
         (estimated / f"{fn.label}-{fn.space.dim}-{os.getpid()}").touch()
         return real_target(fn, budget, reps, master_seed)
 
-    monkeypatch.setattr(harness, "make_test_function", counting_build)
+    built = _count_builds(monkeypatch)
     monkeypatch.setattr(harness, "rse_target", recording_target)
-    cells = [("hybrid", 2), ("hybrid", 3), ("sphere2", 2), ("sphere2", 3)]
-    # 10 runs per cell, in tasks of 4, 4 and 2
-    run_benchmark(_two_cell_spec(tmp_path / "fresh", reps=5), workers=workers)  # targets and runs share a build
-    assert sorted(built) == cells
-    where = [name.split("-") for name in sorted(os.listdir(estimated))]
-    assert [(label, int(dim)) for label, dim, _ in where] == cells
-    assert all((pid == str(os.getpid())) == (workers == 1) for _, _, pid in where)  # a pool estimates in its tasks
-    built.clear()
-    ensure_rse_targets(_two_cell_spec(tmp_path / "targets_first", reps=5))  # builds every cell for its target
-    run_benchmark(_two_cell_spec(tmp_path / "targets_first", reps=5), workers=workers)
-    assert sorted(built) == sorted(cells * 2)
+    run_benchmark(_two_cell_spec(tmp_path / "pool", reps=5), workers=2)  # the first task of a cell estimates its target
     monkeypatch.undo()
+    assert sorted(built) == _TWO_CELLS
+    where = [name.split("-") for name in sorted(os.listdir(estimated))]
+    assert [(label, int(dim)) for label, dim, _ in where] == _TWO_CELLS
+    assert all(pid != str(os.getpid()) for _, _, pid in where)
     run_benchmark(_two_cell_spec(tmp_path / "serial", reps=5))
-    routes = ("fresh", "targets_first", "serial")
-    for name in routes:
+    for name in ("pool", "serial"):
         summarize(tmp_path / name)
-    assert all(_results(tmp_path / name) == _results(tmp_path / "serial") for name in routes)
+    assert _results(tmp_path / "pool") == _results(tmp_path / "serial")
 
 
 @fork_only
