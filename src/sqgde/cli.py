@@ -64,15 +64,18 @@ def run(algo, function_label, dim, budget, seed, out):
     """Run one algorithm once on one function and print the outcome."""
     spec = ALGORITHM_PRESETS[algo]
     fn = _function(function_label, dim)
-    trace = execute_run(spec, fn, budget, seed)
-    click.echo(f"algorithm={spec.name} function={fn.label} dim={dim} seed={seed}")
-    click.echo(f"evals_used={trace.final_evals} best_fitness={trace.final_best!r}")
-    if out:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"{spec.name}__{fn.label}__d{dim}__s{seed}.csv"
-        harness.write_trace(path, trace)
-        click.echo(f"trace written to {path}")
+    path = out and Path(out) / f"{spec.name}__{fn.label}__d{dim}__s{seed}.csv"
+    try:
+        if path:  # made before the run, so that a refusal comes before any output
+            path.parent.mkdir(parents=True, exist_ok=True)
+        trace = execute_run(spec, fn, budget, seed)
+        click.echo(f"algorithm={spec.name} function={fn.label} dim={dim} seed={seed}")
+        click.echo(f"evals_used={trace.final_evals} best_fitness={trace.final_best!r}")
+        if path:
+            harness.write_trace(path, trace)
+            click.echo(f"trace written to {path}")
+    except OSError as err:  # e.g. an --out below a file
+        raise click.ClickException(str(err)) from err
 
 
 @main.command()

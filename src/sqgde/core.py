@@ -187,27 +187,26 @@ class _Member:
         return self._pop.genomes[self._i]
 
     @property
-    def fitness(self) -> float | None:
-        value = self._pop.fitness[self._i]
-        return None if np.isnan(value) else float(value)
+    def fitness(self) -> float:
+        return float(self._pop.fitness[self._i])
 
     @fitness.setter
-    def fitness(self, value: float | None) -> None:
-        self._pop.fitness[self._i] = np.nan if value is None else ranked_fitness(value)
+    def fitness(self, value: float) -> None:
+        self._pop.fitness[self._i] = ranked_fitness(value)
 
 
 class Population:
     """N members as an (N, D) genome array plus a fitness vector.
 
-    The fitness vector holds ranked fitness (see :func:`ranked_fitness`);
-    NaN marks a member whose evaluation is pending.
+    The fitness vector holds ranked fitness (see :func:`ranked_fitness`),
+    +inf (worst) until a member is evaluated.
     """
 
     def __init__(self, genomes):
         self.genomes = np.array(genomes, dtype=float)
         if self.genomes.ndim != 2:
             raise ValueError("genomes must be an (N, D) array")
-        self.fitness = np.full(len(self.genomes), np.nan)
+        self.fitness = np.full(len(self.genomes), np.inf)
 
     @property
     def size(self) -> int:
@@ -219,7 +218,7 @@ class Population:
 
 
 def init_population(space: SearchSpace, pop_size: int, rng: RngStream) -> Population:
-    """Uniform random population inside the box; fitness left pending."""
+    """Uniform random population inside the box, not yet evaluated."""
     if pop_size < 1:
         raise ValueError("pop_size must be at least 1")
     return Population(space.sample_uniform(rng, pop_size))
@@ -227,8 +226,6 @@ def init_population(space: SearchSpace, pop_size: int, rng: RngStream) -> Popula
 
 def best_index(pop: Population) -> int:
     """Index of the lowest ranked fitness; ties go to the lowest index."""
-    if np.isnan(pop.fitness).any():
-        raise ValueError("population has pending (unevaluated) members")
     return int(np.argmin(pop.fitness))
 
 
@@ -252,7 +249,7 @@ class RunTrace:
         for e, f in pts:
             if e <= last_e:
                 raise ValueError("trace evaluation indices must strictly increase")
-            if f > last_f:
+            if not f <= last_f:  # a NaN is refused too
                 raise ValueError("trace fitness must be non-increasing")
             last_e, last_f = e, f
         if pts and pts[-1][0] > self.final_evals:
@@ -267,11 +264,6 @@ class RunTrace:
         # Fitness never increases, so -fitness is sorted.
         i = bisect_right(self.points, -target, key=lambda p: -p[1])
         return self.points[i][0] if i < len(self.points) else None
-
-    def best_at(self, eval_index: int) -> float:
-        """Best-so-far after ``eval_index`` evaluations (inf before the first)."""
-        i = bisect_right(self.points, eval_index, key=lambda p: p[0])
-        return self.points[i - 1][1] if i else float("inf")
 
 
 class BudgetedEvaluator:

@@ -307,7 +307,8 @@ def _load_runs(out: Path, budget: int):
         try:
             algorithm, function, dim, rep, seed, evals_used, best = row
             numbers = int(dim), int(rep), int(seed), int(evals_used), float(best)
-        except ValueError:  # wrong field count or a cut number
+            check_names("run key name", [algorithm, function])  # each is a part of the trace's path
+        except ValueError:  # wrong field count, a cut number or a name such as "../x"
             continue
         rec = RunRecord(algorithm, function, *numbers)
         records.setdefault(rec.key, rec)

@@ -35,14 +35,12 @@ class ErtResult:
     """Expected running time against a fitness target.
 
     When no run succeeds the true ERT is unbounded; ``value`` then holds
-    the lower bound t_max * n_total and ``lower_bound`` is True.
+    the lower bound t_max times the number of runs and ``lower_bound`` is True.
     """
 
     value: float
     lower_bound: bool
     success_rate: float
-    n_success: int
-    n_total: int
 
 
 def expected_running_time(traces: list[RunTrace], f_target: float, t_max: int) -> ErtResult:
@@ -57,13 +55,11 @@ def expected_running_time(traces: list[RunTrace], f_target: float, t_max: int) -
         raise ValueError("t_max must be at least 1")
     times = [tr.first_crossing(f_target) for tr in traces]
     successes = [t for t in times if t is not None]
-    n_total = len(traces)
-    n_success = len(successes)
-    if n_success == 0:
-        return ErtResult(float(t_max * n_total), True, 0.0, 0, n_total)
-    p_s = n_success / n_total
+    if not successes:
+        return ErtResult(float(t_max * len(traces)), True, 0.0)
+    p_s = len(successes) / len(traces)
     value = float(np.mean(successes) + ((1.0 - p_s) / p_s) * t_max)
-    return ErtResult(value, False, p_s, n_success, n_total)
+    return ErtResult(value, False, p_s)
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ def estimate_rse_target(fn, budget: int, reps: int, seed: int) -> RseTarget:
 
 
 def best_on_grid(trace: RunTrace, grid) -> np.ndarray:
-    """``trace.best_at`` at each point of an evaluation grid, by one search of the trace."""
+    """The best-so-far after each evaluation count of ``grid`` (inf before the first point), by one search."""
     points = np.array(trace.points, dtype=float).reshape(-1, 2)
     bests = np.concatenate(([np.inf], points[:, 1]))
     return bests[np.searchsorted(points[:, 0], np.asarray(grid).astype(int), side="right")]

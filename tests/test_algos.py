@@ -22,6 +22,7 @@ from sqgde.algos import (
     sqg_mutant,
 )
 from sqgde.core import BudgetedEvaluator, Population, best_index, make_rng, ranked_fitness
+from sqgde.metrics import best_on_grid
 from sqgde.testfuncs import FunctionDescriptor, custom_function, make_test_function
 
 
@@ -266,7 +267,7 @@ def test_run_de_survives_nan_objective():
         trace = run_de(DEConfig(strategy, pop_size=12, w=2), fn, 300, seed=3)
         assert trace.final_evals == 300
         assert np.isfinite(trace.final_best)
-        assert trace.final_best < trace.best_at(12)
+        assert trace.final_best < best_on_grid(trace, [12])[0]
 
 
 def test_sqg_donor_converged_population_falls_back_to_best():
@@ -451,7 +452,7 @@ def test_run_de_respects_bounds_implicitly():
 def test_run_de_improves_over_initialization():
     fn = _sphere_fn(dim=10)
     trace = run_de(DEConfig("sqgbin", pop_size=20, w=3), fn, 600, seed=4)
-    assert trace.final_best < trace.best_at(20)
+    assert trace.final_best < best_on_grid(trace, [20])[0]
 
 
 def test_sqgde_beats_classic_de_on_shifted_sphere():
@@ -485,7 +486,7 @@ def test_run_sqg_improves_over_warm_start():
     wins = 0
     for s in range(100):
         trace = run_sqg(config, fn, 1000, seed=2000 + s)
-        warm_best = trace.best_at(config.warm_start_samples)
+        warm_best = best_on_grid(trace, [config.warm_start_samples])[0]
         wins += trace.final_best < warm_best
     assert wins >= 95
 

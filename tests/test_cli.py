@@ -45,6 +45,17 @@ def test_run_command(tmp_path):
     assert (tmp_path / "sqg__shifted_sphere__d5__s3.csv").exists()
 
 
+def test_run_command_out_below_a_file_exits_1_before_any_output(tmp_path):
+    (tmp_path / "file").write_text("kept")
+    out = tmp_path / "file" / "sub"
+    args = ["run", "--algo", "de", "--function", "shifted_sphere", "--dim", "2", "--budget", "20", "--out", str(out)]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a ClickException, not a traceback
+    assert res.output.startswith("Error: ") and "Not a directory" in res.output
+    assert (tmp_path / "file").read_text() == "kept"
+
+
 def test_run_command_accepts_descriptor_file(tmp_path):
     desc_path = tmp_path / "fn.json"
     desc_path.write_text(json.dumps(FunctionDescriptor(label="mine", kind="rastrigin", seed=6).to_dict()))

@@ -16,6 +16,7 @@ from sqgde.core import (
     make_rng,
     ranked_fitness,
 )
+from sqgde.metrics import best_on_grid
 from sqgde.testfuncs import make_test_function, suite_by_label
 
 
@@ -101,7 +102,7 @@ def test_init_population_bounds_and_pending():
     assert pop.size == 3
     for m in pop.members:
         assert np.all((space.lower <= m.genome) & (m.genome <= space.upper))
-        assert m.fitness is None
+        assert m.fitness == np.inf  # ranked worst until evaluated
 
 
 def test_init_population_same_seed_identical():
@@ -137,13 +138,6 @@ def test_best_index_tie_goes_to_lowest():
 
 def test_best_index_singleton():
     assert best_index(_pop([5.0])) == 0
-
-
-def test_best_index_rejects_pending():
-    pop = _pop([1.0, 2.0])
-    pop.members[1].fitness = None
-    with pytest.raises(ValueError):
-        best_index(pop)
 
 
 def test_best_index_ranks_non_finite_last():
@@ -211,6 +205,9 @@ def test_run_trace_validation():
         RunTrace(((1, 1.0), (2, 2.0)), 10)
     with pytest.raises(ValueError):
         RunTrace(((1, 1.0), (20, 0.5)), 10)
+    for points in (((5, 10.0), (7, np.nan), (9, 20.0)), ((5, np.nan),), ((5, 10.0), (7, np.nan))):
+        with pytest.raises(ValueError, match="non-increasing"):
+            RunTrace(points, 9)
 
 
 def test_run_trace_queries():
@@ -219,10 +216,7 @@ def test_run_trace_queries():
     assert trace.first_crossing(60.0) == 100
     assert trace.first_crossing(50.0) == 400  # strict: touching does not count
     assert trace.first_crossing(9.0) is None
-    assert trace.best_at(99) == float("inf")
-    assert trace.best_at(100) == 50.0
-    assert trace.best_at(399) == 50.0
-    assert trace.best_at(1000) == 10.0
+    assert best_on_grid(trace, [99, 100, 399, 1000]).tolist() == [np.inf, 50.0, 50.0, 10.0]
     assert RunTrace((), 0).final_best == float("inf")
 
 
@@ -247,8 +241,7 @@ def _first_crossing_scan(points, target):
 def test_run_trace_lookups_equal_linear_scans(evals, values):
     points = tuple(zip(sorted(evals), sorted(values, reverse=True)))  # ties included
     trace = RunTrace(points, 60)
-    for k in range(-1, 62):
-        assert trace.best_at(k) == _best_at_scan(points, k)
+    assert best_on_grid(trace, range(-1, 62)).tolist() == [_best_at_scan(points, k) for k in range(-1, 62)]
     for target in [-np.inf, np.inf, np.nan, -1.0, 0.25, 2.0, *values]:
         assert trace.first_crossing(target) == _first_crossing_scan(points, target)
 

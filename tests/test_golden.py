@@ -1,7 +1,9 @@
 """Golden traces: the "same behaviour" oracle for refactors.
 
-The four protocol presets on three suite functions at D = 10, budget 300,
+The four protocol presets on five suite functions at D = 10, budget 300,
 two seeds each, must reproduce the stored improvement traces bit for bit.
+The functions cover a plain shift, a rotation, a shift drawn on the bounds,
+and hybrids of plain, noisy and expanded bases.
 The file records the stream version it was generated under. A change
 that alters any result for a seed (a draw order, or the numerics of an
 objective) must bump ``core.STREAM_VERSION`` and regenerate:
@@ -24,7 +26,13 @@ from sqgde.testfuncs import make_test_function, suite_by_label
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
 ALGORITHMS = ("de", "de2", "sqg", "sqgde")
-FUNCTIONS = ("shifted_sphere", "shifted_rotated_rastrigin", "hybrid_rotated_noisy")
+FUNCTIONS = (
+    "shifted_sphere",
+    "shifted_rotated_rastrigin",
+    "hybrid_rotated_noisy",
+    "shifted_rotated_ackley_bounds",
+    "hybrid_rotated_mixed",
+)
 SEEDS = (1, 2)
 DIM = 10
 BUDGET = 300

@@ -424,6 +424,13 @@ def _swap_first_points(text):
     return "".join([lines[0], lines[2], lines[1]] + lines[3:])
 
 
+def _nan_second_point(text):
+    lines = text.splitlines(keepends=True)
+    assert len(lines) > 3  # the NaN point is not the last, which the row's best_fitness checks
+    lines[2] = lines[2].split(",")[0] + ",nan\n"
+    return "".join(lines)
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -431,10 +438,11 @@ def _swap_first_points(text):
         lambda text: "",
         lambda text: text.replace("eval,best", "evals,best"),
         _swap_first_points,
+        _nan_second_point,
         _drop_last_point,  # parses, but disagrees with the row
         lambda text: text[:-1],  # the last point lost only its newline
     ],
-    ids=["missing", "empty", "bad_header", "out_of_order", "disagrees", "no_final_newline"],
+    ids=["missing", "empty", "bad_header", "out_of_order", "nan_point", "disagrees", "no_final_newline"],
 )
 def test_resume_runs_again_a_run_with_a_bad_trace(tmp_path, damage):
     run_benchmark(sphere_spec(tmp_path / "fresh"))
@@ -507,6 +515,25 @@ def test_resume_does_again_a_newline_ended_row_that_does_not_parse(tmp_path, nam
     run_benchmark(sphere_spec(out, reps=2))
     for d in ("fresh", "damaged"):
         summarize(tmp_path / d)
+    assert _results(out) == _results(tmp_path / "fresh")
+
+
+def test_resume_does_again_a_row_whose_name_cannot_be_a_file_name_part(tmp_path):
+    run_benchmark(sphere_spec(tmp_path / "fresh", reps=2))
+    out = tmp_path / "damaged"
+    run_benchmark(sphere_spec(out, reps=2))
+    # A row for the algorithm "../x" would read its trace from outside traces/;
+    # a matching file there must not make it count.
+    planted = out / "x__sphere__d2__r0000.csv"
+    planted.write_bytes((out / "traces" / "de__sphere__d2__r0000.csv").read_bytes())
+    row = (out / "runs.csv").read_text().splitlines()[1]
+    assert row.startswith("de,sphere,2,0,")
+    with open(out / "runs.csv", "a") as fh:
+        fh.write("../x" + row[len("de") :] + "\n")
+    run_benchmark(sphere_spec(out, reps=2))
+    for d in ("fresh", "damaged"):
+        summarize(tmp_path / d)
+    planted.unlink()
     assert _results(out) == _results(tmp_path / "fresh")
 
 
@@ -1148,7 +1175,7 @@ def test_bnfv_csv_holds_every_cell_in_key_order(tmp_path):
 
 def _ert(value, lower_bound=False):
     rate = 0.0 if lower_bound else 1.0
-    return ErtResult(value, lower_bound, rate, 0 if lower_bound else 5, 5)
+    return ErtResult(value, lower_bound, rate)
 
 
 def test_summary_rows_dominant_algorithm_p_value():

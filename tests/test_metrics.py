@@ -29,7 +29,6 @@ def test_ert_all_successes_is_mean_time():
     assert res.value == 200.0
     assert not res.lower_bound
     assert res.success_rate == 1.0
-    assert (res.n_success, res.n_total) == (3, 3)
 
 
 def test_ert_half_successes_adds_penalty():
@@ -45,7 +44,6 @@ def test_ert_no_success_is_lower_bound():
     assert res.lower_bound
     assert res.value == 100_000.0
     assert res.success_rate == 0.0
-    assert res.n_success == 0
 
 
 def test_ert_success_is_strict():
@@ -152,6 +150,11 @@ def _traces(draw):
     return RunTrace(tuple(zip(evals, bests)), draw(st.integers(evals[-1] if evals else 0, 250)))
 
 
+def _best_at_scan(trace, eval_index):
+    """The best of the last point at or before ``eval_index``, inf before the first."""
+    return next((f for e, f in reversed(trace.points) if e <= eval_index), np.inf)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     _traces(),
@@ -164,8 +167,8 @@ def _traces(draw):
 def test_bnfv_on_grid_equals_its_per_point_definition(trace, grid, value, as_array):
     target = RseTarget("f", 1000, 10, value)
     points = np.array(grid) if as_array else grid
-    raw = np.array([trace.best_at(int(e)) for e in grid])
-    normalized = np.array([trace.best_at(int(e)) / target.value for e in grid])
+    raw = np.array([_best_at_scan(trace, e) for e in grid])
+    normalized = np.array([_best_at_scan(trace, e) / target.value for e in grid])
     assert best_on_grid(trace, points).tobytes() == raw.tobytes()
     assert bnfv_on_grid(trace, target, points).tobytes() == normalized.tobytes()
     with pytest.raises(NormalizationUndefined):

@@ -22,9 +22,8 @@ def test_committed_reproduction_is_the_protocol_and_its_summary(tmp_path):
     spec = default_benchmark_spec()
     recorded = json.loads((REPRODUCTION / "spec.json").read_text())
     assert recorded == {**spec.to_dict(), "stream_version": STREAM_VERSION}
-    # ert.csv holds no success counts; the summary reads only the ERT and its flag
     ert_by_cell = {
-        (algorithm, function, int(dim)): ErtResult(float(ert), lower_bound == "true", float(rate), 0, 0)
+        (algorithm, function, int(dim)): ErtResult(float(ert), lower_bound == "true", float(rate))
         for algorithm, function, dim, ert, lower_bound, rate in harness._read_rows(
             REPRODUCTION / "ert.csv", harness.ERT_COLUMNS
         )
