@@ -166,7 +166,7 @@ def wilcoxon(csv_path, col_a, col_b):
     """Paired signed-rank test between two numeric CSV columns."""
     a, b = [], []
     try:
-        with open(csv_path, newline="", encoding="utf-8") as fh:
+        with open(csv_path, newline="", encoding="utf-8-sig") as fh:  # a BOM is not part of the first column name
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or col_a not in reader.fieldnames or col_b not in reader.fieldnames:
                 raise click.BadParameter(f"columns {col_a!r}, {col_b!r} not both present in {csv_path}")

@@ -329,7 +329,7 @@ class BudgetedEvaluator:
 
     def trace(self) -> RunTrace:
         points = list(self._points)
-        # Close the trace with the final state so consumers see the run end.
-        if points and points[-1][0] != self.used:
+        # Close the trace with the final state, inf if no value was finite, so consumers see the run end.
+        if self.used > (points[-1][0] if points else 0):
             points.append((self.used, self.best_so_far))
         return RunTrace(tuple(points), self.used)

@@ -25,8 +25,8 @@ Artifacts under the output directory:
 * ``ert.csv``        expected running times (written by ``summarize``)
 * ``summary.csv``    per-category means and tests vs the best algorithm
 * ``bnfv.csv``       mean/median normalized convergence curves of every cell
-                     on one grid, ``normalized`` false where a zero target
-                     leaves the raw best-so-far (written by ``summarize``)
+                     on one grid, ``normalized`` false where a zero or non-finite
+                     target leaves the raw best-so-far (written by ``summarize``)
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import groupby, islice, product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,8 +209,9 @@ def default_benchmark_spec() -> BenchmarkSpec:
     return BenchmarkSpec.from_dict({})
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
+    """A run's runs.csv row: its fields are the columns, in order."""
+
     algorithm: str
     function: str
     dim: int
@@ -220,12 +222,7 @@ class RunRecord:
 
     @property
     def key(self) -> tuple[str, str, int, int]:
-        return (self.algorithm, self.function, self.dim, self.rep)
-
-    @property
-    def row(self) -> tuple:
-        """The runs.csv fields, in ``RUNS_COLUMNS`` order."""
-        return (self.algorithm, self.function, self.dim, self.rep, self.seed, self.evals_used, self.best_fitness)
+        return self[:4]
 
     @property
     def trace_path(self) -> str:
@@ -233,19 +230,15 @@ class RunRecord:
         return f"traces/{self.algorithm}__{self.function}__d{self.dim}__r{self.rep:04d}.csv"
 
 
-RUNS_COLUMNS = [f.name for f in fields(RunRecord)]
+RUNS_COLUMNS = list(RunRecord._fields)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _update_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` unless the file already holds exactly it."""
+def _write_text(path: Path, text: str) -> None:
+    """Replace ``path`` atomically by ``text``, unless the file already holds exactly it."""
     if not (path.exists() and path.read_bytes() == text.encode()):
-        _atomic_write_text(path, text)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(text)
+        os.replace(tmp, path)
 
 
 def _csv_line(row) -> str:
@@ -259,7 +252,7 @@ def _csv_text(header: list[str], rows) -> str:
 
 def write_trace(path: Path, trace: RunTrace) -> None:
     """Write a run's best-so-far trace as ``eval,best`` CSV lines."""
-    _atomic_write_text(path, _csv_text(TRACE_COLUMNS, trace.points))
+    _write_text(path, _csv_text(TRACE_COLUMNS, trace.points))
 
 
 def _read_rows(path: Path, columns: list[str]) -> list[list[str]] | None:
@@ -280,11 +273,11 @@ def _read_rows(path: Path, columns: list[str]) -> list[list[str]] | None:
 
 
 def _read_trace(path: Path) -> RunTrace:
-    """A trace file's run; ValueError for a missing file, another header or a point that does not parse."""
-    if (rows := _read_rows(path, TRACE_COLUMNS)) is None:
-        raise ValueError(f"{path} is missing or has another header")
+    """A trace file's run; ValueError for a missing file, another header, no point or a point that does not parse."""
+    if not (rows := _read_rows(path, TRACE_COLUMNS)):
+        raise ValueError(f"{path} is missing, has another header or holds no point")
     points = tuple((int(e), float(b)) for e, b in rows)
-    return RunTrace(points, points[-1][0] if points else 0)
+    return RunTrace(points, points[-1][0])
 
 
 def _check_evals_used(records, budget: int) -> None:
@@ -299,8 +292,8 @@ def _load_runs(out: Path, budget: int):
     A row counts only if a newline ends it and its evals_used and
     best_fitness equal the last point of its trace; a trace cut before its
     final newline has lost that point. Other rows, and rows whose trace is
-    missing or does not parse, are skipped so their runs are run again. A
-    row over the budget raises RuntimeError.
+    missing, holds no point or does not parse, are skipped so their runs are
+    run again. A row over the budget raises RuntimeError.
     """
     records: dict[tuple, RunRecord] = {}
     for row in _read_rows(out / "runs.csv", RUNS_COLUMNS) or []:
@@ -319,14 +312,12 @@ def _load_runs(out: Path, budget: int):
             trace = _read_trace(out / rec.trace_path)
         except (OSError, ValueError):
             continue
-        last = trace.points[-1] if trace.points else (rec.evals_used, float("inf"))
-        if last == (rec.evals_used, rec.best_fitness):
+        if trace.points[-1] == (rec.evals_used, rec.best_fitness):
             yield rec, trace
 
 
 def _write_runs(path: Path, records: list[RunRecord]) -> None:
-    rows = [r.row for r in sorted(records, key=lambda r: r.key)]
-    _update_text(path, _csv_text(RUNS_COLUMNS, rows))
+    _write_text(path, _csv_text(RUNS_COLUMNS, sorted(records)))
 
 
 def _load_rse(path: Path) -> dict[tuple[str, int], RseTarget]:
@@ -346,7 +337,7 @@ def _write_rse(path: Path, targets: dict[tuple[str, int], RseTarget]) -> None:
         (label, dim, t.budget, t.reps, t.value)
         for (label, dim), t in sorted(targets.items())
     ]
-    _atomic_write_text(path, _csv_text(RSE_COLUMNS, rows))
+    _write_text(path, _csv_text(RSE_COLUMNS, rows))
 
 
 def execute_run(algo: AlgorithmSpec, fn, budget: int, seed: int) -> RunTrace:
@@ -561,7 +552,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                 "targets and runs of different budgets must not be mixed. Write to a new output directory."
             )
         record = {**merged.to_dict(), "stream_version": STREAM_VERSION}
-        _update_text(out / "spec.json", json.dumps(record, indent=2) + "\n")
+        _write_text(out / "spec.json", json.dumps(record, indent=2) + "\n")
         existing = {}
         if with_runs:
             (out / "traces").mkdir(exist_ok=True)
@@ -600,7 +591,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                     return
                 write_trace(out / key.trace_path, result)
                 new_records.append(key)
-                fh.write(_csv_line(key.row))
+                fh.write(_csv_line(key))
                 fh.flush()
                 log.info("run  %s %s d=%d rep=%d  best=%.6g", *key.key, key.best_fitness)
 
@@ -616,7 +607,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                     _write_rse(rse_path, targets)
 
         _check_evals_used(new_records, spec.budget)
-        records = sorted([*existing.values(), *new_records], key=lambda r: r.key)
+        records = sorted([*existing.values(), *new_records])
         if with_runs:
             _write_runs(runs_path, records)
     return targets, records
@@ -661,7 +652,7 @@ def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
         curves.append(_bnfv_rows(*cell, traces, target, grid))
     if not ert_by_cell:
         raise ValueError(f"no run records found under {out}")
-    _atomic_write_text(out / "bnfv.csv", _csv_line(BNFV_COLUMNS) + "".join(curves))
+    _write_text(out / "bnfv.csv", _csv_line(BNFV_COLUMNS) + "".join(curves))
     ert_rows = [
         dict(algorithm=a, function=f, dim=d, ert=e.value, lower_bound=e.lower_bound, success_rate=e.success_rate)
         for a, f, d in cells
@@ -675,7 +666,7 @@ def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
 
 def _write_table(path: Path, columns: list[str], rows: list[dict]) -> None:
     """ert.csv or summary.csv: each row's ``columns``, in order."""
-    _atomic_write_text(path, _csv_text(columns, [[r[c] for c in columns] for r in rows]))
+    _write_text(path, _csv_text(columns, [[r[c] for c in columns] for r in rows]))
 
 
 def _bnfv_rows(algo, label, dim, traces, target, grid) -> str:
@@ -684,7 +675,7 @@ def _bnfv_rows(algo, label, dim, traces, target, grid) -> str:
         curves = np.array([bnfv_on_grid(tr, target, grid) for tr in traces])
         normalized = "true"
     except NormalizationUndefined:
-        # Zero target: fall back to raw best fitness values.
+        # A zero or non-finite target: fall back to raw best fitness values.
         curves = np.array([best_on_grid(tr, grid) for tr in traces])
         normalized = "false"
     mean, median = curves.mean(axis=0).tolist(), np.median(curves, axis=0).tolist()

@@ -27,7 +27,7 @@ __all__ = [
 
 
 class NormalizationUndefined(ValueError):
-    """The normalization target is zero, so normalized fitness is undefined."""
+    """The normalization target is zero or not finite, so normalized fitness is undefined."""
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,9 @@ def best_on_grid(trace: RunTrace, grid) -> np.ndarray:
 
 def bnfv_on_grid(trace: RunTrace, target: RseTarget, grid) -> np.ndarray:
     """Normalized best-so-far sampled on an evaluation grid (piecewise constant)."""
-    if target.value == 0.0:
+    if target.value == 0.0 or not np.isfinite(target.value):
         raise NormalizationUndefined(
-            f"random-search target for {target.function_label} is zero; report raw best fitness instead"
+            f"random-search target for {target.function_label} is {target.value}; report raw best fitness instead"
         )
     with np.errstate(all="ignore"):  # overflow gives inf and inf/inf NaN, as Python floats do, silently
         return best_on_grid(trace, grid) / target.value

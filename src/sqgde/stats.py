@@ -51,18 +51,14 @@ def _exact_two_sided(ranks: np.ndarray, w_plus: float) -> float:
     the rank-sum distribution can be built by integer convolution, which is
     equivalent to enumerating every assignment.
     """
-    doubled = [int(round(2.0 * r)) for r in ranks]
-    max_sum = sum(doubled)
-    counts = [0] * (max_sum + 1)
+    doubled = np.rint(2.0 * ranks).astype(np.int64)
+    counts = np.zeros(int(doubled.sum()) + 1, dtype=np.int64)  # at most 2^20 assignments: exact
     counts[0] = 1
     for r in doubled:
-        for s in range(max_sum - r, -1, -1):
-            if counts[s]:
-                counts[s + r] += counts[s]
+        counts[r:] = counts[r:] + counts[:-r]
     w2 = int(round(2.0 * w_plus))
     total = 1 << len(doubled)
-    n_le = sum(counts[: w2 + 1])
-    n_ge = sum(counts[w2:])
+    n_le, n_ge = int(counts[: w2 + 1].sum()), int(counts[w2:].sum())
     return min(2 * min(n_le, n_ge), total) / total
 
 

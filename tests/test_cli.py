@@ -280,14 +280,24 @@ def test_rse_command_matches_direct_estimate():
     assert repr(expected.value) in res.output
 
 
+def test_rse_command_prints_the_rse_csv_that_bench_writes(tmp_path):
+    out = tmp_path / "results"
+    cell = ["--function", "shifted_sphere", "--dim", "3", "--budget", "20", "--reps", "2", "--seed", "1"]
+    assert CliRunner().invoke(main, ["bench", *cell, "--algo", "de", "--out", str(out), "--quiet"]).exit_code == 0
+    res = CliRunner().invoke(main, ["rse", *cell])
+    assert res.exit_code == 0
+    assert res.output == (out / "rse.csv").read_text()
+
+
 def test_wilcoxon_command(tmp_path):
     csv_path = tmp_path / "pairs.csv"
     rows = ["a,b"] + [f"{i + 1},{i}" for i in range(6)]
-    csv_path.write_text("\n".join(rows) + "\n")
-    res = invoke("wilcoxon", csv_path, "a", "b")
-    assert res.exit_code == 0
-    assert "p_value=0.03125" in res.output
-    assert "significant=True" in res.output
+    for bom in ("", "\ufeff"):  # a spreadsheet's "CSV UTF-8" starts with a byte-order mark
+        csv_path.write_text(bom + "\n".join(rows) + "\n", encoding="utf-8")
+        res = invoke("wilcoxon", csv_path, "a", "b")
+        assert res.exit_code == 0
+        assert "p_value=0.03125" in res.output
+        assert "significant=True" in res.output
 
 
 @pytest.mark.parametrize("n", [10, 30])

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqgde import harness
-from sqgde.algos import DEConfig, SQGConfig
-from sqgde.core import STREAM_VERSION, RunTrace
+from sqgde.algos import DEConfig, SQGConfig, run_de, run_sqg
+from sqgde.core import STREAM_VERSION, RunTrace, SearchSpace
 from sqgde.harness import (
     ALGORITHM_PRESETS,
     AlgorithmSpec,
@@ -34,7 +34,7 @@ from sqgde.harness import (
     write_trace,
 )
 from sqgde.metrics import ErtResult, bnfv_on_grid
-from sqgde.testfuncs import ComponentDescriptor, FunctionDescriptor, make_test_function
+from sqgde.testfuncs import ComponentDescriptor, FunctionDescriptor, custom_function, make_test_function
 
 
 def small_spec(out, reps=5, seed=7):
@@ -307,6 +307,15 @@ def test_trace_roundtrip(tmp_path):
     assert path.read_text().splitlines()[0] == "eval,best"
 
 
+def test_a_run_without_a_finite_value_ends_on_its_budget_and_round_trips(tmp_path):
+    fn = custom_function("nan", SearchSpace.box(3, -1.0, 1.0), lambda x: np.nan)
+    for run, config in ((run_de, DEConfig("rand1exp", pop_size=10)), (run_sqg, SQGConfig())):
+        trace = run(config, fn, 50, 1)
+        assert trace.points == ((50, np.inf),)
+        write_trace(tmp_path / "t.csv", trace)
+        assert _read_trace(tmp_path / "t.csv") == RunTrace(((50, np.inf),), 50)
+
+
 def test_ensure_rse_targets_computes_once(tmp_path):
     spec = small_spec(tmp_path)
     first = ensure_rse_targets(spec)
@@ -453,6 +462,22 @@ def test_resume_runs_again_a_run_with_a_bad_trace(tmp_path, damage):
         trace_path.unlink()
     else:
         trace_path.write_text(damage(trace_path.read_text()))
+    run_benchmark(sphere_spec(out))
+    for name in ("fresh", "damaged"):
+        summarize(tmp_path / name)
+    assert _results(out) == _results(tmp_path / "fresh")
+
+
+def test_resume_runs_again_a_run_whose_trace_holds_only_its_header(tmp_path):
+    run_benchmark(sphere_spec(tmp_path / "fresh"))
+    out = tmp_path / "damaged"
+    run_benchmark(sphere_spec(out))
+    # as older versions wrote a run that never saw a finite value
+    lines = (out / "runs.csv").read_text().splitlines(keepends=True)
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",inf\n"
+    (out / "runs.csv").write_text("".join(lines))
+    trace_path = sorted((out / "traces").iterdir())[1]
+    trace_path.write_text("eval,best\n")
     run_benchmark(sphere_spec(out))
     for name in ("fresh", "damaged"):
         summarize(tmp_path / name)
@@ -1051,7 +1076,8 @@ def test_pool_resume_of_scattered_rows_gives_the_same_bytes(tmp_path):
 def test_resume_with_nothing_to_do_writes_nothing(tmp_path):
     out = tmp_path / "out"
     run_benchmark(small_spec(out))
-    files = [out / name for name in ("spec.json", "rse.csv", "runs.csv")]
+    summarize(out)
+    files = [out / name for name in ("spec.json", "rse.csv", "runs.csv", "ert.csv", "summary.csv", "bnfv.csv")]
 
     def stamps():
         return [(p.stat().st_ino, p.stat().st_mtime_ns) for p in files]
@@ -1059,6 +1085,7 @@ def test_resume_with_nothing_to_do_writes_nothing(tmp_path):
     before = stamps()
     time.sleep(0.01)
     run_benchmark(small_spec(out))
+    summarize(out)  # nor does a second summarize
     assert stamps() == before
 
 
@@ -1134,15 +1161,16 @@ def test_summarize_writes_raw_best_values_against_a_zero_target(tmp_path):
     out = tmp_path / "out"
     run_benchmark(small_spec(out))
     header, row = (out / "rse.csv").read_text().splitlines()
-    (out / "rse.csv").write_text(f"{header}\n{row.rsplit(',', 1)[0]},0.0\n")
-    summarize(out)
-    curve = _bnfv_cell(out, "de_small", "sphere2", 2)
-    assert {r["normalized"] for r in curve} == {"false"}  # raw best-so-far values
-    # the budget is the last grid point, where each run's best is its final best
     runs = [line.split(",") for line in (out / "runs.csv").read_text().splitlines()[1:]]
     finals = [float(cols[6]) for cols in runs if cols[0] == "de_small"]
-    last = [float(curve[-1][c]) for c in ("eval", "mean", "median")]
-    assert last == pytest.approx([60, np.mean(finals), np.median(finals)], rel=1e-12)
+    for value in ("0.0", "inf", "nan"):  # a non-finite target has no ratio either
+        (out / "rse.csv").write_text(f"{header}\n{row.rsplit(',', 1)[0]},{value}\n")
+        summarize(out)
+        curve = _bnfv_cell(out, "de_small", "sphere2", 2)
+        assert {r["normalized"] for r in curve} == {"false"}  # raw best-so-far values
+        # the budget is the last grid point, where each run's best is its final best
+        last = [float(curve[-1][c]) for c in ("eval", "mean", "median")]
+        assert last == pytest.approx([60, np.mean(finals), np.median(finals)], rel=1e-12)
 
 
 def test_bnfv_csv_holds_every_cell_in_key_order(tmp_path):
