@@ -43,6 +43,7 @@ from .core import (
     RngStream,
     RunTrace,
     best_index,
+    derive_seed,
     init_population,
     make_rng,
     ranked_fitness,
@@ -404,9 +405,11 @@ def run_de(config: DEConfig, fn, t_max: int, seed: int) -> RunTrace:
     The population is synchronous: donors are built from the current
     generation and survivors replace it wholesale. The evaluator ends the
     run where the budget ends, inside a batch or, checked before each
-    generation's donors are built, on a generation boundary.
+    generation's donors are built, on a generation boundary. The run draws
+    from ``derive_seed(seed, "run")``, so a function built with the same
+    seed, whose first draw is its shift, is not where the run starts.
     """
-    rng = make_rng(seed)
+    rng = make_rng(derive_seed(seed, "run"))
     evaluator = BudgetedEvaluator(fn, t_max, rng)
     space = fn.space
     pop = init_population(space, config.pop_size, rng)
@@ -426,14 +429,16 @@ def run_de(config: DEConfig, fn, t_max: int, seed: int) -> RunTrace:
     return evaluator.trace()
 
 
+@np.errstate(invalid="ignore")  # once per run: an inf - inf probe difference is a NaN estimate, so no step
 def run_sqg(config: SQGConfig, fn, t_max: int, seed: int) -> RunTrace:
     """Budgeted quasi-gradient descent from the best of a uniform sample.
 
     Iterates x <- clip(x - rho_t * xi / ||xi||) with rho_t decaying
     geometrically from step0 times the mean bound range. A zero or
     non-finite estimate skips the step but still advances the schedule.
+    Like :func:`run_de`, it draws from ``derive_seed(seed, "run")``.
     """
-    rng = make_rng(seed)
+    rng = make_rng(derive_seed(seed, "run"))
     evaluator = BudgetedEvaluator(fn, t_max, rng)
     space = fn.space
     warm = space.sample_uniform(rng, config.warm_start_samples)

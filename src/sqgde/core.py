@@ -46,8 +46,11 @@ RngStream = np.random.Generator
 # versions differ for the same seed and must not be mixed.
 # Version 2 draws whole generations at once (batched donors, crossover
 # masks and objective calls). Version 3 sums the Weierstrass terms by a cube
-# recurrence, which changes its values in the last bits.
-STREAM_VERSION = 3
+# recurrence, which changes its values in the last bits. Version 4 draws a
+# run from derive_seed(seed, "run"), never from the stream a function built
+# with the same seed draws its shifts from, and evaluates random-search
+# samples in row blocks.
+STREAM_VERSION = 4
 
 
 class BudgetExhausted(Exception):

@@ -23,7 +23,7 @@ from sqgde.algos import (
 )
 from sqgde.core import BudgetedEvaluator, Population, best_index, make_rng, ranked_fitness
 from sqgde.metrics import best_on_grid
-from sqgde.testfuncs import FunctionDescriptor, custom_function, make_test_function
+from sqgde.testfuncs import FunctionDescriptor, custom_function, make_test_function, suite_by_label
 
 
 def _pop(genomes, fitnesses):
@@ -478,6 +478,29 @@ def test_run_sqg_deterministic():
     t1 = run_sqg(config, _sphere_fn(), 300, seed=6)
     t2 = run_sqg(config, _sphere_fn(), 300, seed=6)
     assert t1.points == t2.points
+
+
+class _FirstBatch:
+    """An objective that keeps the first batch it is called with."""
+
+    def __init__(self, fn):
+        self.fn, self.space, self.first = fn, fn.space, None
+
+    def __call__(self, x, rng=None):
+        if self.first is None:
+            self.first = np.array(x)
+        return self.fn(x, rng)
+
+
+@pytest.mark.parametrize("label", sorted(suite_by_label()))
+def test_run_seeded_like_its_function_does_not_start_on_the_shift(label):
+    desc = suite_by_label()[label]
+    fn = make_test_function(desc, dim=10)
+    shift = fn.body[0].shift
+    for run, config in ((run_de, DEConfig("rand1exp", pop_size=10)), (run_sqg, SQGConfig(warm_start_samples=10))):
+        probe = _FirstBatch(fn)
+        run(config, probe, 10, desc.seed)
+        assert not np.any(probe.first[0] == shift)
 
 
 def test_run_sqg_improves_over_warm_start():

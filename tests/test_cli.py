@@ -45,6 +45,15 @@ def test_run_command(tmp_path):
     assert (tmp_path / "sqg__shifted_sphere__d5__s3.csv").exists()
 
 
+def test_run_command_on_a_descriptor_of_its_seed_does_not_start_on_the_optimum(tmp_path):
+    # The default --seed 0 meets the descriptor's seed 0.
+    desc_path = tmp_path / "mine.json"
+    desc_path.write_text('{"label": "mine", "kind": "rastrigin", "seed": 0}')
+    res = invoke("run", "--algo", "de", "--function", desc_path, "--dim", 10)
+    assert res.exit_code == 0
+    assert float(res.output.split("best_fitness=")[1].split()[0]) > 0.0
+
+
 def test_run_command_out_below_a_file_exits_1_before_any_output(tmp_path):
     (tmp_path / "file").write_text("kept")
     out = tmp_path / "file" / "sub"
@@ -365,7 +374,7 @@ def test_bench_rejects_non_positive_values_up_front(tmp_path, option):
         ["run", "--algo", "de", "--function", "shifted_sphere", "--dim", "0"],
         ["run", "--algo", "de", "--function", "shifted_sphere", "--budget", "-1"],
         ["rse", "--function", "shifted_sphere", "--reps", "0"],
-        ["run", "--algo", "de", "--function", "shifted_sphere", "--seed", "-1"],  # numpy refuses a negative seed
+        ["run", "--algo", "de", "--function", "shifted_sphere", "--seed", "-1"],
     ],
     ids=["run-dim", "run-budget", "rse-reps", "run-seed"],
 )

@@ -308,12 +308,14 @@ def test_trace_roundtrip(tmp_path):
 
 
 def test_a_run_without_a_finite_value_ends_on_its_budget_and_round_trips(tmp_path):
-    fn = custom_function("nan", SearchSpace.box(3, -1.0, 1.0), lambda x: np.nan)
-    for run, config in ((run_de, DEConfig("rand1exp", pop_size=10)), (run_sqg, SQGConfig())):
-        trace = run(config, fn, 50, 1)
-        assert trace.points == ((50, np.inf),)
-        write_trace(tmp_path / "t.csv", trace)
-        assert _read_trace(tmp_path / "t.csv") == RunTrace(((50, np.inf),), 50)
+    # With 10 warm-start samples run_sqg takes quasi-gradient steps, where inf - inf probe differences arise.
+    for value in (np.nan, np.inf):
+        fn = custom_function("wall", SearchSpace.box(3, -1.0, 1.0), lambda x: value)
+        for run, config in ((run_de, DEConfig("rand1exp", pop_size=10)), (run_sqg, SQGConfig(warm_start_samples=10))):
+            trace = run(config, fn, 50, 1)
+            assert trace.points == ((50, np.inf),)
+            write_trace(tmp_path / "t.csv", trace)
+            assert _read_trace(tmp_path / "t.csv") == RunTrace(((50, np.inf),), 50)
 
 
 def test_ensure_rse_targets_computes_once(tmp_path):
@@ -690,7 +692,7 @@ def test_spec_records_stream_version(tmp_path):
     assert json.loads((tmp_path / "spec.json").read_text())["stream_version"] == STREAM_VERSION
 
 
-@pytest.mark.parametrize("recorded", [None, 1])
+@pytest.mark.parametrize("recorded", [None, 1, 3])
 def test_resume_refuses_other_stream_version(tmp_path, recorded):
     # a directory written before stream versions existed: spec.json without
     # a version (or with an older one), plus results

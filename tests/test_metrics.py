@@ -12,7 +12,8 @@ from sqgde.metrics import (
     estimate_rse_target,
     expected_running_time,
 )
-from sqgde.testfuncs import FunctionDescriptor, custom_function, make_test_function
+from sqgde import metrics
+from sqgde.testfuncs import FunctionDescriptor, custom_function, make_test_function, suite_by_label
 
 
 def _success_trace(at, value=0.0, t_max=1000):
@@ -99,6 +100,32 @@ def test_rse_deterministic_in_seed():
     a = estimate_rse_target(fn, 50, 20, seed=9)
     b = estimate_rse_target(fn, 50, 20, seed=9)
     assert a == b
+
+
+class _Calls:
+    """An objective that records the rows of each call."""
+
+    def __init__(self, fn):
+        self.fn, self.space, self.label, self.rows = fn, fn.space, fn.label, []
+
+    def __call__(self, x, rng=None):
+        self.rows.append(len(x))
+        return self.fn(x, rng)
+
+
+@pytest.mark.parametrize("label", ["shifted_sphere", "shifted_rastrigin", "shifted_schwefel12_noisy"])
+@pytest.mark.parametrize("dim", [10, 30, 50])
+@pytest.mark.parametrize("budget", [997, 1000])
+def test_rse_row_blocks_equal_one_whole_batch(label, dim, budget):
+    # These kinds make no BLAS call, so a row's value does not depend on its block;
+    # the noisy one checks that the noise draws follow the whole sample in order.
+    fn = _Calls(make_test_function(suite_by_label()[label], dim=dim))
+    rng = make_rng(5)
+    bests = [float(np.min(fn.fn(fn.space.sample_uniform(rng, budget), rng))) for _ in range(2)]
+    assert estimate_rse_target(fn, budget, 2, seed=5).value == sum(bests) / 2
+    assert sum(fn.rows) == 2 * budget and max(fn.rows) - min(fn.rows) <= 1
+    assert max(fn.rows) * dim <= metrics._RSE_BLOCK
+    assert (len(fn.rows) == 2) == (dim == 10)  # a (1000, 10) batch is one call per rep
 
 
 def test_rse_validation():
