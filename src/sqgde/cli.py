@@ -133,10 +133,9 @@ def bench(config, out, budget, reps, seed, dims, algos, functions, workers, quie
 def rse(function_label, dim, budget, reps, seed):
     """Print the uniform random-search target per function (sqgde bench stores them)."""
     fns = [_function(label, dim) for label in ([function_label] if function_label else suite_by_label())]
-    click.echo(",".join(harness.RSE_COLUMNS))
+    click.echo(harness._csv_line(harness.RSE_COLUMNS), nl=False)
     for fn in fns:
-        target = harness.rse_target(fn, budget, reps, seed)
-        click.echo(f"{fn.label},{dim},{budget},{reps},{target.value!r}")
+        click.echo(harness._csv_line(harness.rse_target(fn, budget, reps, seed)), nl=False)
 
 
 @main.command(name="summarize")

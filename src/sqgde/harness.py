@@ -76,7 +76,7 @@ __all__ = [
 
 ERT_COLUMNS = ["algorithm", "function", "dim", "ert", "lower_bound", "success_rate"]
 SUMMARY_COLUMNS = ["category", "dim", "algorithm", "mean_ert", "flag", "p_vs_best"]
-RSE_COLUMNS = ["function", "dim", "budget", "reps", "value"]
+RSE_COLUMNS = list(RseTarget._fields)
 TRACE_COLUMNS = ["eval", "best"]
 BNFV_COLUMNS = ["algorithm", "function", "dim", "normalized", "eval", "mean", "median"]
 BNFV_GRID_STEP = 10
@@ -326,18 +326,11 @@ def _load_rse(path: Path) -> dict[tuple[str, int], RseTarget]:
     for row in _read_rows(path, RSE_COLUMNS) or []:
         try:
             function, dim, budget, reps, value = row
-            targets[(function, int(dim))] = RseTarget(function, int(budget), int(reps), float(value))
+            target = RseTarget(function, int(dim), int(budget), int(reps), float(value))
         except ValueError:  # wrong field count or a cut number
             continue
+        targets[target[:2]] = target
     return targets
-
-
-def _write_rse(path: Path, targets: dict[tuple[str, int], RseTarget]) -> None:
-    rows = [
-        (label, dim, t.budget, t.reps, t.value)
-        for (label, dim), t in sorted(targets.items())
-    ]
-    _write_text(path, _csv_text(RSE_COLUMNS, rows))
 
 
 def execute_run(algo: AlgorithmSpec, fn, budget: int, seed: int) -> RunTrace:
@@ -604,7 +597,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                     _run_pool(tasks, min(workers, len(tasks)), handle)
             finally:
                 if estimated:
-                    _write_rse(rse_path, targets)
+                    _write_text(rse_path, _csv_text(RSE_COLUMNS, sorted(targets.values())))
 
         _check_evals_used(new_records, spec.budget)
         records = sorted([*existing.values(), *new_records])
@@ -653,11 +646,7 @@ def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
     if not ert_by_cell:
         raise ValueError(f"no run records found under {out}")
     _write_text(out / "bnfv.csv", _csv_line(BNFV_COLUMNS) + "".join(curves))
-    ert_rows = [
-        dict(algorithm=a, function=f, dim=d, ert=e.value, lower_bound=e.lower_bound, success_rate=e.success_rate)
-        for a, f, d in cells
-        if (e := ert_by_cell.get((a, f, d)))
-    ]
+    ert_rows = [dict(zip(ERT_COLUMNS, (*cell, *ert_by_cell[cell]))) for cell in cells if cell in ert_by_cell]
     _write_table(out / "ert.csv", ERT_COLUMNS, ert_rows)
     summary_rows = build_summary_rows(ert_by_cell, algo_names, cat_of, spec.dims)
     _write_table(out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
@@ -724,5 +713,5 @@ def build_summary_rows(
                     p = 1.0
                 else:
                     p = wilcoxon_signed_rank([e.value for e in values], best_vector).p_value
-                rows.append(dict(category=cat, dim=dim, algorithm=algo, mean_ert=means[algo], flag=flag, p_vs_best=p))
+                rows.append(dict(zip(SUMMARY_COLUMNS, (cat, dim, algo, means[algo], flag, p))))
     return rows

@@ -9,7 +9,7 @@ target, penalized for unsuccessful runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +30,8 @@ class NormalizationUndefined(ValueError):
     """The normalization target is zero or not finite, so normalized fitness is undefined."""
 
 
-@dataclass(frozen=True)
-class ErtResult:
-    """Expected running time against a fitness target.
+class ErtResult(NamedTuple):
+    """Expected running time against a fitness target: an ert.csv row's last three columns.
 
     When no run succeeds the true ERT is unbounded; ``value`` then holds
     the lower bound t_max times the number of runs and ``lower_bound`` is True.
@@ -62,11 +61,11 @@ def expected_running_time(traces: list[RunTrace], f_target: float, t_max: int) -
     return ErtResult(value, False, p_s)
 
 
-@dataclass(frozen=True)
-class RseTarget:
-    """Expected best fitness of uniform random search at a given budget."""
+class RseTarget(NamedTuple):
+    """Expected best fitness of uniform random search at a given budget: an rse.csv row, its fields the columns."""
 
-    function_label: str
+    function: str
+    dim: int
     budget: int
     reps: int
     value: float
@@ -102,7 +101,7 @@ def estimate_rse_target(fn, budget: int, reps: int, seed: int) -> RseTarget:
         for block in np.array_split(space.sample_uniform(rng, budget), blocks):
             best = np.fmin.reduce(np.asarray(fn(block, rng), dtype=float), initial=best)  # NaN never counts as best
         total += float(best)
-    return RseTarget(getattr(fn, "label", "custom"), int(budget), int(reps), total / reps)
+    return RseTarget(getattr(fn, "label", "custom"), space.dim, int(budget), int(reps), total / reps)
 
 
 def best_on_grid(trace: RunTrace, grid) -> np.ndarray:
@@ -116,7 +115,7 @@ def bnfv_on_grid(trace: RunTrace, target: RseTarget, grid) -> np.ndarray:
     """Normalized best-so-far sampled on an evaluation grid (piecewise constant)."""
     if target.value == 0.0 or not np.isfinite(target.value):
         raise NormalizationUndefined(
-            f"random-search target for {target.function_label} is {target.value}; report raw best fitness instead"
+            f"random-search target for {target.function} is {target.value}; report raw best fitness instead"
         )
     with np.errstate(all="ignore"):  # overflow gives inf and inf/inf NaN, as Python floats do, silently
         return best_on_grid(trace, grid) / target.value

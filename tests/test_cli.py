@@ -286,12 +286,12 @@ def test_rse_command_matches_direct_estimate():
     assert res.exit_code == 0
     fn = make_test_function(suite_by_label()["shifted_sphere"], dim=3)
     expected = estimate_rse_target(fn, 20, 10, derive_seed(1, "rse", "shifted_sphere", 3))
-    assert repr(expected.value) in res.output
+    assert res.output == f"function,dim,budget,reps,value\nshifted_sphere,3,20,10,{expected.value!r}\n"
 
 
 def test_rse_command_prints_the_rse_csv_that_bench_writes(tmp_path):
     out = tmp_path / "results"
-    cell = ["--function", "shifted_sphere", "--dim", "3", "--budget", "20", "--reps", "2", "--seed", "1"]
+    cell = ["--function", "shifted_sphere", "--dim", "3", "--budget", "20", "--reps", "10", "--seed", "1"]
     assert CliRunner().invoke(main, ["bench", *cell, "--algo", "de", "--out", str(out), "--quiet"]).exit_code == 0
     res = CliRunner().invoke(main, ["rse", *cell])
     assert res.exit_code == 0

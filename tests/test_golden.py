@@ -4,15 +4,21 @@ The four protocol presets on five suite functions at D = 10, budget 300,
 two seeds each, must reproduce the stored improvement traces bit for bit.
 The functions cover a plain shift, a rotation, a shift drawn on the bounds,
 and hybrids of plain, noisy and expanded bases.
+Beside them the file holds random-search targets at D = 100 whose values
+follow how ``estimate_rse_target`` splits a sample into row blocks: at
+these budgets a rotated product's last bits depend on the block's row
+count, so a change of ``metrics._RSE_BLOCK`` or of the split moves them.
+
 The file records the stream version it was generated under. A change
-that alters any result for a seed (a draw order, or the numerics of an
-objective) must bump ``core.STREAM_VERSION`` and regenerate:
+that alters any result for a seed (a draw order, the numerics of an
+objective, or the RSE block split) must bump ``core.STREAM_VERSION`` and
+regenerate:
 
     PYTHONPATH=src python tests/test_golden.py
 
 Regenerating under the version the file already records only adds missing
-traces; it refuses to overwrite a stored trace that no longer matches, so a
-change of behaviour cannot be hidden without a version bump.
+entries; it refuses to overwrite a stored trace or target that no longer
+matches, so a change of behaviour cannot be hidden without a version bump.
 """
 
 import json
@@ -22,6 +28,7 @@ import pytest
 
 from sqgde.core import STREAM_VERSION
 from sqgde.harness import ALGORITHM_PRESETS, execute_run
+from sqgde.metrics import estimate_rse_target
 from sqgde.testfuncs import make_test_function, suite_by_label
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
@@ -36,6 +43,16 @@ FUNCTIONS = (
 SEEDS = (1, 2)
 DIM = 10
 BUDGET = 300
+# The RSE targets: at D = 100 these budgets give blocks of 65-100 rows, where
+# the last bits of a rotated product follow the row count.
+RSE_FUNCTIONS = (
+    "shifted_rotated_elliptic",
+    "shifted_rotated_griewank",
+    "shifted_rotated_weierstrass",
+    "hybrid_rotated_mixed",
+)
+RSE_BUDGETS = (130, 250, 300, 500)
+RSE_DIM, RSE_REPS, RSE_SEED = 100, 3, 1
 
 
 def _key(algo: str, label: str, seed: int) -> str:
@@ -52,6 +69,23 @@ def _cases():
     return [(a, f, s) for a in ALGORITHMS for f in FUNCTIONS for s in SEEDS]
 
 
+def _rse_key(label: str, budget: int) -> str:
+    return f"{label}/d{RSE_DIM}/b{budget}/r{RSE_REPS}/s{RSE_SEED}"
+
+
+def _rse_target(label: str, budget: int) -> float:
+    fn = make_test_function(suite_by_label()[label], dim=RSE_DIM)
+    return estimate_rse_target(fn, budget, RSE_REPS, RSE_SEED).value
+
+
+def _rse_cases():
+    return [(f, b) for f in RSE_FUNCTIONS for b in RSE_BUDGETS]
+
+
+# Each section of the file: its cases, a case's key and a case's stored value.
+SECTIONS = {"traces": (_cases, _key, _trace), "rse_targets": (_rse_cases, _rse_key, _rse_target)}
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -59,7 +93,8 @@ def golden():
 
 def test_golden_file_matches_stream_version(golden):
     assert golden["stream_version"] == STREAM_VERSION
-    assert sorted(golden["traces"]) == sorted(_key(*case) for case in _cases())
+    for section, (cases, key, _) in SECTIONS.items():
+        assert sorted(golden[section]) == sorted(key(*case) for case in cases())
 
 
 @pytest.mark.parametrize("algo,label,seed", _cases())
@@ -68,58 +103,67 @@ def test_golden_trace_bit_identical(golden, algo, label, seed):
     assert _trace(algo, label, seed) == golden["traces"][_key(algo, label, seed)]
 
 
-def regenerate(path: Path = GOLDEN, cases=None) -> list[str]:
-    """Write the traces of ``cases`` (all by default) to ``path``; return the
-    keys whose stored trace changed.
+@pytest.mark.parametrize("label,budget", _rse_cases())
+def test_golden_rse_target_bit_identical(golden, label, budget):
+    assert _rse_target(label, budget) == golden["rse_targets"][_rse_key(label, budget)]
 
-    Under the stream version the file already records, stored traces are
+
+def regenerate(path: Path = GOLDEN, cases: dict | None = None) -> list[str]:
+    """Write the entries of ``cases`` ({section: its cases}; every case of
+    every section by default) to ``path``; return the keys whose stored
+    value changed.
+
+    Under the stream version the file already records, stored entries are
     kept and must still match: a mismatch raises ``ValueError`` and leaves
-    the file as it was. Under a new version every trace is rewritten.
+    the file as it was. Under a new version every entry is rewritten.
     """
-    old = json.loads(path.read_text()) if path.exists() else {"stream_version": None, "traces": {}}
+    old = json.loads(path.read_text()) if path.exists() else {"stream_version": None}
     same_version = old["stream_version"] == STREAM_VERSION
-    traces = dict(old["traces"]) if same_version else {}
-    changed = []
-    for case in cases if cases is not None else _cases():
-        key = _key(*case)
-        trace = _trace(*case)
-        if key in old["traces"] and old["traces"][key] != trace:
-            changed.append(key)
-        traces[key] = trace
+    payload, changed = {"stream_version": STREAM_VERSION, "dim": DIM, "budget": BUDGET}, []
+    for section, (all_cases, key_of, value_of) in SECTIONS.items():
+        stored = old.get(section, {})
+        entries = dict(stored) if same_version else {}
+        for case in all_cases() if cases is None else cases.get(section, []):
+            key, value = key_of(*case), value_of(*case)
+            if key in stored and stored[key] != value:
+                changed.append(key)
+            entries[key] = value
+        payload[section] = entries
     if same_version and changed:
         raise ValueError(
-            f"{path} records stream version {STREAM_VERSION}, but these traces changed: "
+            f"{path} records stream version {STREAM_VERSION}, but these entries changed: "
             f"{', '.join(changed)}. Bump core.STREAM_VERSION to regenerate them."
         )
-    payload = {"stream_version": STREAM_VERSION, "dim": DIM, "budget": BUDGET, "traces": traces}
     path.write_text(json.dumps(payload, indent=1) + "\n")
     return changed
 
 
 def test_regenerate_refuses_changed_trace_of_same_version(tmp_path):
-    case = ("sqg", "shifted_sphere", 1)
+    case, rse_case = ("sqg", "shifted_sphere", 1), ("shifted_rotated_elliptic", 130)
     trace = _trace(*case)
     tampered = {"final_evals": trace["final_evals"], "points": trace["points"][:-1] + [[300, 0.5]]}
     path = tmp_path / "golden.json"
-    text = json.dumps({"stream_version": STREAM_VERSION, "traces": {_key(*case): tampered}})
-    path.write_text(text)
-    with pytest.raises(ValueError, match="Bump core.STREAM_VERSION"):
-        regenerate(path, [case])
-    assert path.read_text() == text
+    for section, stored in (("traces", {_key(*case): tampered}), ("rse_targets", {_rse_key(*rse_case): 0.5})):
+        text = json.dumps({"stream_version": STREAM_VERSION, section: stored})
+        path.write_text(text)
+        with pytest.raises(ValueError, match="Bump core.STREAM_VERSION"):
+            regenerate(path, {"traces": [case], "rse_targets": [rse_case]})
+        assert path.read_text() == text
 
 
 def test_regenerate_adds_new_traces_and_rewrites_old_versions(tmp_path):
     first, second = ("sqg", "shifted_sphere", 1), ("sqg", "shifted_sphere", 2)
     path = tmp_path / "golden.json"
-    assert regenerate(path, [first]) == []
-    assert regenerate(path, [first, second]) == []
+    assert regenerate(path, {"traces": [first]}) == []
+    assert regenerate(path, {"traces": [first, second]}) == []
     assert sorted(json.loads(path.read_text())["traces"]) == sorted([_key(*first), _key(*second)])
     stale = {"stream_version": STREAM_VERSION - 1, "traces": {_key(*first): {"final_evals": 1, "points": []}}}
     path.write_text(json.dumps(stale))
-    assert regenerate(path, [first]) == [_key(*first)]
+    assert regenerate(path, {"traces": [first]}) == [_key(*first)]
     assert json.loads(path.read_text())["stream_version"] == STREAM_VERSION
 
 
 if __name__ == "__main__":
     changed = regenerate()
-    print(f"wrote {len(_cases())} traces to {GOLDEN}; changed: {', '.join(changed) or 'none'}")
+    counts = f"{len(_cases())} traces and {len(_rse_cases())} RSE targets"
+    print(f"wrote {counts} to {GOLDEN}; changed: {', '.join(changed) or 'none'}")

@@ -85,8 +85,7 @@ def test_rse_uniform_line_order_statistic():
     target = estimate_rse_target(fn, budget=3, reps=20_000, seed=1)
     # E[min of 3 uniforms] = 1 / 4
     assert target.value == pytest.approx(0.25, abs=0.02)
-    assert target.function_label == "line"
-    assert (target.budget, target.reps) == (3, 20_000)
+    assert target[:4] == ("line", 1, 3, 20_000)
 
 
 def test_rse_constant_function_is_exact():
@@ -143,12 +142,12 @@ def _bnfv_at_points(trace, target):
 
 def test_bnfv_hand_values():
     trace = RunTrace(((100, 50.0), (400, 10.0)), 1000)
-    target = RseTarget("f", 1000, 100, 25.0)
+    target = RseTarget("f", 2, 1000, 100, 25.0)
     assert _bnfv_at_points(trace, target) == [2.0, 0.4]
 
 
 def test_bnfv_parity_and_zero():
-    target = RseTarget("f", 1000, 100, 25.0)
+    target = RseTarget("f", 2, 1000, 100, 25.0)
     assert _bnfv_at_points(RunTrace(((10, 25.0),), 20), target) == [1.0]
     assert _bnfv_at_points(RunTrace(((10, 0.0),), 20), target) == [0.0]
 
@@ -156,12 +155,12 @@ def test_bnfv_parity_and_zero():
 def test_bnfv_zero_target_is_undefined():
     for value in (0.0, np.inf, np.nan):  # a non-finite target has no ratio either
         with pytest.raises(NormalizationUndefined):
-            bnfv_on_grid(RunTrace(((10, 1.0),), 20), RseTarget("f", 1000, 100, value), [10, 20])
+            bnfv_on_grid(RunTrace(((10, 1.0),), 20), RseTarget("f", 2, 1000, 100, value), [10, 20])
 
 
 def test_bnfv_on_grid_piecewise_constant():
     trace = RunTrace(((100, 50.0), (400, 10.0)), 1000)
-    target = RseTarget("f", 1000, 100, 25.0)
+    target = RseTarget("f", 2, 1000, 100, 25.0)
     grid = [50, 100, 250, 400, 1000]
     values = bnfv_on_grid(trace, target, grid)
     assert values[0] == np.inf  # before the first recorded point
@@ -192,7 +191,7 @@ def _best_at_scan(trace, eval_index):
 @example(RunTrace((), 0), [0, 10], 2.5, False)  # empty trace: inf everywhere
 @example(RunTrace(((5, 3.0), (9, -1.0)), 20), [0, 4, 5, 8, 9, 20, 300], -2.5, True)  # before, at and past the points
 def test_bnfv_on_grid_equals_its_per_point_definition(trace, grid, value, as_array):
-    target = RseTarget("f", 1000, 10, value)
+    target = RseTarget("f", 2, 1000, 10, value)
     points = np.array(grid) if as_array else grid
     raw = np.array([_best_at_scan(trace, e) for e in grid])
     normalized = np.array([_best_at_scan(trace, e) / target.value for e in grid])
@@ -200,7 +199,7 @@ def test_bnfv_on_grid_equals_its_per_point_definition(trace, grid, value, as_arr
     assert bnfv_on_grid(trace, target, points).tobytes() == normalized.tobytes()
     for undefined in (0.0, np.inf, -np.inf, np.nan):
         with pytest.raises(NormalizationUndefined):
-            bnfv_on_grid(trace, RseTarget("f", 1000, 10, undefined), points)
+            bnfv_on_grid(trace, RseTarget("f", 2, 1000, 10, undefined), points)
 
 
 def test_rse_noisy_function_sees_noise():

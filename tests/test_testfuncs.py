@@ -531,12 +531,14 @@ def test_suite_functions_match_per_component_formula(label, dim):
             assert np.array_equal(fn.body[0].value(X), _reference_value(fn.body[0], X))
     # Points (R, n, D) give the stack of R calls on (n, D), bit for bit; two
     # streams seeded alike line up the noise draws, one per point in C order.
-    X = make_rng(dim).uniform(fn.space.lower, fn.space.upper, (7, 6, dim))
-    stacked, per_slice = make_rng(dim), make_rng(dim)
-    values = fn(X, stacked)
-    assert values.shape == (7, 6)
-    assert np.array_equal(values, np.stack([fn(x, per_slice) for x in X]))
-    assert stacked.random() == per_slice.random()
+    # One-row slices are the call a budget cut of lockstep reps makes.
+    for n in (6, 1):
+        X = make_rng(dim).uniform(fn.space.lower, fn.space.upper, (7, n, dim))
+        stacked, per_slice = make_rng(dim), make_rng(dim)
+        values = fn(X, stacked)
+        assert values.shape == (7, n)
+        assert np.array_equal(values, np.stack([fn(x, per_slice) for x in X]))
+        assert stacked.random() == per_slice.random()
 
 
 def test_hand_built_compositions_match_per_component_formula():
