@@ -412,9 +412,12 @@ def resolve_descriptor(
 
     half_range = BASE_FUNCTIONS[desc.kind].half_range if single else 5.0
     bounds = tuple(desc.bounds) if desc.bounds is not None else (-half_range, half_range)
-    if len(bounds) != 2 or not -np.inf < bounds[0] < bounds[1] < np.inf:
-        raise ValueError(f"{desc.label}: bounds must be a finite pair with lower < upper, got {bounds}")
-    return seed, SearchSpace.box(dim, *bounds), entries
+    if len(bounds) != 2:
+        raise ValueError(f"{desc.label}: bounds must be a pair (lower, upper), got {bounds}")
+    try:
+        return seed, SearchSpace.box(dim, *bounds), entries
+    except ValueError as err:  # the box's own refusals: unordered, infinite or overflowing bounds
+        raise ValueError(f"{desc.label}: bounds {bounds}: {err}") from None
 
 
 def make_test_function(

@@ -433,6 +433,25 @@ def test_bench_refuses_a_config_value_of_another_json_type_and_writes_nothing(tm
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_bench_and_run_refuse_a_box_whose_width_overflows_and_write_nothing(tmp_path):
+    wide = {"label": "wide", "kind": "sphere", "bounds": [-1e308, 1e308], "seed": 3}
+    message = "wide: bounds (-1e+308, 1e+308): upper - lower must be finite per axis"
+    out, config, function = tmp_path / "results", tmp_path / "c.json", tmp_path / "wide.json"
+    config.write_text(json.dumps({**_config(out).to_dict(), "functions": [wide]}))
+    function.write_text(json.dumps(wide))
+    res = CliRunner().invoke(main, ["bench", "--config", str(config), "--quiet"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a ClickException, not numpy's OverflowError
+    assert f"Error: {message}" in res.output
+    assert not out.exists() or not any(out.iterdir())
+    res = CliRunner().invoke(main, ["run", "--algo", "de", "--function", str(function), "--dim", "2",
+                                    "--out", str(tmp_path / "traces")])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # a usage error, not a traceback
+    assert "Error: " in res.output and message in res.output
+    assert not (tmp_path / "traces").exists()
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -96,6 +96,43 @@ def test_search_space_sample_within_bounds():
         assert np.all((space.lower <= x) & (x <= space.upper))
 
 
+def test_search_space_refuses_a_width_that_overflows():
+    # The fill would sample inf where Generator.uniform raised. The suite turns
+    # warnings into errors, so the check raises no RuntimeWarning either.
+    for lower, upper in ((-1e308, 1e308), (-np.inf, 0.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="upper - lower must be finite per axis"):
+            SearchSpace.box(2, lower, upper)
+    with pytest.raises(ValueError, match="upper - lower must be finite per axis"):
+        SearchSpace(2, np.array([0.0, -1e308]), np.array([1.0, 1e308]))  # one axis
+    widest = SearchSpace.box(3, -8.9e307, 8.9e307)
+    assert np.all(np.abs(widest.sample_uniform(make_rng(1), 100)) <= 8.9e307)
+
+
+def _boxes(rng, dim, count):
+    """``count`` boxes of ``dim`` axes: per-axis bounds, signed zeros, widths from one ulp to 2e307."""
+    for _ in range(count):
+        lower = rng.choice([-1.0, 1.0], dim) * 10.0 ** rng.uniform(-5.0, 306.0, dim)
+        lower[rng.random(dim) < 0.1] = -0.0
+        lower[rng.random(dim) < 0.1] = 0.0
+        upper = lower + np.minimum(10.0 ** rng.uniform(-12.0, 307.5, dim), 2e307)
+        one_ulp = rng.random(dim) < 0.2
+        upper[one_ulp] = np.nextafter(lower[one_ulp], np.inf)
+        yield SearchSpace(dim, lower, np.maximum(upper, np.nextafter(lower, np.inf)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10, 30, 50, 100])
+def test_sample_uniform_is_generator_uniform_bit_for_bit(dim):
+    for k, space in enumerate(_boxes(make_rng(dim), dim, 50)):
+        for n in (None, 1, 7, 1000):
+            seed = derive_seed(dim, k, n)
+            ours, numpy_s = make_rng(seed), make_rng(seed)
+            got = space.sample_uniform(ours, n)
+            want = numpy_s.uniform(space.lower, space.upper, None if n is None else (n, dim))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (dim, k, n)
+            assert ours.random() == numpy_s.random()  # both streams left at the same position
+
+
 def test_init_population_bounds_and_pending():
     space = SearchSpace.box(2, 0.0, 1.0)
     pop = init_population(space, 3, make_rng(3))

@@ -976,6 +976,7 @@ def test_a_directory_in_use_is_refused(tmp_path, call):
         FunctionDescriptor(label="bad", kind="sphere", bounds=(5.0, -5.0), seed=3),
         FunctionDescriptor(label="bad", kind="sphere", bounds=(-np.inf, 5.0), seed=3),
         FunctionDescriptor(label="bad", kind="sphere", bounds=(-5.0, 0.0, 5.0), seed=3),
+        FunctionDescriptor(label="bad", kind="sphere", bounds=(-1e308, 1e308), seed=3),
         FunctionDescriptor(label="bad", kind="sphere", seed=-1),
         FunctionDescriptor(label="bad", composition=[ComponentDescriptor("sphere")], seed=3),
         FunctionDescriptor(
@@ -1014,6 +1015,7 @@ def test_a_directory_in_use_is_refused(tmp_path, call):
         "reversed_bounds",
         "infinite_bounds",
         "bounds_not_a_pair",
+        "width_overflows",
         "negative_seed",
         "one_component",
         "zero_sigma",

@@ -244,6 +244,10 @@ def test_make_test_function_validation():
         make_test_function(FunctionDescriptor(label="f", seed=1), dim=3)  # neither kind nor composition
     with pytest.raises(ValueError):
         make_test_function(FunctionDescriptor(label="f", kind="rosenbrock", seed=1), dim=1)
+    # refused before any draw: Generator.uniform raised only when the first shift was drawn
+    wide = FunctionDescriptor(label="f", kind="sphere", bounds=(-1e308, 1e308), seed=1)
+    with pytest.raises(ValueError, match=re.escape("f: bounds (-1e+308, 1e+308): upper - lower must be finite")):
+        testfuncs.resolve_descriptor(wide, dim=2)
 
 
 def test_noise_never_reduces_nonnegative_values():
