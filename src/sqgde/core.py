@@ -131,14 +131,14 @@ def json_fields(d: dict, casts: dict, what: str) -> dict:
     return {k: c(d[k]) if callable(c) else json_value(f"{what}: {k}", d[k], c) for k, c in casts.items() if k in d}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchSpace:
     """Axis-aligned box in R^dim with strictly ordered bounds and a finite width."""
 
     dim: int
     lower: np.ndarray
     upper: np.ndarray
-    width: np.ndarray = field(init=False, repr=False, compare=False)
+    width: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)

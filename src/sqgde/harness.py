@@ -246,13 +246,14 @@ def _csv_line(row) -> str:
     return ",".join([("true" if v else "false") if type(v) is bool else str(v) for v in row]) + "\n"
 
 
-def _csv_text(header: list[str], rows) -> str:
-    return _csv_line(header) + "".join(map(_csv_line, rows))
+def _write_csv(path: Path, columns: list[str], rows) -> None:
+    """Write a results table: the ``columns`` header line, then each row's :func:`_csv_line`."""
+    _write_text(path, _csv_line(columns) + "".join(map(_csv_line, rows)))
 
 
 def write_trace(path: Path, trace: RunTrace) -> None:
     """Write a run's best-so-far trace as ``eval,best`` CSV lines."""
-    _write_text(path, _csv_text(TRACE_COLUMNS, trace.points))
+    _write_csv(path, TRACE_COLUMNS, trace.points)
 
 
 def _read_rows(path: Path, columns: list[str]) -> list[list[str]] | None:
@@ -314,10 +315,6 @@ def _load_runs(out: Path, budget: int):
             continue
         if trace.points[-1] == (rec.evals_used, rec.best_fitness):
             yield rec, trace
-
-
-def _write_runs(path: Path, records: list[RunRecord]) -> None:
-    _write_text(path, _csv_text(RUNS_COLUMNS, sorted(records)))
 
 
 def _load_rse(path: Path) -> dict[tuple[str, int], RseTarget]:
@@ -551,7 +548,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
             (out / "traces").mkdir(exist_ok=True)
             existing = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)}
             # Keep only the rows that count, so appended rows start on a fresh line.
-            _write_runs(runs_path, existing.values())
+            _write_csv(runs_path, RUNS_COLUMNS, sorted(existing.values()))
 
         # Each cell with work, built once here: its target reps (0 if it has
         # its target) and its missing runs, in (algorithm, rep) order, cut
@@ -597,12 +594,12 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                     _run_pool(tasks, min(workers, len(tasks)), handle)
             finally:
                 if estimated:
-                    _write_text(rse_path, _csv_text(RSE_COLUMNS, sorted(targets.values())))
+                    _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))
 
         _check_evals_used(new_records, spec.budget)
         records = sorted([*existing.values(), *new_records])
         if with_runs:
-            _write_runs(runs_path, records)
+            _write_csv(runs_path, RUNS_COLUMNS, records)
     return targets, records
 
 
@@ -642,33 +639,28 @@ def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
             raise ValueError(f"missing random-search target for {label} d={dim}")
         traces = [trace for _, trace in runs]
         ert_by_cell[cell] = expected_running_time(traces, target.value, spec.budget)
-        curves.append(_bnfv_rows(*cell, traces, target, grid))
+        curves += _bnfv_rows(*cell, traces, target, grid)
     if not ert_by_cell:
         raise ValueError(f"no run records found under {out}")
-    _write_text(out / "bnfv.csv", _csv_line(BNFV_COLUMNS) + "".join(curves))
+    _write_csv(out / "bnfv.csv", BNFV_COLUMNS, curves)
     ert_rows = [dict(zip(ERT_COLUMNS, (*cell, *ert_by_cell[cell]))) for cell in cells if cell in ert_by_cell]
-    _write_table(out / "ert.csv", ERT_COLUMNS, ert_rows)
+    _write_csv(out / "ert.csv", ERT_COLUMNS, map(dict.values, ert_rows))
     summary_rows = build_summary_rows(ert_by_cell, algo_names, cat_of, spec.dims)
-    _write_table(out / "summary.csv", SUMMARY_COLUMNS, summary_rows)
+    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, map(dict.values, summary_rows))
     return SummaryResult(ert_rows, summary_rows)
 
 
-def _write_table(path: Path, columns: list[str], rows: list[dict]) -> None:
-    """ert.csv or summary.csv: each row's ``columns``, in order."""
-    _write_text(path, _csv_text(columns, [[r[c] for c in columns] for r in rows]))
-
-
-def _bnfv_rows(algo, label, dim, traces, target, grid) -> str:
+def _bnfv_rows(algo, label, dim, traces, target, grid) -> list[tuple]:
     """A cell's bnfv.csv rows: mean and median over its runs at each grid point."""
     try:
         curves = np.array([bnfv_on_grid(tr, target, grid) for tr in traces])
-        normalized = "true"
+        normalized = True
     except NormalizationUndefined:
         # A zero or non-finite target: fall back to raw best fitness values.
         curves = np.array([best_on_grid(tr, grid) for tr in traces])
-        normalized = "false"
+        normalized = False
     mean, median = curves.mean(axis=0).tolist(), np.median(curves, axis=0).tolist()
-    return "".join(f"{algo},{label},{dim},{normalized},{e},{m},{md}\n" for e, m, md in zip(grid, mean, median))
+    return [(algo, label, dim, normalized, e, m, md) for e, m, md in zip(grid, mean, median)]
 
 
 def build_summary_rows(

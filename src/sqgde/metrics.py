@@ -101,7 +101,7 @@ def estimate_rse_target(fn, budget: int, reps: int, seed: int) -> RseTarget:
         for block in np.array_split(space.sample_uniform(rng, budget), blocks):
             best = np.fmin.reduce(np.asarray(fn(block, rng), dtype=float), initial=best)  # NaN never counts as best
         total += float(best)
-    return RseTarget(getattr(fn, "label", "custom"), space.dim, int(budget), int(reps), total / reps)
+    return RseTarget(fn.label, space.dim, int(budget), int(reps), total / reps)
 
 
 def best_on_grid(trace: RunTrace, grid) -> np.ndarray:

@@ -186,7 +186,7 @@ def random_rotation(dim: int, rng: RngStream) -> np.ndarray:
     return q * signs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositionComponent:
     """A base landscape moved to ``shift``, optionally rotated, plus ``bias``.
 
@@ -242,7 +242,7 @@ def _mixture(comps: tuple[CompositionComponent, ...], sigma2: np.ndarray, X: np.
     return w, vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestFunction:
     """A concrete box-bounded objective, evaluated as ``fn(x, rng)``.
 
@@ -265,7 +265,7 @@ class TestFunction:
     noisy: bool = False
     # Each component's sigma^2, once per build: an sqg run makes hundreds of
     # 6-row calls, and each pays every fixed cost of a call.
-    sigma2: np.ndarray | None = field(init=False, repr=False, compare=False)
+    sigma2: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         sigma2 = np.array([c.sigma for c in self.body]) ** 2 if isinstance(self.body, tuple) else None

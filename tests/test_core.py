@@ -108,6 +108,16 @@ def test_search_space_refuses_a_width_that_overflows():
     assert np.all(np.abs(widest.sample_uniform(make_rng(1), 100)) <= 8.9e307)
 
 
+def test_records_holding_arrays_compare_by_identity():
+    # Field-wise equality would compare the bound arrays as a truth value and raise.
+    space = SearchSpace.box(3, -1.0, 1.0)
+    assert space == space and space != SearchSpace.box(3, -1.0, 1.0)
+    fn = make_test_function(suite_by_label()["hybrid_rotated"], dim=3)
+    keyed = {space: "space", fn: "function", fn.body[0]: "component"}
+    assert [keyed[space], keyed[fn], keyed[fn.body[0]]] == ["space", "function", "component"]
+    assert fn != make_test_function(suite_by_label()["hybrid_rotated"], dim=3)
+
+
 def _boxes(rng, dim, count):
     """``count`` boxes of ``dim`` axes: per-axis bounds, signed zeros, widths from one ulp to 2e307."""
     for _ in range(count):

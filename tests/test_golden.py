@@ -9,6 +9,13 @@ follow how ``estimate_rse_target`` splits a sample into row blocks: at
 these budgets a rotated product's last bits depend on the block's row
 count, so a change of ``metrics._RSE_BLOCK`` or of the split moves them.
 
+The ``protocol`` section is a one-rep slice of the protocol itself: rep 0
+of every (preset, function, dim) of ``default_benchmark_spec()`` at
+D = 30 and 50, budget 1000, seeded as ``run_benchmark`` seeds it, stored as
+its final point and the sha256 of the trace file ``write_trace`` writes,
+plus each cell's random-search target at reps 2. There DE runs 9
+generations and sqg 150 iterations, where the D = 10 traces reach 2 and 33.
+
 The file records the stream version it was generated under. A change
 that alters any result for a seed (a draw order, the numerics of an
 objective, or the RSE block split) must bump ``core.STREAM_VERSION`` and
@@ -21,13 +28,16 @@ entries; it refuses to overwrite a stored trace or target that no longer
 matches, so a change of behaviour cannot be hidden without a version bump.
 """
 
+import hashlib
 import json
+import tempfile
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 from sqgde.core import STREAM_VERSION
-from sqgde.harness import ALGORITHM_PRESETS, execute_run
+from sqgde.harness import ALGORITHM_PRESETS, default_benchmark_spec, execute_run, rse_target, run_seed, write_trace
 from sqgde.metrics import estimate_rse_target
 from sqgde.testfuncs import make_test_function, suite_by_label
 
@@ -82,8 +92,44 @@ def _rse_cases():
     return [(f, b) for f in RSE_FUNCTIONS for b in RSE_BUDGETS]
 
 
+PROTOCOL = default_benchmark_spec()
+# The protocol slice's random-search targets are its cells' "rse" entries.
+PROTOCOL_TARGET, PROTOCOL_TARGET_REPS = "rse", 2
+
+
+@cache
+def _protocol_function(label: str, dim: int):
+    return make_test_function(suite_by_label()[label], dim=dim)
+
+
+def _protocol_key(algo: str, label: str, dim: int) -> str:
+    return f"{algo}/{label}/d{dim}"
+
+
+def _protocol_entry(algo: str, label: str, dim: int):
+    """A protocol run's final point and trace-file sha256, or, under ``rse``, its cell's target."""
+    fn, budget, seed = _protocol_function(label, dim), PROTOCOL.budget, PROTOCOL.master_seed
+    if algo == PROTOCOL_TARGET:
+        return rse_target(fn, budget, PROTOCOL_TARGET_REPS, seed).value
+    trace = execute_run(ALGORITHM_PRESETS[algo], fn, budget, run_seed(seed, algo, label, dim, 0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace(path, trace)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {"final": [trace.final_evals, trace.final_best], "sha256": digest}
+
+
+def _protocol_cases():
+    algos = [a.name for a in PROTOCOL.algorithms] + [PROTOCOL_TARGET]
+    return [(a, f.label, d) for a in algos for f in PROTOCOL.functions for d in PROTOCOL.dims]
+
+
 # Each section of the file: its cases, a case's key and a case's stored value.
-SECTIONS = {"traces": (_cases, _key, _trace), "rse_targets": (_rse_cases, _rse_key, _rse_target)}
+SECTIONS = {
+    "traces": (_cases, _key, _trace),
+    "rse_targets": (_rse_cases, _rse_key, _rse_target),
+    "protocol": (_protocol_cases, _protocol_key, _protocol_entry),
+}
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +152,11 @@ def test_golden_trace_bit_identical(golden, algo, label, seed):
 @pytest.mark.parametrize("label,budget", _rse_cases())
 def test_golden_rse_target_bit_identical(golden, label, budget):
     assert _rse_target(label, budget) == golden["rse_targets"][_rse_key(label, budget)]
+
+
+@pytest.mark.parametrize("algo,label,dim", _protocol_cases())
+def test_golden_protocol_slice_bit_identical(golden, algo, label, dim):
+    assert _protocol_entry(algo, label, dim) == golden["protocol"][_protocol_key(algo, label, dim)]
 
 
 def regenerate(path: Path = GOLDEN, cases: dict | None = None) -> list[str]:
@@ -165,5 +216,5 @@ def test_regenerate_adds_new_traces_and_rewrites_old_versions(tmp_path):
 
 if __name__ == "__main__":
     changed = regenerate()
-    counts = f"{len(_cases())} traces and {len(_rse_cases())} RSE targets"
+    counts = f"{len(_cases())} traces, {len(_rse_cases())} RSE targets and {len(_protocol_cases())} protocol entries"
     print(f"wrote {counts} to {GOLDEN}; changed: {', '.join(changed) or 'none'}")
