@@ -44,7 +44,6 @@ from .core import (
     RunTrace,
     best_index,
     derive_seed,
-    init_population,
     make_rng,
     ranked_fitness,
 )
@@ -264,7 +263,8 @@ def sqg_pairs(X: np.ndarray, rows, w: int, rng: RngStream, eps_pair: float = 0.0
 
 
 def sqg_donors(
-    pop: Population,
+    X: np.ndarray,
+    fitness: np.ndarray,
     rows,
     best: int,
     w: int,
@@ -273,11 +273,10 @@ def sqg_donors(
     eps_pair: float = 0.0,
     eps_den: float = 0.0,
 ) -> np.ndarray:
-    """Quasi-gradient donors for the target rows; degenerate rows take the plain step."""
-    X = pop.genomes
+    """Quasi-gradient donors for the target rows of ``X`` (ranked ``fitness``); degenerate rows take the plain step."""
     b, c, degenerate, diffs, dist = sqg_pairs(X, rows, w, rng, eps_pair)
     with np.errstate(invalid="ignore"):  # inf - inf gaps are left out as NaN
-        gaps = pop.fitness[b] - pop.fitness[c]
+        gaps = fitness[b] - fitness[c]
     return sqg_steps(X[best], diffs, dist, gaps, F, np.where(degenerate, np.inf, eps_den))
 
 
@@ -319,7 +318,7 @@ def sqg_donor(
     Degenerate pairs are resampled as in :func:`sqg_pairs`; if they persist,
     the plain mean-difference step is used instead.
     """
-    return sqg_donors(pop, [target], best, w, F, rng, eps_pair, eps_den)[0]
+    return sqg_donors(pop.genomes, pop.fitness, [target], best, w, F, rng, eps_pair, eps_den)[0]
 
 
 def binomial_masks(n: int, d: int, CR: float, rng: RngStream) -> np.ndarray:
@@ -388,15 +387,15 @@ def sqg_gradient_estimate(
     return ((values[1:] - values[0]) / delta) @ z
 
 
-def _donors(config: DEConfig, pop: Population, rng: RngStream, eps: float) -> np.ndarray:
-    """The donors of every member of one generation."""
-    rows = np.arange(pop.size)
+def _donors(config: DEConfig, X: np.ndarray, fitness: np.ndarray, rng: RngStream, eps: float) -> np.ndarray:
+    """The donors of every row of one generation; the best is the lowest ranked fitness, ties to the lowest index."""
+    rows = np.arange(len(X))
     if config.strategy == "sqgbin":
-        return sqg_donors(pop, rows, best_index(pop), config.w, config.F, rng, eps, eps)
+        return sqg_donors(X, fitness, rows, int(np.argmin(fitness)), config.w, config.F, rng, eps, eps)
     if config.strategy == "rand1exp":
-        return rand1_donors(pop.genomes, distinct_indices(_others(rows, pop.size), 3, rng), config.F)
-    idx = distinct_indices(_others(rows, pop.size), 4, rng)
-    return best2_donors(pop.genomes, best_index(pop), idx, config.F)
+        return rand1_donors(X, distinct_indices(_others(rows, len(X)), 3, rng), config.F)
+    idx = distinct_indices(_others(rows, len(X)), 4, rng)
+    return best2_donors(X, int(np.argmin(fitness)), idx, config.F)
 
 
 def run_de(config: DEConfig, fn, t_max: int, seed: int) -> RunTrace:
@@ -412,18 +411,18 @@ def run_de(config: DEConfig, fn, t_max: int, seed: int) -> RunTrace:
     rng = make_rng(derive_seed(seed, "run"))
     evaluator = BudgetedEvaluator(fn, t_max, rng)
     space = fn.space
-    pop = init_population(space, config.pop_size, rng)
+    X = space.sample_uniform(rng, config.pop_size)
     eps = 1e-12 * space.mean_range
     masks = exponential_masks if config.strategy == "rand1exp" else binomial_masks
     try:
-        pop.fitness = ranked_fitness(evaluator.evaluate_batch(pop.genomes))
+        fitness = ranked_fitness(evaluator.evaluate_batch(X))
         while not evaluator.exhausted:
-            donors = space.clip(_donors(config, pop, rng, eps))
-            trials = np.where(masks(pop.size, space.dim, config.CR, rng), donors, pop.genomes)
+            donors = space.clip(_donors(config, X, fitness, rng, eps))
+            trials = np.where(masks(config.pop_size, space.dim, config.CR, rng), donors, X)
             values = evaluator.evaluate_batch(trials)
-            won = np.flatnonzero(select_trials(pop.fitness, values))
-            pop.genomes[won] = trials[won]
-            pop.fitness[won] = ranked_fitness(values[won])
+            won = np.flatnonzero(select_trials(fitness, values))
+            X[won] = trials[won]
+            fitness[won] = ranked_fitness(values[won])
     except BudgetExhausted:
         pass
     return evaluator.trace()

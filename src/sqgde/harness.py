@@ -47,9 +47,7 @@ from .core import STREAM_VERSION, RunTrace, derive_seed, record_dict
 from .core import check_names, json_fields, json_list, json_value, refuse_unknown_keys
 from .metrics import (
     ErtResult,
-    NormalizationUndefined,
     RseTarget,
-    best_on_grid,
     bnfv_on_grid,
     expected_running_time,
     estimate_rse_target,
@@ -652,13 +650,7 @@ def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
 
 def _bnfv_rows(algo, label, dim, traces, target, grid) -> list[tuple]:
     """A cell's bnfv.csv rows: mean and median over its runs at each grid point."""
-    try:
-        curves = np.array([bnfv_on_grid(tr, target, grid) for tr in traces])
-        normalized = True
-    except NormalizationUndefined:
-        # A zero or non-finite target: fall back to raw best fitness values.
-        curves = np.array([best_on_grid(tr, grid) for tr in traces])
-        normalized = False
+    normalized, curves = bnfv_on_grid(traces, target.value, grid)
     mean, median = curves.mean(axis=0).tolist(), np.median(curves, axis=0).tolist()
     return [(algo, label, dim, normalized, e, m, md) for e, m, md in zip(grid, mean, median)]
 

@@ -16,7 +16,6 @@ import numpy as np
 from .core import RunTrace, make_rng
 
 __all__ = [
-    "NormalizationUndefined",
     "ErtResult",
     "expected_running_time",
     "RseTarget",
@@ -24,10 +23,6 @@ __all__ = [
     "best_on_grid",
     "bnfv_on_grid",
 ]
-
-
-class NormalizationUndefined(ValueError):
-    """The normalization target is zero or not finite, so normalized fitness is undefined."""
 
 
 class ErtResult(NamedTuple):
@@ -111,11 +106,17 @@ def best_on_grid(trace: RunTrace, grid) -> np.ndarray:
     return bests[np.searchsorted(points[:, 0], np.asarray(grid).astype(int), side="right")]
 
 
-def bnfv_on_grid(trace: RunTrace, target: RseTarget, grid) -> np.ndarray:
-    """Normalized best-so-far sampled on an evaluation grid (piecewise constant)."""
-    if target.value == 0.0 or not np.isfinite(target.value):
-        raise NormalizationUndefined(
-            f"random-search target for {target.function} is {target.value}; report raw best fitness instead"
-        )
+def bnfv_on_grid(traces: list[RunTrace], f_target: float, grid) -> tuple[bool, np.ndarray]:
+    """(normalized, curves): each run's best-so-far on an evaluation grid (piecewise constant), one row per run.
+
+    The rows are divided by ``f_target`` and ``normalized`` is True, unless
+    the target is zero or not finite: it has no ratio, so the rows are the
+    raw best-so-far values and ``normalized`` is False.
+    """
+    if not traces:
+        raise ValueError("at least one trace is required")
+    curves = np.array([best_on_grid(tr, grid) for tr in traces])
+    if f_target == 0.0 or not np.isfinite(f_target):
+        return False, curves
     with np.errstate(all="ignore"):  # overflow gives inf and inf/inf NaN, as Python floats do, silently
-        return best_on_grid(trace, grid) / target.value
+        return True, curves / f_target

@@ -135,7 +135,7 @@ def test_sqg_donors_match_per_pair_formula():
     best = int(np.argmin(y))
     # the same stream gives sqg_donors the same index arrays as sqg_pairs
     b, c, degenerate, _, _ = sqg_pairs(X, rows, 5, make_rng(4))
-    donors = sqg_donors(pop, rows, best, 5, 0.8, make_rng(4))
+    donors = sqg_donors(X, y, rows, best, 5, 0.8, make_rng(4))
     assert not degenerate.any()
     for i in rows:
         pairs = [((X[p], y[p]), (X[q], y[q])) for p, q in zip(b[i], c[i])]
@@ -156,7 +156,7 @@ def test_sqg_donors_with_repaired_pairs_match_steps_of_the_returned_pairs():
     X, y = pop.genomes, pop.fitness
     rows, best, eps = np.arange(pop.size), int(np.argmin(y)), 1e-12
     b, c, degenerate, diffs, dist = sqg_pairs(X, rows, 5, make_rng(12), eps)
-    donors = sqg_donors(pop, rows, best, 5, 0.8, make_rng(12), eps, eps)
+    donors = sqg_donors(X, y, rows, best, 5, 0.8, make_rng(12), eps, eps)
     first = distinct_indices(_self_blocked(pop.size), 10, make_rng(12))
     assert (first[:, 0::2] != b).any() and not degenerate.any()  # pairs were redrawn, and all repaired
     # the repaired differences and lengths are those of the returned pairs

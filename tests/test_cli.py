@@ -46,12 +46,13 @@ def test_run_command(tmp_path):
 
 
 def test_run_command_on_a_descriptor_of_its_seed_does_not_start_on_the_optimum(tmp_path):
-    # The default --seed 0 meets the descriptor's seed 0.
-    desc_path = tmp_path / "mine.json"
-    desc_path.write_text('{"label": "mine", "kind": "rastrigin", "seed": 0}')
-    res = invoke("run", "--algo", "de", "--function", desc_path, "--dim", 10)
-    assert res.exit_code == 0
-    assert float(res.output.split("best_fitness=")[1].split()[0]) > 0.0
+    # The default --seed 0 meets the descriptor's seed 0; before stream version 4 each run printed best_fitness=0.0.
+    for kind, algo, dim, budget in (("rastrigin", "de", 10, 1000), ("sphere", "de", 5, 200), ("sphere", "sqg", 5, 200)):
+        desc_path = tmp_path / f"{kind}.json"
+        desc_path.write_text(f'{{"label": "mine", "kind": "{kind}", "seed": 0}}')
+        res = invoke("run", "--algo", algo, "--function", desc_path, "--dim", dim, "--budget", budget)
+        assert res.exit_code == 0
+        assert float(res.output.split("best_fitness=")[1].split()[0]) > 0.0
 
 
 def test_run_command_out_below_a_file_exits_1_before_any_output(tmp_path):

@@ -33,7 +33,7 @@ from sqgde.harness import (
     summarize,
     write_trace,
 )
-from sqgde.metrics import ErtResult, bnfv_on_grid
+from sqgde.metrics import ErtResult, best_on_grid
 from sqgde.testfuncs import ComponentDescriptor, FunctionDescriptor, custom_function, make_test_function
 
 
@@ -1195,7 +1195,7 @@ def test_bnfv_csv_holds_every_cell_in_key_order(tmp_path):
     targets = harness._load_rse(out / "rse.csv")
     for i, (algo, label, dim) in enumerate(cells):
         traces = [_read_trace(out / r.trace_path) for r in records if r.key[:3] == (algo, label, dim)]
-        curves = np.array([bnfv_on_grid(tr, targets[(label, dim)], grid) for tr in traces])
+        curves = np.array([best_on_grid(tr, grid) / targets[(label, dim)].value for tr in traces])
         cell_rows = rows[i * len(grid) : (i + 1) * len(grid)]
         assert {r[3] for r in cell_rows} == {"true"}
         assert [float(r[5]) for r in cell_rows] == curves.mean(axis=0).tolist()

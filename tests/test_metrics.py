@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from sqgde.core import RunTrace, SearchSpace, make_rng
 from sqgde.metrics import (
-    NormalizationUndefined,
     RseTarget,
     best_on_grid,
     bnfv_on_grid,
@@ -135,36 +134,44 @@ def test_rse_validation():
         estimate_rse_target(fn, 10, 0, seed=0)
 
 
-def _bnfv_at_points(trace, target):
+def _bnfv_at_points(trace, value):
     """Normalized best fitness at the trace's own eval indices."""
-    return bnfv_on_grid(trace, target, [e for e, _ in trace.points]).tolist()
+    normalized, curves = bnfv_on_grid([trace], value, [e for e, _ in trace.points])
+    assert normalized is True and curves.shape == (1, len(trace.points))
+    return curves[0].tolist()
 
 
 def test_bnfv_hand_values():
     trace = RunTrace(((100, 50.0), (400, 10.0)), 1000)
-    target = RseTarget("f", 2, 1000, 100, 25.0)
-    assert _bnfv_at_points(trace, target) == [2.0, 0.4]
+    assert _bnfv_at_points(trace, 25.0) == [2.0, 0.4]
 
 
 def test_bnfv_parity_and_zero():
-    target = RseTarget("f", 2, 1000, 100, 25.0)
-    assert _bnfv_at_points(RunTrace(((10, 25.0),), 20), target) == [1.0]
-    assert _bnfv_at_points(RunTrace(((10, 0.0),), 20), target) == [0.0]
+    assert _bnfv_at_points(RunTrace(((10, 25.0),), 20), 25.0) == [1.0]
+    assert _bnfv_at_points(RunTrace(((10, 0.0),), 20), 25.0) == [0.0]
 
 
 def test_bnfv_zero_target_is_undefined():
-    for value in (0.0, np.inf, np.nan):  # a non-finite target has no ratio either
-        with pytest.raises(NormalizationUndefined):
-            bnfv_on_grid(RunTrace(((10, 1.0),), 20), RseTarget("f", 2, 1000, 100, value), [10, 20])
+    traces = [RunTrace(((10, 1.0),), 20), RunTrace(((5, 3.0), (20, -2.0)), 20)]
+    raw = np.array([best_on_grid(tr, [10, 20]) for tr in traces])
+    for value in (0.0, np.inf, -np.inf, np.nan):  # a non-finite target has no ratio either
+        normalized, curves = bnfv_on_grid(traces, value, [10, 20])
+        assert normalized is False
+        assert curves.tobytes() == raw.tobytes()  # the raw best-so-far rows, bit for bit
+
+
+def test_bnfv_refuses_an_empty_cell():
+    with pytest.raises(ValueError, match="at least one trace is required"):
+        bnfv_on_grid([], 25.0, [10, 20])
 
 
 def test_bnfv_on_grid_piecewise_constant():
     trace = RunTrace(((100, 50.0), (400, 10.0)), 1000)
-    target = RseTarget("f", 2, 1000, 100, 25.0)
     grid = [50, 100, 250, 400, 1000]
-    values = bnfv_on_grid(trace, target, grid)
-    assert values[0] == np.inf  # before the first recorded point
-    np.testing.assert_allclose(values[1:], [2.0, 2.0, 0.4, 0.4])
+    normalized, curves = bnfv_on_grid([trace], 25.0, grid)
+    assert normalized is True
+    assert curves[0, 0] == np.inf  # before the first recorded point
+    np.testing.assert_allclose(curves[0, 1:], [2.0, 2.0, 0.4, 0.4])
 
 
 @st.composite
@@ -183,23 +190,27 @@ def _best_at_scan(trace, eval_index):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    _traces(),
+    st.lists(_traces(), min_size=2, max_size=4),
     st.lists(st.integers(0, 300), max_size=30),
     st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0),  # tiny, huge and negative targets
     st.booleans(),
 )
-@example(RunTrace((), 0), [0, 10], 2.5, False)  # empty trace: inf everywhere
-@example(RunTrace(((5, 3.0), (9, -1.0)), 20), [0, 4, 5, 8, 9, 20, 300], -2.5, True)  # before, at and past the points
-def test_bnfv_on_grid_equals_its_per_point_definition(trace, grid, value, as_array):
-    target = RseTarget("f", 2, 1000, 10, value)
+@example([RunTrace((), 0), RunTrace(((3, 1.0),), 5)], [0, 10], 2.5, False)  # empty trace: inf everywhere
+@example(  # before, at and past the points
+    [RunTrace(((5, 3.0), (9, -1.0)), 20), RunTrace(((1, 7.0),), 20)], [0, 4, 5, 8, 9, 20, 300], -2.5, True
+)
+def test_bnfv_on_grid_equals_its_per_point_definition(traces, grid, value, as_array):
     points = np.array(grid) if as_array else grid
-    raw = np.array([_best_at_scan(trace, e) for e in grid])
-    normalized = np.array([_best_at_scan(trace, e) / target.value for e in grid])
-    assert best_on_grid(trace, points).tobytes() == raw.tobytes()
-    assert bnfv_on_grid(trace, target, points).tobytes() == normalized.tobytes()
+    raw = np.array([[_best_at_scan(tr, e) for e in grid] for tr in traces])
+    normalized = np.array([[_best_at_scan(tr, e) / value for e in grid] for tr in traces])
+    for tr, row in zip(traces, raw):
+        assert best_on_grid(tr, points).tobytes() == row.tobytes()
+    flag, curves = bnfv_on_grid(traces, value, points)
+    assert flag is True and curves.shape == (len(traces), len(grid))
+    assert curves.tobytes() == normalized.tobytes()  # one row per trace, in order
     for undefined in (0.0, np.inf, -np.inf, np.nan):
-        with pytest.raises(NormalizationUndefined):
-            bnfv_on_grid(trace, RseTarget("f", 2, 1000, 10, undefined), points)
+        flag, curves = bnfv_on_grid(traces, undefined, points)
+        assert flag is False and curves.shape == raw.shape and curves.tobytes() == raw.tobytes()
 
 
 def test_rse_noisy_function_sees_noise():

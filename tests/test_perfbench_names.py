@@ -1,4 +1,4 @@
-"""Every ``sqgde`` name the benchmark scripts under ``perfbench/`` use exists.
+"""Every ``sqgde`` name the benchmark scripts under ``perfbench/`` use exists, with the keywords they pass.
 
 ``perfbench/`` times functions that no run loop calls (the one-row DE
 operators, ``init_population``), so nothing else in the package keeps them.
@@ -9,40 +9,85 @@ running it, and resolves against the package:
 * each attribute of a name bound to a ``sqgde`` module in that file, and of
   a name ``harness`` (``pipeline.py`` and ``layers.py`` take the module as a
   parameter);
-* each name in the tuple that ``tracing.traced_harness`` rebinds on it.
+* each name in the tuple that ``tracing.traced_harness`` rebinds on it;
+* each keyword of a call to one of those names, which must be a parameter
+  of the callable (``inspect.signature``), such as ``dim=`` of
+  ``make_test_function``;
+* each parameter of a wrapper that ``traced_harness`` defines under a
+  rebound name, which must be a parameter of the original.
 
 It does not cover members of objects (``pop.members``,
-``evaluator.evaluate``) or signatures: a call with a dropped keyword still
-passes here.
+``evaluator.evaluate``, ``summary.ert_rows``), calls made through another
+name (``build = originals["make_test_function"]``), or the count of
+positional arguments.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _used_names(tree: ast.Module) -> set[tuple[str, str]]:
-    """(module, name) of each ``sqgde`` name a perfbench file uses."""
-    used, modules = set(), {"harness": "sqgde.harness"}
+def _bindings(tree: ast.Module) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
+    """The file's names bound to ``sqgde`` modules, and to names imported from them, each with its (module, name)."""
+    modules, imported = {"harness": "sqgde.harness"}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sqgde":
             for alias in node.names:
-                used.add((node.module, alias.name))
+                imported[alias.asname or alias.name] = (node.module, alias.name)
                 if node.module == "sqgde":  # a submodule, whose attributes are checked below
                     modules[alias.asname or alias.name] = f"sqgde.{alias.name}"
         elif isinstance(node, ast.Import):
             modules.update((a.asname or a.name, a.name) for a in node.names if a.name.split(".")[0] == "sqgde")
+    return modules, imported
+
+
+def _rebound(tree: ast.Module) -> tuple[set[str], list[ast.FunctionDef]]:
+    """The names ``traced_harness`` rebinds on ``harness``, and the wrappers it defines under them."""
+    names, wrappers = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "traced_harness":
+            for assign in ast.walk(node):
+                if isinstance(assign, ast.Assign) and [getattr(t, "id", None) for t in assign.targets] == ["names"]:
+                    names.update(elt.value for elt in assign.value.elts)
+            wrappers += [f for f in ast.walk(node) if isinstance(f, ast.FunctionDef) and f is not node]
+    return names, [f for f in wrappers if f.name in names]
+
+
+def _used_names(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) of each ``sqgde`` name a perfbench file uses."""
+    modules, imported = _bindings(tree)
+    used = set(imported.values())
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
             used.add((modules[node.value.id], node.attr))
-        elif isinstance(node, ast.FunctionDef) and node.name == "traced_harness":
-            for assign in ast.walk(node):
-                if isinstance(assign, ast.Assign) and [getattr(t, "id", None) for t in assign.targets] == ["names"]:
-                    used.update(("sqgde.harness", elt.value) for elt in assign.value.elts)
+    used.update(("sqgde.harness", name) for name in _rebound(tree)[0])
     return used
+
+
+def _keywords(tree: ast.Module) -> set[tuple[str, str, str]]:
+    """(module, name, keyword) of each keyword a perfbench file passes to a ``sqgde`` name it calls."""
+    modules, imported = _bindings(tree)
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            target = imported[func.id]
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+            target = (modules[func.value.id], func.attr)
+        else:
+            continue
+        found.update((*target, k.arg) for k in node.keywords if k.arg is not None)  # not a ** spread
+    return found
+
+
+def _resolve(module: str, name: str):
+    return getattr(importlib.import_module(module), name, None)
 
 
 def _exists(module: str, name: str) -> bool:
@@ -51,12 +96,21 @@ def _exists(module: str, name: str) -> bool:
     return hasattr(importlib.import_module(module), name)
 
 
-def _perfbench_names() -> set[tuple[str, str]]:
-    return set().union(*(_used_names(ast.parse(path.read_text())) for path in sorted(PERFBENCH.glob("*.py"))))
+def _takes(fn, parameter: str) -> bool:
+    """Whether ``fn`` accepts ``parameter`` as a keyword."""
+    params = inspect.signature(fn).parameters
+    kinds = {p.kind for p in params.values()}
+    return inspect.Parameter.VAR_KEYWORD in kinds or (
+        parameter in params and params[parameter].kind is not inspect.Parameter.POSITIONAL_ONLY
+    )
+
+
+def _trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))]
 
 
 def test_every_sqgde_name_perfbench_uses_exists():
-    used = _perfbench_names()
+    used = set().union(*map(_used_names, _trees()))
     # The walk finds each kind of use: an import, a module attribute, a parameter's and a rebound name.
     assert {
         ("sqgde.core", "init_population"),
@@ -66,3 +120,34 @@ def test_every_sqgde_name_perfbench_uses_exists():
     } <= used
     missing = [f"{module}.{name}" for module, name in sorted(used) if not _exists(module, name)]
     assert not missing, f"perfbench/ uses names that sqgde no longer has: {', '.join(missing)}"
+
+
+def test_every_keyword_perfbench_passes_is_a_parameter():
+    passed = set().union(*map(_keywords, _trees()))
+    # An imported name's call, a module attribute's call and a class's construction.
+    assert {
+        ("sqgde.testfuncs", "make_test_function", "dim"),
+        ("sqgde.harness", "run_benchmark", "workers"),
+        ("sqgde.harness", "BenchmarkSpec", "algorithms"),
+        ("sqgde.harness", "BenchmarkSpec", "output_dir"),
+    } <= passed
+    wrong = [
+        f"{module}.{name}({keyword}=)"
+        for module, name, keyword in sorted(passed)
+        if callable(fn := _resolve(module, name)) and not _takes(fn, keyword)
+    ]
+    assert not wrong, f"perfbench/ passes keywords that sqgde no longer takes: {', '.join(wrong)}"
+
+
+def test_every_wrapper_traced_harness_rebinds_takes_the_originals_parameters():
+    from sqgde import harness
+
+    wrappers = [w for tree in _trees() for w in _rebound(tree)[1]]
+    assert "make_test_function" in {w.name for w in wrappers}
+    wrong = [
+        f"{w.name}({arg.arg})"
+        for w in wrappers
+        for arg in (*w.args.posonlyargs, *w.args.args, *w.args.kwonlyargs)
+        if arg.arg not in inspect.signature(getattr(harness, w.name)).parameters
+    ]
+    assert not wrong, f"traced_harness wraps with parameters the originals no longer have: {', '.join(wrong)}"
