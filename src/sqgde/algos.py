@@ -82,6 +82,7 @@ STRATEGIES = ("rand1exp", "best2bin", "sqgbin")
 
 # Minimum members beyond the target each mutation needs to sample.
 _MIN_POP = {"rand1exp": 4, "best2bin": 6}
+_replaces = np.greater_equal  # the selection rule on ranked (target, trial): a trial no worse replaces its target
 
 
 @dataclass(frozen=True)
@@ -175,9 +176,8 @@ def distinct_indices(blocked: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
 
 def _others(rows, pop_size: int) -> np.ndarray:
     """Blocked mask that keeps each target row from drawing itself."""
-    rows = np.asarray(rows)
-    blocked = np.zeros((rows.size, pop_size), dtype=bool)
-    blocked[np.arange(rows.size), rows] = True
+    blocked = np.zeros((len(rows), pop_size), dtype=bool)
+    blocked[np.arange(len(rows)), rows] = True
     return blocked
 
 
@@ -219,10 +219,12 @@ def sqg_steps(
     norm_s = np.linalg.norm(s, axis=1)
     plain = norm_s <= eps_den
     phi = (np.linalg.norm(sum_diff, axis=1) / w) / np.where(plain, 1.0, norm_s)
-    return np.where(plain[:, None], x_best + (F / w) * sum_diff, x_best - (F * phi)[:, None] * s)
+    donors = x_best - (F * phi)[:, None] * s
+    donors[plain] = x_best + (F / w) * sum_diff[plain]
+    return donors
 
 
-def sqg_pairs(X: np.ndarray, rows, w: int, rng: RngStream, eps_pair: float = 0.0):
+def sqg_pairs(X: np.ndarray, rows, w: int, rng: RngStream, eps_pair: float = 0.0, blocked=None):
     """w member pairs per target row, all 2 w members distinct and non-target.
 
     A pair whose points coincide (length within ``eps_pair``) is redrawn
@@ -231,9 +233,10 @@ def sqg_pairs(X: np.ndarray, rows, w: int, rng: RngStream, eps_pair: float = 0.0
     converged population) stops there. Returns the (n, w) index arrays b
     and c, the boolean mask of those degenerate rows, the differences
     X[b] - X[c], shape (n, w, D), and their lengths, shape (n, w).
+    ``blocked``, if given, is each row's own-column mask (n, pop_size), built once by a caller that reuses it.
     """
     pop_size = len(X)
-    blocked = _others(rows, pop_size)
+    blocked = _others(rows, pop_size) if blocked is None else blocked
     idx = distinct_indices(blocked, 2 * w, rng)
     b, c = idx[:, 0::2], idx[:, 1::2]  # views: repairs write through to idx
     diffs = X[b] - X[c]
@@ -272,12 +275,14 @@ def sqg_donors(
     rng: RngStream,
     eps_pair: float = 0.0,
     eps_den: float = 0.0,
+    blocked=None,
 ) -> np.ndarray:
     """Quasi-gradient donors for the target rows of ``X`` (ranked ``fitness``); degenerate rows take the plain step."""
-    b, c, degenerate, diffs, dist = sqg_pairs(X, rows, w, rng, eps_pair)
+    b, c, degenerate, diffs, dist = sqg_pairs(X, rows, w, rng, eps_pair, blocked)
     with np.errstate(invalid="ignore"):  # inf - inf gaps are left out as NaN
         gaps = fitness[b] - fitness[c]
-    return sqg_steps(X[best], diffs, dist, gaps, F, np.where(degenerate, np.inf, eps_den))
+    eps_den = np.where(degenerate, np.inf, eps_den) if degenerate.any() else eps_den
+    return sqg_steps(X[best], diffs, dist, gaps, F, eps_den)
 
 
 def mutate_rand1(pop: Population, target: int, F: float, rng: RngStream) -> np.ndarray:
@@ -362,7 +367,7 @@ def crossover_exponential(target: np.ndarray, donor: np.ndarray, CR: float, rng:
 
 def select_trials(target_fitness, trial_fitness) -> np.ndarray:
     """Where each trial replaces its target: ranked fitness no worse; ties go to the trial."""
-    return ranked_fitness(trial_fitness) <= ranked_fitness(target_fitness)
+    return _replaces(ranked_fitness(target_fitness), ranked_fitness(trial_fitness))
 
 
 def sqg_gradient_estimate(
@@ -382,22 +387,21 @@ def sqg_gradient_estimate(
     z = rng.uniform(-1.0, 1.0, (r, x.size))
     batch = np.empty((r + 1, x.size))
     batch[0] = x
-    batch[1:] = x + delta * z
+    np.add(np.multiply(z, delta, out=batch[1:]), x, out=batch[1:])  # x + delta * z in place: IEEE + and * commute
     values = evaluator.evaluate_batch(batch)
     return ((values[1:] - values[0]) / delta) @ z
 
 
-def _donors(config: DEConfig, X: np.ndarray, fitness: np.ndarray, rng: RngStream, eps: float) -> np.ndarray:
+def _donors(config: DEConfig, X: np.ndarray, fitness: np.ndarray, rows, blocked, rng: RngStream, eps: float):
     """The donors of every row of one generation; the best is the lowest ranked fitness, ties to the lowest index."""
-    rows = np.arange(len(X))
     if config.strategy == "sqgbin":
-        return sqg_donors(X, fitness, rows, int(np.argmin(fitness)), config.w, config.F, rng, eps, eps)
+        return sqg_donors(X, fitness, rows, int(np.argmin(fitness)), config.w, config.F, rng, eps, eps, blocked)
     if config.strategy == "rand1exp":
-        return rand1_donors(X, distinct_indices(_others(rows, len(X)), 3, rng), config.F)
-    idx = distinct_indices(_others(rows, len(X)), 4, rng)
-    return best2_donors(X, int(np.argmin(fitness)), idx, config.F)
+        return rand1_donors(X, distinct_indices(blocked, 3, rng), config.F)
+    return best2_donors(X, int(np.argmin(fitness)), distinct_indices(blocked, 4, rng), config.F)
 
 
+@np.errstate(all="ignore")  # once per run: a box or an objective that overflows gives inf and NaN, which rank last
 def run_de(config: DEConfig, fn, t_max: int, seed: int) -> RunTrace:
     """One budgeted DE run; returns the best-so-far trace.
 
@@ -414,21 +418,23 @@ def run_de(config: DEConfig, fn, t_max: int, seed: int) -> RunTrace:
     X = space.sample_uniform(rng, config.pop_size)
     eps = 1e-12 * space.mean_range
     masks = exponential_masks if config.strategy == "rand1exp" else binomial_masks
+    rows = np.arange(config.pop_size)
+    blocked = _others(rows, config.pop_size)  # the same for every generation
     try:
         fitness = ranked_fitness(evaluator.evaluate_batch(X))
         while not evaluator.exhausted:
-            donors = space.clip(_donors(config, X, fitness, rng, eps))
+            donors = space.clip(_donors(config, X, fitness, rows, blocked, rng, eps))
             trials = np.where(masks(config.pop_size, space.dim, config.CR, rng), donors, X)
-            values = evaluator.evaluate_batch(trials)
-            won = np.flatnonzero(select_trials(fitness, values))
+            values = ranked_fitness(evaluator.evaluate_batch(trials))
+            won = np.flatnonzero(_replaces(fitness, values))
             X[won] = trials[won]
-            fitness[won] = ranked_fitness(values[won])
+            fitness[won] = values[won]
     except BudgetExhausted:
         pass
     return evaluator.trace()
 
 
-@np.errstate(invalid="ignore")  # once per run: an inf - inf probe difference is a NaN estimate, so no step
+@np.errstate(all="ignore")  # once per run, as in run_de: an inf - inf probe difference is a NaN estimate, no step
 def run_sqg(config: SQGConfig, fn, t_max: int, seed: int) -> RunTrace:
     """Budgeted quasi-gradient descent from the best of a uniform sample.
 

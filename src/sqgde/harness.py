@@ -36,7 +36,7 @@ import json
 import os
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from itertools import groupby, islice, product
+from itertools import groupby, islice, product, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -250,8 +250,8 @@ def _write_csv(path: Path, columns: list[str], rows) -> None:
 
 
 def write_trace(path: Path, trace: RunTrace) -> None:
-    """Write a run's best-so-far trace as ``eval,best`` CSV lines."""
-    _write_csv(path, TRACE_COLUMNS, trace.points)
+    """Write a run's best-so-far trace as ``eval,best`` CSV lines, each point formatted once as ``str`` does."""
+    _write_text(path, _csv_line(TRACE_COLUMNS) + "".join([f"{e},{b}\n" for e, b in trace.points]))
 
 
 def _read_rows(path: Path, columns: list[str]) -> list[list[str]] | None:
@@ -272,10 +272,11 @@ def _read_rows(path: Path, columns: list[str]) -> list[list[str]] | None:
 
 
 def _read_trace(path: Path) -> RunTrace:
-    """A trace file's run; ValueError for a missing file, another header, no point or a point that does not parse."""
-    if not (rows := _read_rows(path, TRACE_COLUMNS)):
-        raise ValueError(f"{path} is missing, has another header or holds no point")
-    points = tuple((int(e), float(b)) for e, b in rows)
+    """A trace file's run; ValueError if it is missing, has another header or no point, is cut or does not parse."""
+    lines = path.read_bytes().decode().split("\n") if path.exists() else []  # UnicodeDecodeError is a ValueError
+    if lines[:1] != [",".join(TRACE_COLUMNS)] or len(lines) < 3 or lines[-1]:
+        raise ValueError(f"{path} is missing, has another header, holds no point or is cut inside its last line")
+    points = tuple([(int(e), float(b)) for e, b in map(str.split, lines[1:-1], repeat(","))])
     return RunTrace(points, points[-1][0])
 
 
@@ -649,10 +650,11 @@ def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
 
 
 def _bnfv_rows(algo, label, dim, traces, target, grid) -> list[tuple]:
-    """A cell's bnfv.csv rows: mean and median over its runs at each grid point."""
+    """A cell's bnfv.csv rows: mean and median over its runs at each grid point, its four columns formatted once."""
     normalized, curves = bnfv_on_grid(traces, target.value, grid)
     mean, median = curves.mean(axis=0).tolist(), np.median(curves, axis=0).tolist()
-    return [(algo, label, dim, normalized, e, m, md) for e, m, md in zip(grid, mean, median)]
+    cell = _csv_line((algo, label, dim, normalized))[:-1]
+    return [(cell, e, m, md) for e, m, md in zip(grid, mean, median)]
 
 
 def build_summary_rows(

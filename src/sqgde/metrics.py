@@ -9,6 +9,7 @@ target, penalized for unsuccessful runs.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +75,7 @@ class RseTarget(NamedTuple):
 _RSE_BLOCK = 12_000
 
 
+@np.errstate(all="ignore")  # once per estimate: an objective that overflows gives inf or NaN, silently
 def estimate_rse_target(fn, budget: int, reps: int, seed: int) -> RseTarget:
     """Monte Carlo estimate: mean over reps of (best of ``budget`` uniform draws).
 
@@ -101,7 +103,7 @@ def estimate_rse_target(fn, budget: int, reps: int, seed: int) -> RseTarget:
 
 def best_on_grid(trace: RunTrace, grid) -> np.ndarray:
     """The best-so-far after each evaluation count of ``grid`` (inf before the first point), by one search."""
-    points = np.array(trace.points, dtype=float).reshape(-1, 2)
+    points = np.fromiter(chain.from_iterable(trace.points), float, 2 * len(trace.points)).reshape(-1, 2)
     bests = np.concatenate(([np.inf], points[:, 1]))
     return bests[np.searchsorted(points[:, 0], np.asarray(grid).astype(int), side="right")]
 

@@ -453,6 +453,17 @@ def test_bench_and_run_refuse_a_box_whose_width_overflows_and_write_nothing(tmp_
     assert not (tmp_path / "traces").exists()
 
 
+def test_bench_on_a_box_whose_values_overflow_exits_0_and_writes_nothing_to_stderr(tmp_path):
+    # Every value is inf, and the steps between such points give inf - inf: no numpy warning may reach the user.
+    wide = {"label": "wide", "kind": "sphere", "bounds": [-1e200, 1e200], "seed": 3}
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"functions": [wide], "dims": [5], "budget": 300, "reps": 2}))
+    res = CliRunner().invoke(main, ["bench", "--config", str(config), "--out", str(tmp_path / "results"), "--quiet"])
+    assert res.exit_code == 0, res.output
+    assert res.stderr == ""
+    assert "8 runs recorded" in res.stdout
+
+
 @pytest.mark.parametrize(
     "args",
     [

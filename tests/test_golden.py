@@ -16,6 +16,12 @@ its final point and the sha256 of the trace file ``write_trace`` writes,
 plus each cell's random-search target at reps 2. There DE runs 9
 generations and sqg 150 iterations, where the D = 10 traces reach 2 and 33.
 
+The ``summarize`` section pins the tables ``summarize`` writes (``bnfv.csv``,
+``ert.csv`` and ``summary.csv``) by their sha256, for one small spec whose
+functions span several categories and include a box so wide that every
+value overflows: its target is inf, so its ERTs are lower bounds and its
+``bnfv.csv`` rows are raw.
+
 The file records the stream version it was generated under. A change
 that alters any result for a seed (a draw order, the numerics of an
 objective, or the RSE block split) must bump ``core.STREAM_VERSION`` and
@@ -37,9 +43,10 @@ from pathlib import Path
 import pytest
 
 from sqgde.core import STREAM_VERSION
-from sqgde.harness import ALGORITHM_PRESETS, default_benchmark_spec, execute_run, rse_target, run_seed, write_trace
+from sqgde.harness import ALGORITHM_PRESETS, BenchmarkSpec, default_benchmark_spec, execute_run, rse_target, run_seed
+from sqgde.harness import run_benchmark, summarize, write_trace
 from sqgde.metrics import estimate_rse_target
-from sqgde.testfuncs import make_test_function, suite_by_label
+from sqgde.testfuncs import FunctionDescriptor, make_test_function, suite_by_label
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
 ALGORITHMS = ("de", "de2", "sqg", "sqgde")
@@ -124,11 +131,36 @@ def _protocol_cases():
     return [(a, f.label, d) for a in algos for f in PROTOCOL.functions for d in PROTOCOL.dims]
 
 
+# The summarize pin: two categories of two suite functions each, and one
+# uncategorized function whose every value overflows to inf.
+SUMMARY_TABLES = ("bnfv.csv", "ert.csv", "summary.csv")
+SUMMARY_FUNCTIONS = ("shifted_sphere", "shifted_schwefel12_noisy", "shifted_rastrigin", "shifted_rotated_weierstrass")
+SUMMARY_WIDE = FunctionDescriptor("wide", kind="sphere", bounds=(-1e200, 1e200), seed=3)
+
+
+def _summary_cases():
+    return [((2, 10), 300, 3, 7)]  # (dims, budget, reps, master seed)
+
+
+def _summary_key(dims, budget: int, reps: int, seed: int) -> str:
+    return f"d{'-'.join(map(str, dims))}/b{budget}/r{reps}/s{seed}"
+
+
+def _summary_tables(dims, budget: int, reps: int, seed: int) -> dict:
+    """The sha256 of each table ``summarize`` writes for the spec."""
+    functions = [suite_by_label()[label] for label in SUMMARY_FUNCTIONS] + [SUMMARY_WIDE]
+    with tempfile.TemporaryDirectory() as tmp:
+        run_benchmark(BenchmarkSpec(list(ALGORITHM_PRESETS.values()), functions, list(dims), budget, reps, seed, tmp))
+        summarize(tmp)
+        return {name: hashlib.sha256((Path(tmp) / name).read_bytes()).hexdigest() for name in SUMMARY_TABLES}
+
+
 # Each section of the file: its cases, a case's key and a case's stored value.
 SECTIONS = {
     "traces": (_cases, _key, _trace),
     "rse_targets": (_rse_cases, _rse_key, _rse_target),
     "protocol": (_protocol_cases, _protocol_key, _protocol_entry),
+    "summarize": (_summary_cases, _summary_key, _summary_tables),
 }
 
 
@@ -157,6 +189,11 @@ def test_golden_rse_target_bit_identical(golden, label, budget):
 @pytest.mark.parametrize("algo,label,dim", _protocol_cases())
 def test_golden_protocol_slice_bit_identical(golden, algo, label, dim):
     assert _protocol_entry(algo, label, dim) == golden["protocol"][_protocol_key(algo, label, dim)]
+
+
+@pytest.mark.parametrize("case", _summary_cases(), ids=lambda case: _summary_key(*case))
+def test_golden_summarize_tables_bit_identical(golden, case):
+    assert _summary_tables(*case) == golden["summarize"][_summary_key(*case)]
 
 
 def regenerate(path: Path = GOLDEN, cases: dict | None = None) -> list[str]:
@@ -216,5 +253,8 @@ def test_regenerate_adds_new_traces_and_rewrites_old_versions(tmp_path):
 
 if __name__ == "__main__":
     changed = regenerate()
-    counts = f"{len(_cases())} traces, {len(_rse_cases())} RSE targets and {len(_protocol_cases())} protocol entries"
+    counts = (
+        f"{len(_cases())} traces, {len(_rse_cases())} RSE targets, {len(_protocol_cases())} protocol entries"
+        f" and {len(_summary_cases())} summarize pins"
+    )
     print(f"wrote {counts} to {GOLDEN}; changed: {', '.join(changed) or 'none'}")

@@ -305,6 +305,19 @@ def test_trace_roundtrip(tmp_path):
     assert again.points == trace.points
     assert again.final_evals == 30
     assert path.read_text().splitlines()[0] == "eval,best"
+    # Seeded random doubles of every exponent, subnormals among them, and the
+    # values where repr's format changes come back bit for bit.
+    drawn = np.random.default_rng(28).integers(0, 2**64, 4000, dtype=np.uint64).view(float)
+    big, tiny = np.finfo(float).max, np.finfo(float).tiny
+    edges = [np.inf, big, 1e16, 9999999999999998.0, 1e-4, 1e-5, tiny, tiny - 5e-324, tiny / 3, 5e-324, 0.0, -0.0]
+    values = np.concatenate([drawn[~np.isnan(drawn)], edges, np.negative(edges)])
+    bests = np.array(sorted(values.tolist(), reverse=True))  # a best-so-far never rises
+    trace = RunTrace(tuple(zip(range(1, len(bests) + 1), bests.tolist())), len(bests))
+    write_trace(path, trace)
+    again = _read_trace(path)
+    assert [e for e, _ in again.points] == list(range(1, len(bests) + 1))
+    assert np.array([b for _, b in again.points]).view(np.uint64).tolist() == bests.view(np.uint64).tolist()
+    assert again.final_evals == len(bests)
 
 
 def test_a_run_without_a_finite_value_ends_on_its_budget_and_round_trips(tmp_path):
@@ -442,6 +455,18 @@ def _nan_second_point(text):
     return "".join(lines)
 
 
+def _second_point(edit):
+    """Damage the second point of a trace; it is not the last, which the row's best_fitness checks."""
+
+    def damage(text):
+        lines = text.splitlines(keepends=True)
+        assert len(lines) > 3
+        lines[2] = edit(lines[2])
+        return "".join(lines)
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -452,8 +477,14 @@ def _nan_second_point(text):
         _nan_second_point,
         _drop_last_point,  # parses, but disagrees with the row
         lambda text: text[:-1],  # the last point lost only its newline
+        _second_point(lambda line: line.split(",")[0] + ",x\n"),
+        _second_point(lambda line: line[:-1] + ",0\n"),
+        _second_point(lambda line: line.replace(",", "")),
     ],
-    ids=["missing", "empty", "bad_header", "out_of_order", "nan_point", "disagrees", "no_final_newline"],
+    ids=[
+        "missing", "empty", "bad_header", "out_of_order", "nan_point", "disagrees", "no_final_newline",
+        "unparsable_point", "three_fields", "one_field",
+    ],
 )
 def test_resume_runs_again_a_run_with_a_bad_trace(tmp_path, damage):
     run_benchmark(sphere_spec(tmp_path / "fresh"))

@@ -16,10 +16,12 @@ running it, and resolves against the package:
 * each parameter of a wrapper that ``traced_harness`` defines under a
   rebound name, which must be a parameter of the original.
 
-It does not cover members of objects (``pop.members``,
-``evaluator.evaluate``, ``summary.ert_rows``), calls made through another
-name (``build = originals["make_test_function"]``), or the count of
-positional arguments.
+Members of objects (``pop.members``, ``evaluator.evaluate``,
+``summary.ert_rows``) cannot be resolved from the text, so a hand-kept list
+names them, and each is checked with ``hasattr`` on an instance; every
+listed member must still be used by name somewhere in ``perfbench/``. It
+does not cover calls made through another name (``build =
+originals["make_test_function"]``), or the count of positional arguments.
 """
 
 import ast
@@ -27,6 +29,8 @@ import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+
+import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -151,3 +155,44 @@ def test_every_wrapper_traced_harness_rebinds_takes_the_originals_parameters():
         if arg.arg not in inspect.signature(getattr(harness, w.name)).parameters
     ]
     assert not wrong, f"traced_harness wraps with parameters the originals no longer have: {', '.join(wrong)}"
+
+
+# The members of sqgde objects that perfbench/ reads, sets or calls, by type.
+PERFBENCH_MEMBERS = {
+    "Population": ("members", "size"),
+    "_Member": ("fitness", "genome"),
+    "BudgetedEvaluator": ("evaluate",),
+    "SummaryResult": ("ert_rows",),
+    "SearchSpace": ("dim", "mean_range", "sample_uniform"),
+    "TestFunction": ("label", "space"),
+    "AlgorithmSpec": ("config", "name"),
+    "DEConfig": ("CR", "F", "pop_size", "w"),
+    "SQGConfig": ("delta", "r", "warm_start_samples"),
+    "BenchmarkSpec": ("algorithms", "budget", "dims", "functions", "output_dir", "reps"),
+    "FunctionDescriptor": ("label",),
+}
+
+
+def _instances() -> dict:
+    """One instance of each type of ``PERFBENCH_MEMBERS``."""
+    from sqgde.core import BudgetedEvaluator, Population
+    from sqgde.harness import ALGORITHM_PRESETS, SummaryResult, default_benchmark_spec
+    from sqgde.testfuncs import make_test_function, suite_by_label
+
+    pop, desc = Population(np.zeros((2, 2))), suite_by_label()["shifted_sphere"]
+    fn = make_test_function(desc, dim=2)
+    objects = [pop, pop.members[0], BudgetedEvaluator(fn, 1), SummaryResult([], []), fn.space, fn]
+    objects += [ALGORITHM_PRESETS["sqgde"], ALGORITHM_PRESETS["sqgde"].config, ALGORITHM_PRESETS["sqg"].config]
+    objects += [default_benchmark_spec(), desc]
+    return {type(obj).__name__: obj for obj in objects}
+
+
+def test_every_object_member_perfbench_uses_exists():
+    instances = _instances()
+    assert sorted(instances) == sorted(PERFBENCH_MEMBERS)
+    missing = [f"{t}.{m}" for t, members in PERFBENCH_MEMBERS.items() for m in members if not hasattr(instances[t], m)]
+    assert not missing, f"perfbench/ uses members that sqgde objects no longer have: {', '.join(missing)}"
+    # The list stays current: each member is still used by name in perfbench/.
+    used = {node.attr for tree in _trees() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    stale = [f"{t}.{m}" for t, members in PERFBENCH_MEMBERS.items() for m in members if m not in used]
+    assert not stale, f"perfbench/ no longer uses these listed members; drop them from the list: {', '.join(stale)}"
