@@ -80,7 +80,7 @@ class InsufficientPopulation(ValueError):
 
 STRATEGIES = ("rand1exp", "best2bin", "sqgbin")
 
-# Minimum members beyond the target each mutation needs to sample.
+# The smallest pop_size each index-drawing mutation accepts: the target plus the members it draws.
 _MIN_POP = {"rand1exp": 4, "best2bin": 6}
 _replaces = np.greater_equal  # the selection rule on ranked (target, trial): a trial no worse replaces its target
 
@@ -174,13 +174,6 @@ def distinct_indices(blocked: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
     return idx
 
 
-def _others(rows, pop_size: int) -> np.ndarray:
-    """Blocked mask that keeps each target row from drawing itself."""
-    blocked = np.zeros((len(rows), pop_size), dtype=bool)
-    blocked[np.arange(len(rows)), rows] = True
-    return blocked
-
-
 def rand1_donors(X: np.ndarray, idx: np.ndarray, F: float) -> np.ndarray:
     """x_a + F (x_b - x_c) for each row (a, b, c) of the (n, 3) index array."""
     return X[idx[:, 0]] + F * (X[idx[:, 1]] - X[idx[:, 2]])
@@ -224,19 +217,18 @@ def sqg_steps(
     return donors
 
 
-def sqg_pairs(X: np.ndarray, rows, w: int, rng: RngStream, eps_pair: float = 0.0, blocked=None):
-    """w member pairs per target row, all 2 w members distinct and non-target.
+def sqg_pairs(X: np.ndarray, blocked: np.ndarray, w: int, rng: RngStream, eps_pair: float = 0.0):
+    """w member pairs per row of the boolean (n, pop_size) mask ``blocked``, all 2 w members distinct and unblocked.
 
-    A pair whose points coincide (length within ``eps_pair``) is redrawn
-    from the members its row does not use, up to pop_size times; pairs are
+    A DE generation blocks each target's own column. A pair whose points
+    coincide (length within ``eps_pair``) is redrawn from the unblocked
+    members its row does not use, up to pop_size times; pairs are
     repaired in order, and a row whose pair stays degenerate (e.g. a
     converged population) stops there. Returns the (n, w) index arrays b
     and c, the boolean mask of those degenerate rows, the differences
     X[b] - X[c], shape (n, w, D), and their lengths, shape (n, w).
-    ``blocked``, if given, is each row's own-column mask (n, pop_size), built once by a caller that reuses it.
     """
     pop_size = len(X)
-    blocked = _others(rows, pop_size) if blocked is None else blocked
     idx = distinct_indices(blocked, 2 * w, rng)
     b, c = idx[:, 0::2], idx[:, 1::2]  # views: repairs write through to idx
     diffs = X[b] - X[c]
@@ -252,7 +244,7 @@ def sqg_pairs(X: np.ndarray, rows, w: int, rng: RngStream, eps_pair: float = 0.0
             used[r[:, None], idx[redo]] = True
             used[r, b[redo, k]] = False
             used[r, c[redo, k]] = False
-            # Never short: 2 w - 1 members are in use, and pop_size >= 2 w + 1.
+            # Never short: the first draw found 2 w unblocked members, and 2 w - 2 of them stay in use.
             new = distinct_indices(used, 2, rng)
             b[redo, k], c[redo, k] = new[:, 0], new[:, 1]
             diffs[redo, k] = X[new[:, 0]] - X[new[:, 1]]
@@ -268,17 +260,16 @@ def sqg_pairs(X: np.ndarray, rows, w: int, rng: RngStream, eps_pair: float = 0.0
 def sqg_donors(
     X: np.ndarray,
     fitness: np.ndarray,
-    rows,
+    blocked: np.ndarray,
     best: int,
     w: int,
     F: float,
     rng: RngStream,
     eps_pair: float = 0.0,
     eps_den: float = 0.0,
-    blocked=None,
 ) -> np.ndarray:
-    """Quasi-gradient donors for the target rows of ``X`` (ranked ``fitness``); degenerate rows take the plain step."""
-    b, c, degenerate, diffs, dist = sqg_pairs(X, rows, w, rng, eps_pair, blocked)
+    """One donor per row of ``blocked``, pairs as in :func:`sqg_pairs`, on ranked ``fitness``; degenerate rows step plain."""
+    b, c, degenerate, diffs, dist = sqg_pairs(X, blocked, w, rng, eps_pair)
     with np.errstate(invalid="ignore"):  # inf - inf gaps are left out as NaN
         gaps = fitness[b] - fitness[c]
     eps_den = np.where(degenerate, np.inf, eps_den) if degenerate.any() else eps_den
@@ -287,12 +278,12 @@ def sqg_donors(
 
 def mutate_rand1(pop: Population, target: int, F: float, rng: RngStream) -> np.ndarray:
     """Donor x_a + F (x_b - x_c) over three distinct non-target members."""
-    return rand1_donors(pop.genomes, distinct_indices(_others([target], pop.size), 3, rng), F)[0]
+    return rand1_donors(pop.genomes, distinct_indices(np.eye(pop.size, dtype=bool)[[target]], 3, rng), F)[0]
 
 
 def mutate_best2(pop: Population, target: int, F: float, rng: RngStream) -> np.ndarray:
     """Donor x_best + F ((x_a - x_b) + (x_c - x_d)), indices distinct, non-target."""
-    idx = distinct_indices(_others([target], pop.size), 4, rng)
+    idx = distinct_indices(np.eye(pop.size, dtype=bool)[[target]], 4, rng)
     return best2_donors(pop.genomes, best_index(pop), idx, F)[0]
 
 
@@ -323,7 +314,8 @@ def sqg_donor(
     Degenerate pairs are resampled as in :func:`sqg_pairs`; if they persist,
     the plain mean-difference step is used instead.
     """
-    return sqg_donors(pop.genomes, pop.fitness, [target], best, w, F, rng, eps_pair, eps_den)[0]
+    blocked = np.eye(pop.size, dtype=bool)[[target]]
+    return sqg_donors(pop.genomes, pop.fitness, blocked, best, w, F, rng, eps_pair, eps_den)[0]
 
 
 def binomial_masks(n: int, d: int, CR: float, rng: RngStream) -> np.ndarray:
@@ -392,10 +384,10 @@ def sqg_gradient_estimate(
     return ((values[1:] - values[0]) / delta) @ z
 
 
-def _donors(config: DEConfig, X: np.ndarray, fitness: np.ndarray, rows, blocked, rng: RngStream, eps: float):
+def _donors(config: DEConfig, X: np.ndarray, fitness: np.ndarray, blocked: np.ndarray, rng: RngStream, eps: float):
     """The donors of every row of one generation; the best is the lowest ranked fitness, ties to the lowest index."""
     if config.strategy == "sqgbin":
-        return sqg_donors(X, fitness, rows, int(np.argmin(fitness)), config.w, config.F, rng, eps, eps, blocked)
+        return sqg_donors(X, fitness, blocked, int(np.argmin(fitness)), config.w, config.F, rng, eps, eps)
     if config.strategy == "rand1exp":
         return rand1_donors(X, distinct_indices(blocked, 3, rng), config.F)
     return best2_donors(X, int(np.argmin(fitness)), distinct_indices(blocked, 4, rng), config.F)
@@ -418,12 +410,11 @@ def run_de(config: DEConfig, fn, t_max: int, seed: int) -> RunTrace:
     X = space.sample_uniform(rng, config.pop_size)
     eps = 1e-12 * space.mean_range
     masks = exponential_masks if config.strategy == "rand1exp" else binomial_masks
-    rows = np.arange(config.pop_size)
-    blocked = _others(rows, config.pop_size)  # the same for every generation
     try:
         fitness = ranked_fitness(evaluator.evaluate_batch(X))
+        blocked = np.eye(config.pop_size, dtype=bool)  # no target draws itself; not built for a run cut in its first batch
         while not evaluator.exhausted:
-            donors = space.clip(_donors(config, X, fitness, rows, blocked, rng, eps))
+            donors = space.clip(_donors(config, X, fitness, blocked, rng, eps))
             trials = np.where(masks(config.pop_size, space.dim, config.CR, rng), donors, X)
             values = ranked_fitness(evaluator.evaluate_batch(trials))
             won = np.flatnonzero(_replaces(fitness, values))

@@ -84,7 +84,7 @@ def run(algo, function_label, dim, budget, seed, out):
 @click.option("--budget", type=POSITIVE, default=None)
 @click.option("--reps", type=POSITIVE, default=None)
 @click.option("--seed", type=int, default=None, help="Master seed.")
-@click.option("--dim", "dims", type=POSITIVE, multiple=True, help="Restrict to these dimensions.")
+@click.option("--dim", "dims", type=POSITIVE, multiple=True, help="Run these dimensions instead of the spec's.")
 @click.option("--algo", "algos", multiple=True, help="Restrict to these algorithms.")
 @click.option("--function", "functions", multiple=True, help="Restrict to these function labels.")
 @click.option("--workers", type=POSITIVE, default=1, show_default=True)

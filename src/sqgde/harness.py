@@ -625,13 +625,15 @@ def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
     targets = _load_rse(out / "rse.csv")
     algo_names = [a.name for a in spec.algorithms]
     cat_of = {f.label: f.category for f in spec.functions}
-    cells = [(algo, label, dim) for algo in algo_names for label in cat_of for dim in spec.dims]
+    cells = dict.fromkeys((algo, label, dim) for algo in algo_names for label in cat_of for dim in spec.dims)
     grid = list(range(BNFV_GRID_STEP, spec.budget + 1, BNFV_GRID_STEP))
 
     # One cell's traces at a time: the runs come in key order.
     ert_by_cell: dict[tuple[str, str, int], ErtResult] = {}
     curves = []
     for cell, runs in groupby(_load_runs(out, spec.budget), key=lambda run: run[0].key[:3]):
+        if cell not in cells:  # a run the spec does not name has no ert.csv row, and no bnfv.csv rows either
+            continue
         _, label, dim = cell
         target = targets.get((label, dim))
         if target is None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -431,6 +433,19 @@ def test_run_de_budget_boundary(strategy):
 def test_run_de_partial_initialization():
     trace = run_de(DEConfig("rand1exp", pop_size=50), _sphere_fn(), 7, seed=2)
     assert trace.final_evals == 7
+
+
+def test_run_de_cut_in_its_first_batch_builds_no_member_mask():
+    # A (pop_size, pop_size) member mask is 36 MB at this size, and a run cut in its first batch draws no member.
+    fn = _sphere_fn(dim=2)
+    tracemalloc.start()
+    try:
+        trace = run_de(DEConfig("rand1exp", pop_size=6000), fn, 100, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.final_evals == 100
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("strategy", ["rand1exp", "best2bin", "sqgbin"])

@@ -101,6 +101,11 @@ def _self_blocked(n):
     return np.eye(n, dtype=bool)
 
 
+def _cyclic_blocked(n, k):
+    """Each row blocks its own column and the k - 1 columns after it, wrapping round."""
+    return (np.arange(n) - np.arange(n)[:, None]) % n < k
+
+
 def test_rand1_and_best2_donors_match_per_row_formula():
     pop = _population(1)
     X, n = pop.genomes, pop.size
@@ -131,13 +136,13 @@ def _sqg_reference(x_best, pairs, F, eps_den=0.0):
 def test_sqg_donors_match_per_pair_formula():
     pop = _population(3, n=30, d=8)
     X, y = pop.genomes, pop.fitness
-    rows = np.arange(pop.size)
+    blocked = _self_blocked(pop.size)
     best = int(np.argmin(y))
     # the same stream gives sqg_donors the same index arrays as sqg_pairs
-    b, c, degenerate, _, _ = sqg_pairs(X, rows, 5, make_rng(4))
-    donors = sqg_donors(X, y, rows, best, 5, 0.8, make_rng(4))
+    b, c, degenerate, _, _ = sqg_pairs(X, blocked, 5, make_rng(4))
+    donors = sqg_donors(X, y, blocked, best, 5, 0.8, make_rng(4))
     assert not degenerate.any()
-    for i in rows:
+    for i in range(pop.size):
         pairs = [((X[p], y[p]), (X[q], y[q])) for p, q in zip(b[i], c[i])]
         npt.assert_allclose(donors[i], _sqg_reference(X[best], pairs, 0.8), rtol=RTOL, atol=RTOL)
 
@@ -154,23 +159,29 @@ def test_sqg_donors_with_repaired_pairs_match_steps_of_the_returned_pairs():
     pop = _population(11, n=24, d=5)
     pop.genomes[1::2] = pop.genomes[::2]  # every member has a twin, so many pairs coincide
     X, y = pop.genomes, pop.fitness
-    rows, best, eps = np.arange(pop.size), int(np.argmin(y)), 1e-12
-    b, c, degenerate, diffs, dist = sqg_pairs(X, rows, 5, make_rng(12), eps)
-    donors = sqg_donors(X, y, rows, best, 5, 0.8, make_rng(12), eps, eps)
-    first = distinct_indices(_self_blocked(pop.size), 10, make_rng(12))
-    assert (first[:, 0::2] != b).any() and not degenerate.any()  # pairs were redrawn, and all repaired
-    # the repaired differences and lengths are those of the returned pairs
-    npt.assert_array_equal(diffs, X[b] - X[c])
-    npt.assert_array_equal(dist, np.linalg.norm(X[b] - X[c], axis=2))
-    expected = sqg_steps(X[best], diffs, dist, y[b] - y[c], 0.8, np.where(degenerate, np.inf, eps))
-    npt.assert_array_equal(donors, expected)
+    best, eps = int(np.argmin(y)), 1e-12
+    # a target's own column, and a mask that leaves each row only the 2 w + 1 = 11 columns it must have
+    for blocked in (_self_blocked(pop.size), _cyclic_blocked(pop.size, 13)):
+        b, c, degenerate, diffs, dist = sqg_pairs(X, blocked, 5, make_rng(12), eps)
+        donors = sqg_donors(X, y, blocked, best, 5, 0.8, make_rng(12), eps, eps)
+        first = distinct_indices(blocked, 10, make_rng(12))
+        assert (first[:, 0::2] != b).any() and not degenerate.any()  # pairs were redrawn, and all repaired
+        # every member drawn, repairs included, is unblocked, and a row's 2 w members are distinct
+        members = np.concatenate([b, c], axis=1)
+        assert not np.take_along_axis(blocked, members, axis=1).any()
+        assert all(len(set(row)) == 10 for row in members.tolist())
+        # the repaired differences and lengths are those of the returned pairs
+        npt.assert_array_equal(diffs, X[b] - X[c])
+        npt.assert_array_equal(dist, np.linalg.norm(X[b] - X[c], axis=2))
+        expected = sqg_steps(X[best], diffs, dist, y[b] - y[c], 0.8, np.where(degenerate, np.inf, eps))
+        npt.assert_array_equal(donors, expected)
 
 
 def test_sqg_pairs_resamples_only_degenerate_rows():
     rng = make_rng(6)
     X = rng.standard_normal((14, 3))
     X[1] = X[0]  # members 0 and 1 coincide
-    b, c, degenerate, diffs, dist = sqg_pairs(X, np.arange(14), 3, rng, eps_pair=1e-12)
+    b, c, degenerate, diffs, dist = sqg_pairs(X, _self_blocked(14), 3, rng, eps_pair=1e-12)
     assert not degenerate.any()
     npt.assert_array_equal(diffs, X[b] - X[c])
     npt.assert_array_equal(dist, np.linalg.norm(X[b] - X[c], axis=2))
@@ -182,7 +193,7 @@ def test_sqg_pairs_resamples_only_degenerate_rows():
 
 def test_sqg_pairs_converged_rows_are_degenerate():
     X = np.ones((10, 2))
-    degenerate = sqg_pairs(X, np.arange(10), 2, make_rng(7), eps_pair=1e-12)[2]
+    degenerate = sqg_pairs(X, _self_blocked(10), 2, make_rng(7), eps_pair=1e-12)[2]
     assert degenerate.all()
 
 

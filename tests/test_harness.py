@@ -1192,6 +1192,20 @@ def test_summarize_refuses_a_cell_without_its_target(tmp_path):
         summarize(out)
 
 
+def test_bnfv_csv_holds_only_the_cells_of_ert_csv(tmp_path):
+    out = tmp_path / "out"
+    run_benchmark(small_spec(out))
+    record = json.loads((out / "spec.json").read_text())
+    record["algorithms"] = [a for a in record["algorithms"] if a["name"] == "de_small"]
+    (out / "spec.json").write_text(json.dumps(record))  # sqg_small's runs are left in a directory recorded without it
+    summarize(out)
+    cells = {}
+    for name in ("ert.csv", "bnfv.csv"):
+        with open(out / name, newline="") as fh:
+            cells[name] = {(r["algorithm"], r["function"], r["dim"]) for r in csv.DictReader(fh)}
+    assert cells["bnfv.csv"] == cells["ert.csv"] == {("de_small", "sphere2", "2")}
+
+
 def test_summarize_writes_raw_best_values_against_a_zero_target(tmp_path):
     out = tmp_path / "out"
     run_benchmark(small_spec(out))
