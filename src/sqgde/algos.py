@@ -25,7 +25,7 @@ evaluator's trace.
 A NaN or infinite fitness ranks as +inf (see ``core.ranked_fitness``):
 such a member is never the best and always loses greedy selection, and a
 quasi-gradient pair with a non-finite fitness gap is left out of the
-weighted sum.
+weighted sum, as is a pair whose two members coincide.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def best2_donors(X: np.ndarray, best: int, idx: np.ndarray, F: float) -> np.ndar
 
 
 def sqg_steps(
-    x_best: np.ndarray, diffs: np.ndarray, dist: np.ndarray, gaps: np.ndarray, F: float, eps_den=0.0
+    x_best: np.ndarray, diffs: np.ndarray, dist: np.ndarray, gaps: np.ndarray, F: float, eps_pair=0.0, eps_den=0.0
 ) -> np.ndarray:
     """Fitness-difference weighted mutants around the population best.
 
@@ -199,13 +199,14 @@ def sqg_steps(
 
         donor = x_best - F * phi * S
 
-    A pair with a non-finite gap (or zero length) is left out of S. When
+    A pair with a non-finite gap, or whose points coincide (length at or
+    below ``eps_pair``), gives no direction and is left out of S. When
     ||S|| is at or below ``eps_den`` (all fitness gaps cancel, or no pair
     is left), the mutant falls back to a plain mean-difference step from
-    x_best. ``eps_den`` may be given per row.
+    x_best.
     """
     w = diffs.shape[1]
-    usable = np.isfinite(gaps) & (dist > 0.0)
+    usable = np.isfinite(gaps) & (dist > eps_pair)
     weights = np.divide(gaps, dist, out=np.zeros_like(dist), where=usable)
     s = np.einsum("nw,nwd->nd", weights, diffs)
     sum_diff = diffs.sum(axis=1)
@@ -217,44 +218,17 @@ def sqg_steps(
     return donors
 
 
-def sqg_pairs(X: np.ndarray, blocked: np.ndarray, w: int, rng: RngStream, eps_pair: float = 0.0):
+def sqg_pairs(X: np.ndarray, blocked: np.ndarray, w: int, rng: RngStream):
     """w member pairs per row of the boolean (n, pop_size) mask ``blocked``, all 2 w members distinct and unblocked.
 
-    A DE generation blocks each target's own column. A pair whose points
-    coincide (length within ``eps_pair``) is redrawn from the unblocked
-    members its row does not use, up to pop_size times; pairs are
-    repaired in order, and a row whose pair stays degenerate (e.g. a
-    converged population) stops there. Returns the (n, w) index arrays b
-    and c, the boolean mask of those degenerate rows, the differences
-    X[b] - X[c], shape (n, w, D), and their lengths, shape (n, w).
+    A DE generation blocks each target's own column. Returns the (n, w)
+    index arrays b and c, the differences X[b] - X[c], shape (n, w, D),
+    and their lengths, shape (n, w).
     """
-    pop_size = len(X)
     idx = distinct_indices(blocked, 2 * w, rng)
-    b, c = idx[:, 0::2], idx[:, 1::2]  # views: repairs write through to idx
+    b, c = idx[:, 0::2], idx[:, 1::2]
     diffs = X[b] - X[c]
-    dist = np.linalg.norm(diffs, axis=2)
-    bad = dist <= eps_pair
-    degenerate = np.zeros(len(idx), dtype=bool)
-    for k in np.flatnonzero(bad.any(axis=0)):
-        redo = np.flatnonzero(bad[:, k] & ~degenerate)
-        for _ in range(pop_size):
-            # members in use by the row, except the pair being redrawn
-            used = blocked[redo]
-            r = np.arange(redo.size)
-            used[r[:, None], idx[redo]] = True
-            used[r, b[redo, k]] = False
-            used[r, c[redo, k]] = False
-            # Never short: the first draw found 2 w unblocked members, and 2 w - 2 of them stay in use.
-            new = distinct_indices(used, 2, rng)
-            b[redo, k], c[redo, k] = new[:, 0], new[:, 1]
-            diffs[redo, k] = X[new[:, 0]] - X[new[:, 1]]
-            dist[redo, k] = np.linalg.norm(diffs[redo, k], axis=1)
-            redo = redo[dist[redo, k] <= eps_pair]
-            if redo.size == 0:
-                break
-        else:
-            degenerate[redo] = True
-    return b, c, degenerate, diffs, dist
+    return b, c, diffs, np.linalg.norm(diffs, axis=2)
 
 
 def sqg_donors(
@@ -268,12 +242,11 @@ def sqg_donors(
     eps_pair: float = 0.0,
     eps_den: float = 0.0,
 ) -> np.ndarray:
-    """One donor per row of ``blocked``, pairs as in :func:`sqg_pairs`, on ranked ``fitness``; degenerate rows step plain."""
-    b, c, degenerate, diffs, dist = sqg_pairs(X, blocked, w, rng, eps_pair)
+    """One donor per row of ``blocked``, pairs as in :func:`sqg_pairs`, on ranked ``fitness``; see :func:`sqg_steps`."""
+    b, c, diffs, dist = sqg_pairs(X, blocked, w, rng)
     with np.errstate(invalid="ignore"):  # inf - inf gaps are left out as NaN
         gaps = fitness[b] - fitness[c]
-    eps_den = np.where(degenerate, np.inf, eps_den) if degenerate.any() else eps_den
-    return sqg_steps(X[best], diffs, dist, gaps, F, eps_den)
+    return sqg_steps(X[best], diffs, dist, gaps, F, eps_pair, eps_den)
 
 
 def mutate_rand1(pop: Population, target: int, F: float, rng: RngStream) -> np.ndarray:
@@ -309,11 +282,7 @@ def sqg_donor(
     eps_pair: float = 0.0,
     eps_den: float = 0.0,
 ) -> np.ndarray:
-    """Sample w member pairs and build the quasi-gradient donor of one target.
-
-    Degenerate pairs are resampled as in :func:`sqg_pairs`; if they persist,
-    the plain mean-difference step is used instead.
-    """
+    """Sample w member pairs and build the quasi-gradient donor of one target; see :func:`sqg_donors`."""
     blocked = np.eye(pop.size, dtype=bool)[[target]]
     return sqg_donors(pop.genomes, pop.fitness, blocked, best, w, F, rng, eps_pair, eps_den)[0]
 

@@ -49,8 +49,10 @@ RngStream = np.random.Generator
 # recurrence, which changes its values in the last bits. Version 4 draws a
 # run from derive_seed(seed, "run"), never from the stream a function built
 # with the same seed draws its shifts from, and evaluates random-search
-# samples in row blocks.
-STREAM_VERSION = 4
+# samples in row blocks. Version 5 draws an SQG-DE row's pairs once, leaving
+# a coincident pair out instead of redrawing it, and gives the Weierstrass
+# kernel no one-element block.
+STREAM_VERSION = 5
 
 
 class BudgetExhausted(Exception):

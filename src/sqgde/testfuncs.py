@@ -99,6 +99,8 @@ def _weierstrass_sum(u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     flat = u.reshape(-1)
+    if flat.size % _W_BLOCK == 1:  # numpy multiplies a one-element complex block outside its SIMD loop
+        flat = np.append(flat, 0.0)
     total = np.empty_like(flat)
     z = np.empty(min(flat.size, _W_BLOCK), dtype=complex)
     sq = np.empty_like(z)
@@ -112,7 +114,7 @@ def _weierstrass_sum(u: np.ndarray) -> np.ndarray:
             np.square(zb, out=sb)
             zb *= sb
             part += a_k * zb.real
-    return total.reshape(u.shape)
+    return total[: u.size].reshape(u.shape)
 
 
 # The per-coordinate sum at the optimum (u = pi), computed by the same code,

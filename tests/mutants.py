@@ -1,0 +1,154 @@
+"""A hand-kept mutation check: does tier-1 fail when a contract line changes?
+
+Each mutant replaces one piece of text in one file of ``src/``. The script
+copies the checkout to a temporary directory, checks that the unmutated
+copy passes tier-1, then applies the mutants one at a time and runs tier-1
+with ``-x`` on each. A mutant whose ``old`` text does not occur exactly
+once in its file is refused before anything runs, so the list cannot drift
+silently from the code. A mutant is killed when tier-1 fails on it. The
+script exits with 1 if a mutant survives that is not marked equivalent:
+
+    python tests/mutants.py
+
+It runs serially and takes several minutes. pytest does not collect it (its
+name does not start with ``test_``). A change to a listed line updates its
+mutant here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "results", ".perfbench_out")
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    why: str
+    equivalent: str = ""  # why no test can tell the mutant from the code, if none can
+
+
+MUTANTS = [
+    Mutant(
+        "src/sqgde/algos.py",
+        "usable = np.isfinite(gaps) & (dist > eps_pair)",
+        "usable = np.isfinite(gaps) & (dist >= eps_pair)",
+        "a pair exactly eps_pair long is coincident and left out of S",
+    ),
+    Mutant(
+        "src/sqgde/algos.py",
+        "eps = 1e-12 * space.mean_range",
+        "eps = 0.0",
+        "run_de scales the coincidence threshold with the box",
+    ),
+    Mutant(
+        "src/sqgde/testfuncs.py",
+        "    if flat.size % _W_BLOCK == 1:  # numpy multiplies a one-element complex block outside its SIMD loop\n"
+        "        flat = np.append(flat, 0.0)\n",
+        "",
+        "a lone Weierstrass coordinate rounds as it does in a larger call",
+    ),
+    Mutant(
+        "src/sqgde/algos.py",
+        "_replaces = np.greater_equal",
+        "_replaces = np.greater",
+        "a trial that ties its target replaces it",
+    ),
+    Mutant(
+        "src/sqgde/core.py",
+        "fit = X[: self.t_max - self.used]",
+        "fit = X[: self.t_max - self.used + 1]",
+        "a batch cut by the budget evaluates only the rows that fit",
+    ),
+    Mutant(
+        "src/sqgde/core.py",
+        "i = bisect_right(self.points, -target, key=lambda p: -p[1])",
+        "i = bisect_left(self.points, -target, key=lambda p: -p[1])",
+        "a run reaches its target only strictly below it",
+    ),
+    Mutant(
+        "src/sqgde/metrics.py",
+        "((1.0 - p_s) / p_s) * t_max",
+        "(1.0 - p_s) * t_max",
+        "ERT charges each failed run's budget per success",
+    ),
+    Mutant(
+        "src/sqgde/metrics.py",
+        "_RSE_BLOCK = 12_000",
+        "_RSE_BLOCK = 6_000",
+        "the RSE block split is pinned by the golden targets",
+    ),
+    Mutant(
+        "src/sqgde/core.py",
+        'key = "|".join(str(p) for p in (master_seed, *parts))',
+        'key = ",".join(str(p) for p in (master_seed, *parts))',
+        "derived seeds are pinned across versions of the code",
+    ),
+    Mutant(
+        "src/sqgde/algos.py",
+        "    take[np.arange(n), j_rand] = True\n",
+        "",
+        "binomial crossover always takes the donor gene at j_rand",
+    ),
+    Mutant(
+        "src/sqgde/core.py",
+        "return np.minimum(np.maximum(x, self.lower), self.upper)",
+        "return np.maximum(x, self.lower)",
+        "clip keeps a point inside the upper bound",
+    ),
+    Mutant(
+        "src/sqgde/testfuncs.py",
+        "raw = raw * (1.0 + 0.4 * np.abs(rng.standard_normal(x.shape[:-1])))",
+        "raw = raw * (1.0 + 0.4 * rng.standard_normal(x.shape[:-1]))",
+        "noise only ever scales a value up",
+    ),
+]
+
+
+def _tier1(cwd: Path) -> bool:
+    env = {**os.environ, "PYTHONPATH": "src"}
+    return subprocess.run(TIER1, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 0
+
+
+def main() -> int:
+    for m in MUTANTS:
+        count = (ROOT / m.file).read_text().count(m.old)
+        if count != 1:
+            sys.exit(f"refused: {m.file}: {m.old!r} occurs {count} times, not once ({m.why})")
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        if not _tier1(copy):
+            sys.exit("refused: tier-1 fails on the unmutated checkout")
+        killed, survivors = 0, []
+        for m in MUTANTS:
+            path = copy / m.file
+            text = path.read_text()
+            path.write_text(text.replace(m.old, m.new))
+            start = time.perf_counter()
+            try:
+                dead = not _tier1(copy)
+            finally:
+                path.write_text(text)
+            killed += dead
+            verdict = "killed" if dead else "equivalent" if m.equivalent else "SURVIVED"
+            print(f"{verdict:10} {time.perf_counter() - start:5.0f} s  {m.file}: {m.why}", flush=True)
+            if not dead and not m.equivalent:
+                survivors.append(m)
+    print(f"killed {killed}/{len(MUTANTS)}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

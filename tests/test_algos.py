@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqgde import algos
 from sqgde.algos import (
     STRATEGIES,
     DEConfig,
@@ -446,6 +447,30 @@ def test_run_de_cut_in_its_first_batch_builds_no_member_mask():
         tracemalloc.stop()
     assert trace.final_evals == 100
     assert peak < 2_000_000
+
+
+def _spy(monkeypatch, name):
+    """Record the positional arguments of every call to ``algos.<name>``."""
+    calls, real = [], getattr(algos, name)
+    monkeypatch.setattr(algos, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_sqgbin_draws_members_once_per_generation_on_a_converged_population(monkeypatch):
+    # The population converges and its members coincide; a coincident pair is left out, not redrawn.
+    calls = _spy(monkeypatch, "distinct_indices")
+    trace = run_de(DEConfig("sqgbin"), make_test_function(suite_by_label()["shifted_sphere"], dim=2), 20_000, seed=1)
+    assert trace.final_evals == 20_000
+    assert len(calls) == (20_000 - 100) // 100
+
+
+def test_run_de_passes_its_coincidence_threshold_to_the_sqg_kernels(monkeypatch):
+    calls = _spy(monkeypatch, "sqg_donors")
+    fn = _sphere_fn(dim=3)
+    run_de(DEConfig("sqgbin", pop_size=12, w=2), fn, 60, seed=3)
+    eps = 1e-12 * fn.space.mean_range
+    assert eps > 1e-12 and calls
+    assert all(args[7:] == (eps, eps) for args in calls)  # eps_pair, eps_den
 
 
 @pytest.mark.parametrize("strategy", ["rand1exp", "best2bin", "sqgbin"])

@@ -139,9 +139,8 @@ def test_sqg_donors_match_per_pair_formula():
     blocked = _self_blocked(pop.size)
     best = int(np.argmin(y))
     # the same stream gives sqg_donors the same index arrays as sqg_pairs
-    b, c, degenerate, _, _ = sqg_pairs(X, blocked, 5, make_rng(4))
+    b, c, _, _ = sqg_pairs(X, blocked, 5, make_rng(4))
     donors = sqg_donors(X, y, blocked, best, 5, 0.8, make_rng(4))
-    assert not degenerate.any()
     for i in range(pop.size):
         pairs = [((X[p], y[p]), (X[q], y[q])) for p, q in zip(b[i], c[i])]
         npt.assert_allclose(donors[i], _sqg_reference(X[best], pairs, 0.8), rtol=RTOL, atol=RTOL)
@@ -155,46 +154,48 @@ def test_sqg_steps_plain_fallback_matches_per_pair_formula():
     npt.assert_allclose(step[0], _sqg_reference(x_best, pairs, 0.8), rtol=RTOL, atol=RTOL)
 
 
-def test_sqg_donors_with_repaired_pairs_match_steps_of_the_returned_pairs():
+def test_sqg_steps_leave_out_pairs_at_or_below_eps_pair():
+    eps = 2.0**-20  # a power of two, so that each length below is exact
+    lengths = np.array([1.0, eps / 2, eps, 2 * eps])
+    diffs = np.zeros((1, 4, 2))
+    diffs[0, 0, 0] = 1.0
+    diffs[0, 1:, 1] = lengths[1:]
+    gaps = np.array([[1.0, 1.0, 1.0, -1.0]])
+    donor = sqg_steps(np.zeros(2), diffs, lengths[None], gaps, 0.8, eps_pair=eps)[0]
+    # S = (1, 0) + (-1 / (2 eps)) (0, 2 eps): the eps / 2 and eps pairs are left out, the 2 eps pair is used
+    s = np.array([1.0, -1.0])
+    phi = (np.linalg.norm(diffs[0].sum(axis=0)) / 4) / np.linalg.norm(s)
+    npt.assert_allclose(donor, -0.8 * phi * s, rtol=RTOL, atol=0.0)
+
+
+def test_sqg_pairs_draw_members_once_and_keep_coincident_pairs():
     pop = _population(11, n=24, d=5)
     pop.genomes[1::2] = pop.genomes[::2]  # every member has a twin, so many pairs coincide
     X, y = pop.genomes, pop.fitness
     best, eps = int(np.argmin(y)), 1e-12
     # a target's own column, and a mask that leaves each row only the 2 w + 1 = 11 columns it must have
     for blocked in (_self_blocked(pop.size), _cyclic_blocked(pop.size, 13)):
-        b, c, degenerate, diffs, dist = sqg_pairs(X, blocked, 5, make_rng(12), eps)
+        b, c, diffs, dist = sqg_pairs(X, blocked, 5, make_rng(12))
         donors = sqg_donors(X, y, blocked, best, 5, 0.8, make_rng(12), eps, eps)
         first = distinct_indices(blocked, 10, make_rng(12))
-        assert (first[:, 0::2] != b).any() and not degenerate.any()  # pairs were redrawn, and all repaired
-        # every member drawn, repairs included, is unblocked, and a row's 2 w members are distinct
+        npt.assert_array_equal(b, first[:, 0::2])
+        npt.assert_array_equal(c, first[:, 1::2])
+        assert (dist == 0.0).any()  # coincident pairs are drawn, and kept
+        # every member drawn is unblocked, and a row's 2 w members are distinct
         members = np.concatenate([b, c], axis=1)
         assert not np.take_along_axis(blocked, members, axis=1).any()
         assert all(len(set(row)) == 10 for row in members.tolist())
-        # the repaired differences and lengths are those of the returned pairs
+        # the differences and lengths are those of the returned pairs
         npt.assert_array_equal(diffs, X[b] - X[c])
         npt.assert_array_equal(dist, np.linalg.norm(X[b] - X[c], axis=2))
-        expected = sqg_steps(X[best], diffs, dist, y[b] - y[c], 0.8, np.where(degenerate, np.inf, eps))
-        npt.assert_array_equal(donors, expected)
+        npt.assert_array_equal(donors, sqg_steps(X[best], diffs, dist, y[b] - y[c], 0.8, eps, eps))
 
 
-def test_sqg_pairs_resamples_only_degenerate_rows():
-    rng = make_rng(6)
-    X = rng.standard_normal((14, 3))
-    X[1] = X[0]  # members 0 and 1 coincide
-    b, c, degenerate, diffs, dist = sqg_pairs(X, _self_blocked(14), 3, rng, eps_pair=1e-12)
-    assert not degenerate.any()
-    npt.assert_array_equal(diffs, X[b] - X[c])
-    npt.assert_array_equal(dist, np.linalg.norm(X[b] - X[c], axis=2))
-    assert np.all(dist > 1e-12)
-    for i in range(14):
-        used = np.concatenate([b[i], c[i]])
-        assert len(set(used)) == 6 and i not in used
-
-
-def test_sqg_pairs_converged_rows_are_degenerate():
-    X = np.ones((10, 2))
-    degenerate = sqg_pairs(X, _self_blocked(10), 2, make_rng(7), eps_pair=1e-12)[2]
-    assert degenerate.all()
+def test_sqg_donors_converged_population_steps_plainly_to_best():
+    X = np.tile([2.0, -1.0], (10, 1))
+    y = ranked_fitness(np.arange(10.0))
+    donors = sqg_donors(X, y, _self_blocked(10), 0, 2, 0.8, make_rng(7), 1e-12, 1e-12)
+    npt.assert_array_equal(donors, X)
 
 
 # --- index sampling ------------------------------------------------------------------

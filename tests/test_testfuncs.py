@@ -20,6 +20,7 @@ from sqgde.testfuncs import (
     default_suite,
     make_test_function,
     random_rotation,
+    resolve_descriptor,
     suite_by_label,
     _mixture,
     _weierstrass_sum,
@@ -523,8 +524,13 @@ def _assert_matches_reference(fn, X):
         assert np.array_equal(c.value(X), _reference_value(c, X))
 
 
-@pytest.mark.parametrize("label", [d.label for d in default_suite()])
-@pytest.mark.parametrize("dim", [2, 10, 50])
+def _min_dim(desc):
+    return max(BASE_FUNCTIONS[c.kind].min_dim for c in resolve_descriptor(desc, dim=50)[2])
+
+
+@pytest.mark.parametrize(
+    "dim,label", [(dim, d.label) for dim in (1, 2, 3, 10, 50) for d in default_suite() if dim >= _min_dim(d)]
+)
 def test_suite_functions_match_per_component_formula(label, dim):
     fn = make_test_function(suite_by_label()[label], dim=dim)
     for n in (1, 6, 100, 1000):
@@ -535,12 +541,13 @@ def test_suite_functions_match_per_component_formula(label, dim):
             assert np.array_equal(fn.body[0].value(X), _reference_value(fn.body[0], X))
     # Points (R, n, D) give the stack of R calls on (n, D), bit for bit; two
     # streams seeded alike line up the noise draws, one per point in C order.
-    # One-row slices are the call a budget cut of lockstep reps makes.
-    for n in (6, 1):
-        X = make_rng(dim).uniform(fn.space.lower, fn.space.upper, (7, n, dim))
+    # One-row slices are the call a budget cut of lockstep reps makes. A
+    # (2731, 1, 3) stack is 8,193 coordinates, one past a Weierstrass block.
+    for R, n in [(7, 6), (7, 1)] + [(2731, 1)] * (dim == 3):
+        X = make_rng(dim).uniform(fn.space.lower, fn.space.upper, (R, n, dim))
         stacked, per_slice = make_rng(dim), make_rng(dim)
         values = fn(X, stacked)
-        assert values.shape == (7, n)
+        assert values.shape == (R, n)
         assert np.array_equal(values, np.stack([fn(x, per_slice) for x in X]))
         assert stacked.random() == per_slice.random()
 
