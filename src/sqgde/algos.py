@@ -56,7 +56,6 @@ __all__ = [
     "distinct_indices",
     "rand1_donors",
     "best2_donors",
-    "sqg_pairs",
     "sqg_steps",
     "sqg_donors",
     "mutate_rand1",
@@ -67,7 +66,6 @@ __all__ = [
     "exponential_masks",
     "crossover_binomial",
     "crossover_exponential",
-    "select_trials",
     "sqg_gradient_estimate",
     "run_de",
     "run_sqg",
@@ -80,7 +78,7 @@ class InsufficientPopulation(ValueError):
 
 STRATEGIES = ("rand1exp", "best2bin", "sqgbin")
 
-# The smallest pop_size each index-drawing mutation accepts: the target plus the members it draws.
+# Smallest pop_size per index-drawing mutation: the target, the members it draws, and the best a donor is based on.
 _MIN_POP = {"rand1exp": 4, "best2bin": 6}
 _replaces = np.greater_equal  # the selection rule on ranked (target, trial): a trial no worse replaces its target
 
@@ -218,19 +216,6 @@ def sqg_steps(
     return donors
 
 
-def sqg_pairs(X: np.ndarray, blocked: np.ndarray, w: int, rng: RngStream):
-    """w member pairs per row of the boolean (n, pop_size) mask ``blocked``, all 2 w members distinct and unblocked.
-
-    A DE generation blocks each target's own column. Returns the (n, w)
-    index arrays b and c, the differences X[b] - X[c], shape (n, w, D),
-    and their lengths, shape (n, w).
-    """
-    idx = distinct_indices(blocked, 2 * w, rng)
-    b, c = idx[:, 0::2], idx[:, 1::2]
-    diffs = X[b] - X[c]
-    return b, c, diffs, np.linalg.norm(diffs, axis=2)
-
-
 def sqg_donors(
     X: np.ndarray,
     fitness: np.ndarray,
@@ -242,11 +227,16 @@ def sqg_donors(
     eps_pair: float = 0.0,
     eps_den: float = 0.0,
 ) -> np.ndarray:
-    """One donor per row of ``blocked``, pairs as in :func:`sqg_pairs`, on ranked ``fitness``; see :func:`sqg_steps`."""
-    b, c, diffs, dist = sqg_pairs(X, blocked, w, rng)
+    """One donor per row of the boolean (n, pop_size) mask ``blocked``, on ranked ``fitness``; see :func:`sqg_steps`.
+
+    A row draws 2 w distinct unblocked members once and pairs them in draw order: (1st, 2nd), (3rd, 4th), ...
+    """
+    idx = distinct_indices(blocked, 2 * w, rng)
+    b, c = idx[:, 0::2], idx[:, 1::2]
+    diffs = X[b] - X[c]
     with np.errstate(invalid="ignore"):  # inf - inf gaps are left out as NaN
         gaps = fitness[b] - fitness[c]
-    return sqg_steps(X[best], diffs, dist, gaps, F, eps_pair, eps_den)
+    return sqg_steps(X[best], diffs, np.linalg.norm(diffs, axis=2), gaps, F, eps_pair, eps_den)
 
 
 def mutate_rand1(pop: Population, target: int, F: float, rng: RngStream) -> np.ndarray:
@@ -324,11 +314,6 @@ def crossover_binomial(target: np.ndarray, donor: np.ndarray, CR: float, rng: Rn
 def crossover_exponential(target: np.ndarray, donor: np.ndarray, CR: float, rng: RngStream) -> np.ndarray:
     """Copy a contiguous cyclic block from the donor; see :func:`exponential_masks`."""
     return np.where(exponential_masks(1, target.size, CR, rng)[0], donor, target)
-
-
-def select_trials(target_fitness, trial_fitness) -> np.ndarray:
-    """Where each trial replaces its target: ranked fitness no worse; ties go to the trial."""
-    return _replaces(ranked_fitness(target_fitness), ranked_fitness(trial_fitness))
 
 
 def sqg_gradient_estimate(

@@ -317,7 +317,7 @@ def _load_runs(out: Path, budget: int):
 
 
 def _load_rse(path: Path) -> dict[tuple[str, int], RseTarget]:
-    """The stored targets by (function, dim); a row that does not parse is estimated again."""
+    """The stored targets by (function, dim), each from its first row; a row that does not parse is estimated again."""
     targets: dict[tuple[str, int], RseTarget] = {}
     for row in _read_rows(path, RSE_COLUMNS) or []:
         try:
@@ -325,7 +325,7 @@ def _load_rse(path: Path) -> dict[tuple[str, int], RseTarget]:
             target = RseTarget(function, int(dim), int(budget), int(reps), float(value))
         except ValueError:  # wrong field count or a cut number
             continue
-        targets[target[:2]] = target
+        targets.setdefault(target[:2], target)
     return targets
 
 

@@ -113,6 +113,103 @@ MUTANTS = [
         "raw = raw * (1.0 + 0.4 * rng.standard_normal(x.shape[:-1]))",
         "noise only ever scales a value up",
     ),
+    Mutant(
+        "src/sqgde/algos.py",
+        "b, c = idx[:, 0::2], idx[:, 1::2]",
+        "b, c = idx[:, :w], idx[:, w:]",
+        "an SQG pair is two successive members of one draw",
+    ),
+    Mutant(
+        "src/sqgde/algos.py",
+        "return ((cols >= start) & (cols < end)) | (cols < end - d)",
+        "return (cols >= start) & (cols < end)",
+        "an exponential crossover block wraps round to the front",
+    ),
+    Mutant(
+        "src/sqgde/algos.py",
+        '"best2bin": 6}',
+        '"best2bin": 5}',
+        "best2bin needs the target, four drawn members and the best",
+    ),
+    Mutant(
+        "src/sqgde/algos.py",
+        "if math.isfinite(norm) and norm > 0.0:",
+        "if norm > 0.0:",
+        "run_sqg never steps on a non-finite estimate",
+    ),
+    Mutant(
+        "src/sqgde/core.py",
+        "            points.append((self.used, self.best_so_far))\n",
+        "            pass\n",
+        "a trace closes on the run's final evaluation count",
+    ),
+    Mutant(
+        "src/sqgde/metrics.py",
+        "np.fmin.reduce",
+        "np.minimum.reduce",
+        "a NaN value never counts as the random-search best",
+    ),
+    Mutant(
+        "src/sqgde/stats.py",
+        "if n <= EXACT_CUTOFF:",
+        "if n < EXACT_CUTOFF:",
+        "n = 20 still takes the exact p",
+    ),
+    Mutant(
+        "src/sqgde/stats.py",
+        "tie_counts)) / 48.0",
+        "tie_counts)) / 24.0",
+        "the normal approximation's tie correction",
+    ),
+    Mutant(
+        "src/sqgde/testfuncs.py",
+        "w[dead] = np.eye(k)[np.argmin(sq_dists[dead], axis=-1)]",
+        "w[dead] = 1.0 / k",
+        "a point far from every component takes the nearest one's value",
+    ),
+    Mutant(
+        "src/sqgde/testfuncs.py",
+        "w = np.exp(-sq_dists / (2.0 * X.shape[-1] * sigma2))",
+        "w = np.exp(-sq_dists / (X.shape[-1] * sigma2))",
+        "composition weights are pinned by the golden traces",
+    ),
+    Mutant(
+        "src/sqgde/testfuncs.py",
+        "    signs[signs == 0] = 1.0\n",
+        "",
+        "a zero on R's diagonal keeps its column of Q",
+        equivalent="R's diagonal of a standard normal matrix is zero with probability 0",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "if trace.points[-1] == (rec.evals_used, rec.best_fitness):",
+        "if True:",
+        "a runs.csv row counts only if it equals the last point of its trace",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "records.setdefault(rec.key, rec)",
+        "records[rec.key] = rec",
+        "the first runs.csv row of a key is the one checked",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "targets.setdefault(target[:2], target)",
+        "targets[target[:2]] = target",
+        "the first rse.csv row of a cell is the one used",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "reps=max(recorded.reps, spec.reps)",
+        "reps=spec.reps",
+        "a resume with fewer reps keeps the reps the directory records",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        'for field in ("budget", "master_seed")',
+        'for field in ("budget",)',
+        "a resume under another master seed is refused",
+    ),
 ]
 
 

@@ -19,12 +19,11 @@ from sqgde.algos import (
     mutate_rand1,
     run_de,
     run_sqg,
-    select_trials,
     sqg_donor,
     sqg_gradient_estimate,
     sqg_mutant,
 )
-from sqgde.core import BudgetedEvaluator, Population, best_index, make_rng, ranked_fitness
+from sqgde.core import BudgetedEvaluator, Population, SearchSpace, best_index, make_rng, ranked_fitness
 from sqgde.metrics import best_on_grid
 from sqgde.testfuncs import FunctionDescriptor, custom_function, make_test_function, suite_by_label
 
@@ -362,16 +361,21 @@ def test_crossover_gene_provenance(d, cr, seed, kind):
 # --- selection ----------------------------------------------------------------
 
 
+def _trial_wins(target_fitness, trial_fitness):
+    """run_de's selection: its tie rule over the ranked fitness of each (target, trial)."""
+    return algos._replaces(ranked_fitness(target_fitness), ranked_fitness(trial_fitness))
+
+
 def test_greedy_select_rules():
     # (target, trial): a better trial wins, a worse one loses, a tie goes to the trial
-    won = select_trials([2.0, 1.0, 1.0], [1.0, 2.0, 1.0])
+    won = _trial_wins([2.0, 1.0, 1.0], [1.0, 2.0, 1.0])
     assert won.tolist() == [True, False, True]
 
 
 def test_greedy_select_non_finite_ranks_last():
     for bad in (float("nan"), float("inf"), float("-inf")):
-        assert select_trials(bad, 5.0)
-        assert not select_trials(5.0, bad)
+        assert _trial_wins(bad, 5.0)
+        assert not _trial_wins(5.0, bad)
 
 
 # --- gradient estimate -----------------------------------------------------------
@@ -518,6 +522,18 @@ def test_run_sqg_deterministic():
     t1 = run_sqg(config, _sphere_fn(), 300, seed=6)
     t2 = run_sqg(config, _sphere_fn(), 300, seed=6)
     assert t1.points == t2.points
+
+
+def test_run_sqg_never_steps_on_a_non_finite_estimate():
+    seen = []
+
+    def holes(x):  # inf on half of every 1e-4 stripe of x[0], so most estimates are not finite
+        seen.append(np.array(x))
+        return np.inf if (x[0] * 1e4) % 1 > 0.5 else float(x @ x)
+
+    trace = run_sqg(SQGConfig(), custom_function("holes", SearchSpace.box(3, -1.0, 1.0), holes), 400, seed=1)
+    assert trace.final_evals == len(seen) == 400
+    assert np.isfinite(seen).all()
 
 
 class _FirstBatch:

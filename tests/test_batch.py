@@ -19,7 +19,6 @@ from sqgde.algos import (
     exponential_masks,
     rand1_donors,
     sqg_donors,
-    sqg_pairs,
     sqg_steps,
 )
 from sqgde.core import BudgetedEvaluator, BudgetExhausted, Population, make_rng, ranked_fitness
@@ -133,13 +132,19 @@ def _sqg_reference(x_best, pairs, F, eps_den=0.0):
     return x_best - F * phi * s
 
 
+def _replayed_pairs(blocked, w, seed):
+    """The (b, c) index arrays sqg_donors draws from make_rng(seed): one 2 w draw, paired in draw order."""
+    idx = distinct_indices(blocked, 2 * w, make_rng(seed))
+    return idx[:, 0::2], idx[:, 1::2]
+
+
 def test_sqg_donors_match_per_pair_formula():
     pop = _population(3, n=30, d=8)
     X, y = pop.genomes, pop.fitness
     blocked = _self_blocked(pop.size)
     best = int(np.argmin(y))
-    # the same stream gives sqg_donors the same index arrays as sqg_pairs
-    b, c, _, _ = sqg_pairs(X, blocked, 5, make_rng(4))
+    # replaying the draw on the same stream gives sqg_donors' pairs
+    b, c = _replayed_pairs(blocked, 5, 4)
     donors = sqg_donors(X, y, blocked, best, 5, 0.8, make_rng(4))
     for i in range(pop.size):
         pairs = [((X[p], y[p]), (X[q], y[q])) for p, q in zip(b[i], c[i])]
@@ -168,26 +173,22 @@ def test_sqg_steps_leave_out_pairs_at_or_below_eps_pair():
     npt.assert_allclose(donor, -0.8 * phi * s, rtol=RTOL, atol=0.0)
 
 
-def test_sqg_pairs_draw_members_once_and_keep_coincident_pairs():
+def test_sqg_donors_draw_members_once_and_keep_coincident_pairs():
     pop = _population(11, n=24, d=5)
     pop.genomes[1::2] = pop.genomes[::2]  # every member has a twin, so many pairs coincide
     X, y = pop.genomes, pop.fitness
     best, eps = int(np.argmin(y)), 1e-12
     # a target's own column, and a mask that leaves each row only the 2 w + 1 = 11 columns it must have
     for blocked in (_self_blocked(pop.size), _cyclic_blocked(pop.size, 13)):
-        b, c, diffs, dist = sqg_pairs(X, blocked, 5, make_rng(12))
         donors = sqg_donors(X, y, blocked, best, 5, 0.8, make_rng(12), eps, eps)
-        first = distinct_indices(blocked, 10, make_rng(12))
-        npt.assert_array_equal(b, first[:, 0::2])
-        npt.assert_array_equal(c, first[:, 1::2])
+        b, c = _replayed_pairs(blocked, 5, 12)
+        diffs = X[b] - X[c]
+        dist = np.linalg.norm(diffs, axis=2)
         assert (dist == 0.0).any()  # coincident pairs are drawn, and kept
         # every member drawn is unblocked, and a row's 2 w members are distinct
         members = np.concatenate([b, c], axis=1)
         assert not np.take_along_axis(blocked, members, axis=1).any()
         assert all(len(set(row)) == 10 for row in members.tolist())
-        # the differences and lengths are those of the returned pairs
-        npt.assert_array_equal(diffs, X[b] - X[c])
-        npt.assert_array_equal(dist, np.linalg.norm(X[b] - X[c], axis=2))
         npt.assert_array_equal(donors, sqg_steps(X[best], diffs, dist, y[b] - y[c], 0.8, eps, eps))
 
 

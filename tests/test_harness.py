@@ -629,6 +629,39 @@ def test_resume_does_again_a_line_that_is_not_utf8(tmp_path, name, damage):
     assert _results(out) == _results(tmp_path / "fresh")
 
 
+def test_resume_ignores_a_conflicting_runs_row_after_a_valid_one(tmp_path):
+    fresh = run_benchmark(sphere_spec(tmp_path / "fresh", reps=2))
+    out = tmp_path / "damaged"
+    run_benchmark(sphere_spec(out, reps=2))
+    row = (out / "runs.csv").read_text().splitlines()[1]
+    with open(out / "runs.csv", "a") as fh:  # the same key, another best_fitness
+        fh.write(row.rsplit(",", 1)[0] + ",0.5\n")
+    assert [rec for rec, _ in harness._load_runs(out, 200)] == fresh
+    run_benchmark(sphere_spec(out, reps=2))
+    for d in ("fresh", "damaged"):
+        summarize(tmp_path / d)
+    assert _results(out) == _results(tmp_path / "fresh")
+
+
+def test_resume_ignores_a_conflicting_rse_row_after_a_valid_one(tmp_path):
+    run_benchmark(sphere_spec(tmp_path / "fresh", reps=2))
+    out = tmp_path / "damaged"
+    run_benchmark(sphere_spec(out, reps=2))
+    rse_path = out / "rse.csv"
+    stored = harness._load_rse(rse_path)
+    row = rse_path.read_text().splitlines()[1]
+    conflicting = float(row.rsplit(",", 1)[1]) * 100
+    with open(rse_path, "a") as fh:  # the same cell and reps, another value
+        fh.write(f"{row.rsplit(',', 1)[0]},{conflicting!r}\n")
+    assert harness._load_rse(rse_path) == stored
+    run_benchmark(sphere_spec(out, reps=2))
+    for d in ("fresh", "damaged"):
+        summarize(tmp_path / d)
+    results = _results(out)
+    del results["rse.csv"]  # it keeps the ignored row until a target is estimated again
+    assert results == {k: v for k, v in _results(tmp_path / "fresh").items() if k != "rse.csv"}
+
+
 def test_interrupted_matrix_resumes_to_the_same_bytes(tmp_path, monkeypatch):
     out = tmp_path / "resumed"
     _crash_at_trace_write(monkeypatch, 4)

@@ -93,6 +93,20 @@ def test_rse_constant_function_is_exact():
     assert estimate_rse_target(fn, 1, 50, seed=0).value == 7.25
 
 
+def test_rse_nan_never_counts_as_best():
+    space = SearchSpace.box(2, -1.0, 1.0)
+    fn = custom_function("holes", space, lambda x: np.nan if x[0] > 0.5 else float(x @ x))
+    # replay each rep's whole sample on the same stream; the objective draws nothing from it
+    rng, bests = make_rng(3), []
+    for _ in range(4):
+        values = fn(space.sample_uniform(rng, 50))
+        assert np.isnan(values).any()
+        bests.append(float(np.nanmin(values)))
+    target = estimate_rse_target(fn, 50, 4, seed=3)
+    assert np.isfinite(target.value)
+    assert target.value == sum(bests) / 4
+
+
 def test_rse_deterministic_in_seed():
     fn = make_test_function(FunctionDescriptor(label="f", kind="rastrigin", seed=2), dim=5)
     a = estimate_rse_target(fn, 50, 20, seed=9)

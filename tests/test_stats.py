@@ -170,6 +170,20 @@ def test_approx_close_to_scipy_for_large_n():
     assert res.p_value == pytest.approx(ref.pvalue, abs=1e-2)
 
 
+@pytest.mark.parametrize("n", [25, 40, 100])
+def test_approx_tie_correction_equals_scipy(n):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(11 + n)
+    a = np.round(rng.standard_normal(n) + 0.3, 1)
+    b = np.round(rng.standard_normal(n), 1)
+    d = (a - b)[a != b]
+    assert len(np.unique(np.abs(d))) < d.size  # tied magnitudes, so the tie correction has a subject
+    res = wilcoxon_signed_rank(a, b)
+    assert res.method == "normal_approximation"
+    ref = scipy_stats.wilcoxon(a, b, zero_method="wilcox", correction=True, method="approx")
+    assert res.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0.0)
+
+
 def test_significance_threshold():
     # clearly separated samples are significant, identical ones are not
     strong = wilcoxon_signed_rank(list(range(1, 11)), [0.0] * 10)
