@@ -12,8 +12,8 @@ cell with work once and cuts its runs into tasks of at most four that carry
 the built function, the first of which estimates the target first. One
 worker runs the tasks in process; a process pool keeps two tasks per worker
 in flight and starts no more workers than there are tasks. The parent
-writes every file, rse.csv once per call, and locks the output directory
-while it works.
+writes every file and locks the output directory while it works. Every
+call rewrites rse.csv (and runs.csv, if it runs) from the rows that count.
 
 Artifacts under the output directory:
 
@@ -519,8 +519,8 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
     Every refusal comes before any build or write. Then each (function, dim)
     cell with work builds once, here, estimates its target if it lacks one
     of the recorded reps, and runs its missing runs (none unless ``with_runs``).
-    The parent writes every file, rse.csv once at the end, even after an
-    error, if a target was estimated.
+    The parent writes every file. Each call ends by rewriting rse.csv, even
+    after an error, and runs.csv if ``with_runs``, from the rows that count.
     """
     import logging  # as with the pool, importing the package does not load it
 
@@ -542,12 +542,12 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
             )
         record = {**merged.to_dict(), "stream_version": STREAM_VERSION}
         _write_text(out / "spec.json", json.dumps(record, indent=2) + "\n")
-        existing = {}
+        records = {}
         if with_runs:
             (out / "traces").mkdir(exist_ok=True)
-            existing = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)}
+            records = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)}
             # Keep only the rows that count, so appended rows start on a fresh line.
-            _write_csv(runs_path, RUNS_COLUMNS, sorted(existing.values()))
+            _write_csv(runs_path, RUNS_COLUMNS, sorted(records.values()))
 
         # Each cell with work, built once here: its target reps (0 if it has
         # its target) and its missing runs, in (algorithm, rep) order, cut
@@ -560,7 +560,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                 (algo, rep, run_seed(spec.master_seed, algo.name, desc.label, dim, rep))
                 for algo in spec.algorithms
                 for rep in range(spec.reps)
-                if with_runs and (algo.name, desc.label, dim, rep) not in existing
+                if with_runs and (algo.name, desc.label, dim, rep) not in records
             ]
             if target_reps or runs:
                 fn = make_test_function(desc, dim=dim)
@@ -569,17 +569,15 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                     for i in range(0, max(len(runs), 1), _TASK_RUNS)
                 ]
 
-        new_records, estimated = [], []
         with open(runs_path, "a", newline="") if with_runs else nullcontext() as fh:
 
             def handle(key, result):  # a target under its (label, dim), or a run under its record
                 if isinstance(result, RseTarget):
                     targets[key] = result
-                    estimated.append(key)
                     log.info("rse  %s d=%d  target=%.6g", *key, result.value)
                     return
                 write_trace(out / key.trace_path, result)
-                new_records.append(key)
+                records[key.key] = key
                 fh.write(_csv_line(key))
                 fh.flush()
                 log.info("run  %s %s d=%d rep=%d  best=%.6g", *key.key, key.best_fitness)
@@ -592,14 +590,13 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                 elif tasks:
                     _run_pool(tasks, min(workers, len(tasks)), handle)
             finally:
-                if estimated:
-                    _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))
+                _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))
 
-        _check_evals_used(new_records, spec.budget)
-        records = sorted([*existing.values(), *new_records])
+        _check_evals_used(records.values(), spec.budget)
+        rows = sorted(records.values())
         if with_runs:
-            _write_csv(runs_path, RUNS_COLUMNS, records)
-    return targets, records
+            _write_csv(runs_path, RUNS_COLUMNS, rows)
+    return targets, rows
 
 
 @dataclass

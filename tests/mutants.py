@@ -210,6 +210,45 @@ MUTANTS = [
         'for field in ("budget",)',
         "a resume under another master seed is refused",
     ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "            finally:\n                _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))\n",
+        "            finally:\n"
+        "                if targets != _load_rse(rse_path):\n"
+        "                    _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))\n",
+        "every call rewrites rse.csv from the rows that count",
+    ),
+    Mutant(
+        "src/sqgde/testfuncs.py",
+        "np.abs(rng.standard_normal(x.shape[:-1]))",
+        "np.abs(rng.standard_normal(x.shape[:-1][::-1]).T)",
+        "noise draws its factors in the order of the points",
+    ),
+    Mutant(
+        "src/sqgde/testfuncs.py",
+        "part[:] = zb.real",
+        "part[:] = 0.0",
+        "the Weierstrass sum starts at its k = 0 term",
+    ),
+    Mutant(
+        "src/sqgde/testfuncs.py",
+        "part += a_k * zb.real",
+        "part += a_k * zb.imag",
+        "each Weierstrass term is a cosine",
+    ),
+    Mutant(
+        "src/sqgde/testfuncs.py",
+        "            zb *= sb\n",
+        "",
+        "each Weierstrass term's z is the cube of the previous one's",
+    ),
+    Mutant(
+        "src/sqgde/testfuncs.py",
+        "_W_BLOCK = 8192",
+        "_W_BLOCK = 4096",
+        "the Weierstrass kernel works in blocks",
+        equivalent="every step is elementwise and the one-element guard follows _W_BLOCK, so no shape gives other bits",
+    ),
 ]
 
 

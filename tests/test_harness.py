@@ -657,9 +657,18 @@ def test_resume_ignores_a_conflicting_rse_row_after_a_valid_one(tmp_path):
     run_benchmark(sphere_spec(out, reps=2))
     for d in ("fresh", "damaged"):
         summarize(tmp_path / d)
-    results = _results(out)
-    del results["rse.csv"]  # it keeps the ignored row until a target is estimated again
-    assert results == {k: v for k, v in _results(tmp_path / "fresh").items() if k != "rse.csv"}
+    assert _results(out) == _results(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("call", [run_benchmark, ensure_rse_targets])
+def test_resume_with_nothing_to_estimate_drops_an_rse_row_that_does_not_parse(tmp_path, call):
+    run_benchmark(sphere_spec(tmp_path / "fresh"))
+    out = tmp_path / "damaged"
+    run_benchmark(sphere_spec(out))
+    with open(out / "rse.csv", "a") as fh:
+        fh.write("shifted_sphere,2,abc\n")
+    call(sphere_spec(out))
+    assert (out / "rse.csv").read_bytes() == (tmp_path / "fresh" / "rse.csv").read_bytes()
 
 
 def test_interrupted_matrix_resumes_to_the_same_bytes(tmp_path, monkeypatch):
@@ -1153,6 +1162,7 @@ def test_resume_with_nothing_to_do_writes_nothing(tmp_path):
     before = stamps()
     time.sleep(0.01)
     run_benchmark(small_spec(out))
+    ensure_rse_targets(small_spec(out))  # nor does the targets-only call
     summarize(out)  # nor does a second summarize
     assert stamps() == before
 
