@@ -13,7 +13,9 @@ the built function, the first of which estimates the target first. One
 worker runs the tasks in process; a process pool keeps two tasks per worker
 in flight and starts no more workers than there are tasks. The parent
 writes every file and locks the output directory while it works. Every
-call rewrites rse.csv (and runs.csv, if it runs) from the rows that count.
+call rewrites rse.csv from the rows that count. A call that runs rewrites
+runs.csv sorted from them when it starts and when it finishes, and appends
+each new run's row in between; after an error the next call sorts them.
 
 Artifacts under the output directory:
 
@@ -38,7 +40,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import groupby, islice, product, repeat
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -280,53 +282,44 @@ def _read_trace(path: Path) -> RunTrace:
     return RunTrace(points, points[-1][0])
 
 
-def _check_evals_used(records, budget: int) -> None:
-    for rec in records:
-        if rec.evals_used > budget:
-            raise RuntimeError(f"run {rec.key} used {rec.evals_used} evaluations, over the budget {budget}")
+def _load_table(path: Path, record, key_len: int) -> dict:
+    """A resumable table's ``record`` rows, each under its first ``key_len`` fields.
+
+    A row counts if a newline ends it, it is UTF-8, it has one field per
+    field of ``record`` and each parses as that field's type; the first row
+    of a key counts. Any other row is skipped, so its work is done again.
+    """
+    casts, table = list(get_type_hints(record).values()), {}
+    for row in _read_rows(path, list(record._fields)) or []:
+        try:
+            rec = record(*[cast(v) for cast, v in zip(casts, row, strict=True)])
+        except ValueError:  # a field too many or too few, or a cut number
+            continue
+        table.setdefault(rec[:key_len], rec)
+    return table
 
 
 def _load_runs(out: Path, budget: int):
     """Yield (record, trace) of each recorded run, in key order.
 
-    A row counts only if a newline ends it and its evals_used and
-    best_fitness equal the last point of its trace; a trace cut before its
-    final newline has lost that point. Other rows, and rows whose trace is
-    missing, holds no point or does not parse, are skipped so their runs are
-    run again. A row over the budget raises RuntimeError.
+    A runs.csv row counts if it counts in :func:`_load_table`, its names can
+    be parts of a file name, and its trace parses and ends at (evals_used,
+    best_fitness), a point a trace cut inside its last line has lost. Other
+    rows are skipped, so their runs are run again; one over the budget raises RuntimeError.
     """
-    records: dict[tuple, RunRecord] = {}
-    for row in _read_rows(out / "runs.csv", RUNS_COLUMNS) or []:
+    for key, rec in sorted(_load_table(out / "runs.csv", RunRecord, 4).items()):
         try:
-            algorithm, function, dim, rep, seed, evals_used, best = row
-            numbers = int(dim), int(rep), int(seed), int(evals_used), float(best)
-            check_names("run key name", [algorithm, function])  # each is a part of the trace's path
-        except ValueError:  # wrong field count, a cut number or a name such as "../x"
+            check_names("run key name", key[:2])  # each is a part of the trace's path
+        except ValueError:  # a name such as "../x"
             continue
-        rec = RunRecord(algorithm, function, *numbers)
-        records.setdefault(rec.key, rec)
-    _check_evals_used(records.values(), budget)
-    for key in sorted(records):
-        rec = records[key]
+        if rec.evals_used > budget:
+            raise RuntimeError(f"run {key} used {rec.evals_used} evaluations, over the budget {budget}")
         try:
             trace = _read_trace(out / rec.trace_path)
         except (OSError, ValueError):
             continue
         if trace.points[-1] == (rec.evals_used, rec.best_fitness):
             yield rec, trace
-
-
-def _load_rse(path: Path) -> dict[tuple[str, int], RseTarget]:
-    """The stored targets by (function, dim), each from its first row; a row that does not parse is estimated again."""
-    targets: dict[tuple[str, int], RseTarget] = {}
-    for row in _read_rows(path, RSE_COLUMNS) or []:
-        try:
-            function, dim, budget, reps, value = row
-            target = RseTarget(function, int(dim), int(budget), int(reps), float(value))
-        except ValueError:  # wrong field count or a cut number
-            continue
-        targets.setdefault(target[:2], target)
-    return targets
 
 
 def execute_run(algo: AlgorithmSpec, fn, budget: int, seed: int) -> RunTrace:
@@ -520,7 +513,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
     cell with work builds once, here, estimates its target if it lacks one
     of the recorded reps, and runs its missing runs (none unless ``with_runs``).
     The parent writes every file. Each call ends by rewriting rse.csv, even
-    after an error, and runs.csv if ``with_runs``, from the rows that count.
+    after an error, and runs.csv if it ran without one, from the rows that count.
     """
     import logging  # as with the pool, importing the package does not load it
 
@@ -534,18 +527,17 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
     with _locked(out):
         merged = _merged_spec(out, spec)
         rse_path, runs_path = out / "rse.csv", out / "runs.csv"
-        targets = _load_rse(rse_path)
+        targets = _load_table(rse_path, RseTarget, 2)
         if stale := {t.budget for t in targets.values()} - {spec.budget}:
             raise ValueError(
                 f"budget mismatch for {rse_path}: rse.csv {min(stale)}, spec {spec.budget}; random-search "
                 "targets and runs of different budgets must not be mixed. Write to a new output directory."
             )
+        records = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)} if with_runs else {}
         record = {**merged.to_dict(), "stream_version": STREAM_VERSION}
         _write_text(out / "spec.json", json.dumps(record, indent=2) + "\n")
-        records = {}
         if with_runs:
             (out / "traces").mkdir(exist_ok=True)
-            records = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)}
             # Keep only the rows that count, so appended rows start on a fresh line.
             _write_csv(runs_path, RUNS_COLUMNS, sorted(records.values()))
 
@@ -592,7 +584,6 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
             finally:
                 _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))
 
-        _check_evals_used(records.values(), spec.budget)
         rows = sorted(records.values())
         if with_runs:
             _write_csv(runs_path, RUNS_COLUMNS, rows)
@@ -619,7 +610,7 @@ def summarize(output_dir: str | Path) -> SummaryResult:
 
 
 def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
-    targets = _load_rse(out / "rse.csv")
+    targets = _load_table(out / "rse.csv", RseTarget, 2)
     algo_names = [a.name for a in spec.algorithms]
     cat_of = {f.label: f.category for f in spec.functions}
     cells = dict.fromkeys((algo, label, dim) for algo in algo_names for label in cat_of for dim in spec.dims)

@@ -5,8 +5,10 @@ copies the checkout to a temporary directory, checks that the unmutated
 copy passes tier-1, then applies the mutants one at a time and runs tier-1
 with ``-x`` on each. A mutant whose ``old`` text does not occur exactly
 once in its file is refused before anything runs, so the list cannot drift
-silently from the code. A mutant is killed when tier-1 fails on it. The
-script exits with 1 if a mutant survives that is not marked equivalent:
+silently from the code; ``test_mutants_apply.py`` makes the same check in
+tier-1, so an edit of a listed line fails there at once. A mutant is killed
+when tier-1, but for that check, fails on it. The script exits with 1 if a
+mutant survives that is not marked equivalent:
 
     python tests/mutants.py
 
@@ -28,6 +30,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+APPLY_CHECK = "tests/test_mutants_apply.py"
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", "results", ".perfbench_out")
 
 
@@ -188,15 +191,27 @@ MUTANTS = [
     ),
     Mutant(
         "src/sqgde/harness.py",
-        "records.setdefault(rec.key, rec)",
-        "records[rec.key] = rec",
-        "the first runs.csv row of a key is the one checked",
+        "table.setdefault(rec[:key_len], rec)",
+        "table[rec[:key_len]] = rec",
+        "the first row of a key counts, in runs.csv and in rse.csv",
     ),
     Mutant(
         "src/sqgde/harness.py",
-        "targets.setdefault(target[:2], target)",
-        "targets[target[:2]] = target",
-        "the first rse.csv row of a cell is the one used",
+        "zip(casts, row, strict=True)",
+        "zip(casts, row)",
+        "a row with a field too many does not count",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "if rec.evals_used > budget:",
+        "if rec.evals_used > budget + 1:",
+        "a runs.csv row over the budget is refused",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        '            check_names("run key name", key[:2])  # each is a part of the trace\'s path\n',
+        "            pass\n",
+        "a runs.csv row whose name cannot be a part of a file name does not count",
     ),
     Mutant(
         "src/sqgde/harness.py",
@@ -214,7 +229,7 @@ MUTANTS = [
         "src/sqgde/harness.py",
         "            finally:\n                _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))\n",
         "            finally:\n"
-        "                if targets != _load_rse(rse_path):\n"
+        "                if targets != _load_table(rse_path, RseTarget, 2):\n"
         "                    _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))\n",
         "every call rewrites rse.csv from the rows that count",
     ),
@@ -252,9 +267,10 @@ MUTANTS = [
 ]
 
 
-def _tier1(cwd: Path) -> bool:
+def _tier1(cwd: Path, *args: str) -> bool:
     env = {**os.environ, "PYTHONPATH": "src"}
-    return subprocess.run(TIER1, cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 0
+    run = subprocess.run([*TIER1, *args], cwd=cwd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return run.returncode == 0
 
 
 def main() -> int:
@@ -274,7 +290,7 @@ def main() -> int:
             path.write_text(text.replace(m.old, m.new))
             start = time.perf_counter()
             try:
-                dead = not _tier1(copy)
+                dead = not _tier1(copy, f"--ignore={APPLY_CHECK}")  # it fails on every applied mutant
             finally:
                 path.write_text(text)
             killed += dead

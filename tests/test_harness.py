@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import fcntl
 import json
+import logging
 import multiprocessing
 import os
 import re
@@ -33,7 +34,7 @@ from sqgde.harness import (
     summarize,
     write_trace,
 )
-from sqgde.metrics import ErtResult, best_on_grid
+from sqgde.metrics import ErtResult, RseTarget, best_on_grid
 from sqgde.testfuncs import ComponentDescriptor, FunctionDescriptor, custom_function, make_test_function
 
 
@@ -537,12 +538,14 @@ def test_resume_estimates_again_a_cut_rse_row(tmp_path, cut):
 
 
 def _replace_field(index, value):
-    """Damage the second line of a CSV: set one field, or drop it if ``value`` is None."""
+    """Damage the second line of a CSV: set one field, drop it if ``value`` is None, or add one if ``index`` is None."""
 
     def damage(text):
         lines = text.splitlines(keepends=True)
         fields = lines[1].rstrip("\n").split(",")
-        if value is None:
+        if index is None:
+            fields.append(value)
+        elif value is None:
             del fields[index]
         else:
             fields[index] = value
@@ -559,10 +562,12 @@ def _replace_field(index, value):
         ("runs.csv", _replace_field(5, "12x")),
         ("rse.csv", _replace_field(-1, None)),
         ("rse.csv", _replace_field(-1, "1.5e")),
+        ("runs.csv", _replace_field(None, "7")),
+        ("rse.csv", _replace_field(None, "7")),
     ],
-    ids=["runs_field_count", "runs_number", "rse_field_count", "rse_number"],
+    ids=["runs_field_count", "runs_number", "rse_field_count", "rse_number", "runs_extra_field", "rse_extra_field"],
 )
-def test_resume_does_again_a_newline_ended_row_that_does_not_parse(tmp_path, name, damage):
+def test_resume_does_again_a_newline_ended_row_that_does_not_parse(tmp_path, caplog, name, damage):
     run_benchmark(sphere_spec(tmp_path / "fresh", reps=2))
     out = tmp_path / "damaged"
     run_benchmark(sphere_spec(out, reps=2))
@@ -570,7 +575,10 @@ def test_resume_does_again_a_newline_ended_row_that_does_not_parse(tmp_path, nam
     text = damage(path.read_text())
     assert text.endswith("\n") and text != path.read_text()
     path.write_text(text)
+    caplog.set_level(logging.INFO, logger="sqgde.harness")
     run_benchmark(sphere_spec(out, reps=2))
+    # the damaged row's work, and only it, is done again: one "run" or one "rse" log line
+    assert [r.getMessage()[:3] for r in caplog.records] == [name[:3]]
     for d in ("fresh", "damaged"):
         summarize(tmp_path / d)
     assert _results(out) == _results(tmp_path / "fresh")
@@ -648,12 +656,12 @@ def test_resume_ignores_a_conflicting_rse_row_after_a_valid_one(tmp_path):
     out = tmp_path / "damaged"
     run_benchmark(sphere_spec(out, reps=2))
     rse_path = out / "rse.csv"
-    stored = harness._load_rse(rse_path)
+    stored = harness._load_table(rse_path, RseTarget, 2)
     row = rse_path.read_text().splitlines()[1]
     conflicting = float(row.rsplit(",", 1)[1]) * 100
     with open(rse_path, "a") as fh:  # the same cell and reps, another value
         fh.write(f"{row.rsplit(',', 1)[0]},{conflicting!r}\n")
-    assert harness._load_rse(rse_path) == stored
+    assert harness._load_table(rse_path, RseTarget, 2) == stored
     run_benchmark(sphere_spec(out, reps=2))
     for d in ("fresh", "damaged"):
         summarize(tmp_path / d)
@@ -1218,6 +1226,21 @@ def test_summarize_refuses_overbudget_rows(tmp_path):
         summarize(out)
 
 
+def test_resume_refuses_an_overbudget_row_before_any_write(tmp_path):
+    out = tmp_path / "out"
+    run_benchmark(small_spec(out, reps=2))
+    runs_path = out / "runs.csv"
+    lines = runs_path.read_text().splitlines(keepends=True)
+    cols = lines[1].split(",")
+    cols[5] = "61"  # over the 60-evaluation budget
+    lines[1] = ",".join(cols)
+    runs_path.write_text("".join(lines))
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    with pytest.raises(RuntimeError, match="over the budget 60"):
+        run_benchmark(small_spec(out, reps=3))  # a resume whose spec.json would record more reps
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+
 def test_summarize_needs_records(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -1280,7 +1303,7 @@ def test_bnfv_csv_holds_every_cell_in_key_order(tmp_path):
     assert len(lines) == 1 + len(cells) * len(grid)
     rows = [line.split(",") for line in lines[1:]]
     assert [(a, f, int(d), int(e)) for a, f, d, _, e, _, _ in rows] == [(*c, e) for c in cells for e in grid]
-    targets = harness._load_rse(out / "rse.csv")
+    targets = harness._load_table(out / "rse.csv", RseTarget, 2)
     for i, (algo, label, dim) in enumerate(cells):
         traces = [_read_trace(out / r.trace_path) for r in records if r.key[:3] == (algo, label, dim)]
         curves = np.array([best_on_grid(tr, grid) / targets[(label, dim)].value for tr in traces])
