@@ -78,8 +78,6 @@ class InsufficientPopulation(ValueError):
 
 STRATEGIES = ("rand1exp", "best2bin", "sqgbin")
 
-# Smallest pop_size per index-drawing mutation: the target, the members it draws, and the best a donor is based on.
-_MIN_POP = {"rand1exp": 4, "best2bin": 6}
 _replaces = np.greater_equal  # the selection rule on ranked (target, trial): a trial no worse replaces its target
 
 
@@ -106,13 +104,11 @@ class DEConfig:
             raise ValueError("F must lie in [0, 2]")
         if not 0.0 <= self.CR <= 1.0:
             raise ValueError("CR must lie in [0, 1]")
-        if self.strategy == "sqgbin":
-            if self.w < 1:
-                raise ValueError("w must be at least 1")
-            if self.pop_size < 2 * self.w + 2:
-                raise ValueError(f"sqgbin with w={self.w} needs pop_size >= {2 * self.w + 2}")
-        elif self.pop_size < _MIN_POP[self.strategy]:
-            raise ValueError(f"{self.strategy} needs pop_size >= {_MIN_POP[self.strategy]}")
+        if self.strategy == "sqgbin" and self.w < 1:
+            raise ValueError("w must be at least 1")
+        # The smallest population: the target, the members the donor draws, and the best it is based on.
+        if self.pop_size < (floor := {"rand1exp": 4, "best2bin": 6, "sqgbin": 2 * self.w + 2}[self.strategy]):
+            raise ValueError(f"{self.strategy} needs pop_size >= {floor}")
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ the built function, the first of which estimates the target first. One
 worker runs the tasks in process; a process pool keeps two tasks per worker
 in flight and starts no more workers than there are tasks. The parent
 writes every file and locks the output directory while it works. Every
-call rewrites rse.csv from the rows that count. A call that runs rewrites
-runs.csv sorted from them when it starts and when it finishes, and appends
-each new run's row in between; after an error the next call sorts them.
+call ends, also after an error, by rewriting rse.csv, and runs.csv if it
+runs, from the rows that count. Between its start, where it rewrites
+runs.csv too, and its end it appends and flushes each new run's row.
 
 Artifacts under the output directory:
 
@@ -512,8 +512,8 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
     Every refusal comes before any build or write. Then each (function, dim)
     cell with work builds once, here, estimates its target if it lacks one
     of the recorded reps, and runs its missing runs (none unless ``with_runs``).
-    The parent writes every file. Each call ends by rewriting rse.csv, even
-    after an error, and runs.csv if it ran without one, from the rows that count.
+    The parent writes every file. Each call ends, also after an error, by
+    rewriting rse.csv, and runs.csv if ``with_runs``, from the rows that count.
     """
     import logging  # as with the pool, importing the package does not load it
 
@@ -561,33 +561,31 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                     for i in range(0, max(len(runs), 1), _TASK_RUNS)
                 ]
 
-        with open(runs_path, "a", newline="") if with_runs else nullcontext() as fh:
+        try:
+            with open(runs_path, "a", newline="") if with_runs else nullcontext() as fh:
 
-            def handle(key, result):  # a target under its (label, dim), or a run under its record
-                if isinstance(result, RseTarget):
-                    targets[key] = result
-                    log.info("rse  %s d=%d  target=%.6g", *key, result.value)
-                    return
-                write_trace(out / key.trace_path, result)
-                records[key.key] = key
-                fh.write(_csv_line(key))
-                fh.flush()
-                log.info("run  %s %s d=%d rep=%d  best=%.6g", *key.key, key.best_fitness)
+                def handle(key, result):  # a target under its (label, dim), or a run under its record
+                    if isinstance(result, RseTarget):
+                        targets[key] = result
+                        log.info("rse  %s d=%d  target=%.6g", *key, result.value)
+                        return
+                    write_trace(out / key.trace_path, result)
+                    records[key.key] = key
+                    fh.write(_csv_line(key))
+                    fh.flush()
+                    log.info("run  %s %s d=%d rep=%d  best=%.6g", *key.key, key.best_fitness)
 
-            try:
                 if workers == 1:
                     for task in tasks:
                         for result in _cell_results(*task):
                             handle(*result)
                 elif tasks:
                     _run_pool(tasks, min(workers, len(tasks)), handle)
-            finally:
-                _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))
-
-        rows = sorted(records.values())
-        if with_runs:
-            _write_csv(runs_path, RUNS_COLUMNS, rows)
-    return targets, rows
+        finally:  # the with has closed the append handle, so no buffered write lands on the replaced runs.csv
+            _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))
+            if with_runs:
+                _write_csv(runs_path, RUNS_COLUMNS, sorted(records.values()))
+    return targets, sorted(records.values())
 
 
 @dataclass

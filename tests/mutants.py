@@ -130,8 +130,8 @@ MUTANTS = [
     ),
     Mutant(
         "src/sqgde/algos.py",
-        '"best2bin": 6}',
-        '"best2bin": 5}',
+        '"best2bin": 6,',
+        '"best2bin": 5,',
         "best2bin needs the target, four drawn members and the best",
     ),
     Mutant(
@@ -227,11 +227,33 @@ MUTANTS = [
     ),
     Mutant(
         "src/sqgde/harness.py",
-        "            finally:\n                _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))\n",
-        "            finally:\n"
-        "                if targets != _load_table(rse_path, RseTarget, 2):\n"
-        "                    _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))\n",
+        "            _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))\n",
+        "            if targets != _load_table(rse_path, RseTarget, 2):\n"
+        "                _write_csv(rse_path, RSE_COLUMNS, sorted(targets.values()))\n",
         "every call rewrites rse.csv from the rows that count",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "                    fh.flush()\n",
+        "",
+        "each run's runs.csv row is on disk when the run's work is done, so a killed call keeps it",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "            # Keep only the rows that count, so appended rows start on a fresh line.\n"
+        "            _write_csv(runs_path, RUNS_COLUMNS, sorted(records.values()))\n",
+        "            pass\n",
+        "a call that runs rewrites runs.csv when it starts, so a row appended after a cut one has a line of its own",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "            if with_runs:\n"
+        "                _write_csv(runs_path, RUNS_COLUMNS, sorted(records.values()))\n"
+        "    return targets",
+        "        if with_runs:\n"
+        "            _write_csv(runs_path, RUNS_COLUMNS, sorted(records.values()))\n"
+        "    return targets",
+        "every call ends by rewriting runs.csv from the rows that count, also after an error",
     ),
     Mutant(
         "src/sqgde/testfuncs.py",

@@ -408,34 +408,60 @@ def sphere_spec(out, reps=3):
     )
 
 
-def _crash_at_trace_write(monkeypatch, k):
-    """Make the k-th trace write from now on raise, as a crash there would."""
+_KILLED = 99  # the exit status of a process _crash_at_trace_write kills
+
+
+def _crash_at_trace_write(monkeypatch, k, kill=False):
+    """Make the k-th trace write from now on raise, as an error there would, or end the process as a kill would."""
     real, written = harness.write_trace, []
 
     def write(path, trace):
         written.append(path)
         if len(written) == k:
+            if kill:
+                os._exit(_KILLED)  # no finally, no flush, no close
             raise OSError("crashed")
         real(path, trace)
 
     monkeypatch.setattr(harness, "write_trace", write)
 
 
-def test_resume_drops_a_row_cut_short(tmp_path, monkeypatch):
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="patches reach the workers only when they fork"
+)
+
+
+@pytest.mark.parametrize("crash", ["error", pytest.param("kill", marks=fork_only)])
+def test_resume_drops_a_row_cut_short(tmp_path, monkeypatch, crash):
     run_benchmark(sphere_spec(tmp_path / "fresh", reps=5))
+    fresh = (tmp_path / "fresh" / "runs.csv").read_text().splitlines(keepends=True)
     cut = tmp_path / "cut"
     run_benchmark(sphere_spec(cut))
     runs_path = cut / "runs.csv"
     text = runs_path.read_text()
     runs_path.write_text(text[:-6])  # the last best_fitness loses digits and the newline
     assert len(runs_path.read_text().splitlines()[-1].split(",")) == 7
-    # A resume that crashes after re-running the cut row: rows appended
-    # after the cut one must start on a line of their own.
-    _crash_at_trace_write(monkeypatch, 2)
-    with pytest.raises(OSError, match="crashed"):
-        run_benchmark(sphere_spec(cut, reps=5))
+    # A resume that crashes at its 3rd trace write, after re-running the cut
+    # row and one more. An error ends in the call's finally. A kill of the
+    # parent (serial, so no pool worker outlives it) leaves the rows appended
+    # after the cut one as they are: each must be on disk, on a line of its own.
+    if crash == "error":
+        _crash_at_trace_write(monkeypatch, 3)
+        with pytest.raises(OSError, match="crashed"):
+            run_benchmark(sphere_spec(cut, reps=5))
+        monkeypatch.undo()
+    else:
+
+        def killed_resume():
+            _crash_at_trace_write(monkeypatch, 3, kill=True)
+            run_benchmark(sphere_spec(cut, reps=5))
+
+        child = multiprocessing.get_context("fork").Process(target=killed_resume)
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == _KILLED  # None if the child still runs
     assert all(len(line.split(",")) == 7 for line in runs_path.read_text().splitlines())
-    monkeypatch.undo()
+    assert runs_path.read_text() == "".join(fresh[: 1 + 2 + 2])  # the header, the two kept rows, the two finished runs
     run_benchmark(sphere_spec(cut, reps=5))
     assert runs_path.read_bytes() == (tmp_path / "fresh" / "runs.csv").read_bytes()
 
@@ -691,11 +717,6 @@ def test_interrupted_matrix_resumes_to_the_same_bytes(tmp_path, monkeypatch):
     for name in ("resumed", "fresh"):
         summarize(tmp_path / name)
     assert _results(out) == _results(tmp_path / "fresh")
-
-
-fork_only = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="patches reach the workers only when they fork"
-)
 
 
 @fork_only
@@ -1018,6 +1039,28 @@ def test_every_route_gives_the_same_bytes(tmp_path, monkeypatch):
     for name in routes:
         summarize(tmp_path / name)
     assert all(_results(tmp_path / name) == _results(tmp_path / "serial") for name in routes)
+
+
+def test_an_error_leaves_runs_csv_sorted(tmp_path, monkeypatch):
+    fresh = run_benchmark(_two_cell_spec(tmp_path / "fresh", reps=2))
+    out = tmp_path / "crashed"
+    # Cell by cell, the 5th run is the first of the second cell (sphere2, d=3),
+    # and the 6th trace write raises. The 5th run's row sorts before the
+    # first cell's two sqg_small rows, which ran before it.
+    _crash_at_trace_write(monkeypatch, 6)
+    with pytest.raises(OSError, match="crashed"):
+        run_benchmark(_two_cell_spec(out, reps=2))
+    monkeypatch.undo()
+    header, *rows = (tmp_path / "fresh" / "runs.csv").read_text().splitlines(keepends=True)
+    finished = [(rec, row) for rec, row in zip(fresh, rows, strict=True) if (out / rec.trace_path).exists()]
+    assert [(rec.algorithm, rec.function, rec.dim) for rec, _ in finished] == [
+        ("de_small", "sphere2", 2),
+        ("de_small", "sphere2", 2),
+        ("de_small", "sphere2", 3),
+        ("sqg_small", "sphere2", 2),
+        ("sqg_small", "sphere2", 2),
+    ]
+    assert (out / "runs.csv").read_text() == header + "".join(row for _, row in finished)
 
 
 def test_targets_that_arrived_are_kept_when_a_run_fails(tmp_path, monkeypatch):
