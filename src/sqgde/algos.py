@@ -139,32 +139,27 @@ class SQGConfig:
             raise ValueError("warm_start_samples must be at least 1")
 
 
-def distinct_indices(blocked: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
-    """k distinct indices per row that avoid the row's blocked columns.
+def distinct_indices(targets, pop_size: int, k: int, rng: RngStream) -> np.ndarray:
+    """k distinct indices in [0, pop_size) per row, none of them the row's target.
 
-    ``blocked`` is a boolean (n, pop_size) mask. Each row draws a uniform
-    key per column and takes its k unblocked columns with the smallest
-    keys, in key order, so every row is a uniform ordered sample without
+    ``targets`` holds each row's target index. Each row draws a uniform key
+    per column and takes its k non-target columns with the smallest keys,
+    in key order, so every row is a uniform ordered sample without
     replacement. The picks are k argmin passes over the keys, each setting
     its pick to inf, so the cost grows with k; tied keys go to the lower
-    column. Raises InsufficientPopulation if a row has fewer than k
-    unblocked columns.
+    column. Raises InsufficientPopulation if k > pop_size - 1.
     """
-    blocked = np.asarray(blocked, dtype=bool)
-    keys = rng.random(blocked.shape)
-    keys[blocked] = np.inf
-    flat, starts = keys.reshape(-1), np.arange(len(keys)) * blocked.shape[1]
+    if k > pop_size - 1:
+        raise InsufficientPopulation(f"need {k} distinct indices but only {pop_size - 1} are available")
+    keys = rng.random((len(targets), pop_size))
+    flat, starts = keys.reshape(-1), np.arange(len(keys)) * pop_size
+    flat[starts + targets] = np.inf  # no row draws its own target
     idx = np.empty((len(keys), k), dtype=np.intp)
     for j in range(k):
         pick = keys.argmin(axis=1)
         idx[:, j] = pick
         pick += starts  # its position in the flat keys
-        last = flat[pick]
         flat[pick] = np.inf
-    # A row's last pick is inf only if the row had fewer than k unblocked columns.
-    if k and np.isinf(last).any():
-        available = blocked.shape[1] - int(blocked.sum(axis=1).max())
-        raise InsufficientPopulation(f"need {k} distinct indices but only {available} are available")
     return idx
 
 
@@ -215,7 +210,7 @@ def sqg_steps(
 def sqg_donors(
     X: np.ndarray,
     fitness: np.ndarray,
-    blocked: np.ndarray,
+    targets,
     best: int,
     w: int,
     F: float,
@@ -223,11 +218,11 @@ def sqg_donors(
     eps_pair: float = 0.0,
     eps_den: float = 0.0,
 ) -> np.ndarray:
-    """One donor per row of the boolean (n, pop_size) mask ``blocked``, on ranked ``fitness``; see :func:`sqg_steps`.
+    """One donor per row's target index in ``targets``, on ranked ``fitness``; see :func:`sqg_steps`.
 
-    A row draws 2 w distinct unblocked members once and pairs them in draw order: (1st, 2nd), (3rd, 4th), ...
+    A row draws 2 w distinct non-target members once and pairs them in draw order: (1st, 2nd), (3rd, 4th), ...
     """
-    idx = distinct_indices(blocked, 2 * w, rng)
+    idx = distinct_indices(targets, len(X), 2 * w, rng)
     b, c = idx[:, 0::2], idx[:, 1::2]
     diffs = X[b] - X[c]
     with np.errstate(invalid="ignore"):  # inf - inf gaps are left out as NaN
@@ -237,12 +232,12 @@ def sqg_donors(
 
 def mutate_rand1(pop: Population, target: int, F: float, rng: RngStream) -> np.ndarray:
     """Donor x_a + F (x_b - x_c) over three distinct non-target members."""
-    return rand1_donors(pop.genomes, distinct_indices(np.eye(pop.size, dtype=bool)[[target]], 3, rng), F)[0]
+    return rand1_donors(pop.genomes, distinct_indices([target], pop.size, 3, rng), F)[0]
 
 
 def mutate_best2(pop: Population, target: int, F: float, rng: RngStream) -> np.ndarray:
     """Donor x_best + F ((x_a - x_b) + (x_c - x_d)), indices distinct, non-target."""
-    idx = distinct_indices(np.eye(pop.size, dtype=bool)[[target]], 4, rng)
+    idx = distinct_indices([target], pop.size, 4, rng)
     return best2_donors(pop.genomes, best_index(pop), idx, F)[0]
 
 
@@ -269,8 +264,7 @@ def sqg_donor(
     eps_den: float = 0.0,
 ) -> np.ndarray:
     """Sample w member pairs and build the quasi-gradient donor of one target; see :func:`sqg_donors`."""
-    blocked = np.eye(pop.size, dtype=bool)[[target]]
-    return sqg_donors(pop.genomes, pop.fitness, blocked, best, w, F, rng, eps_pair, eps_den)[0]
+    return sqg_donors(pop.genomes, pop.fitness, [target], best, w, F, rng, eps_pair, eps_den)[0]
 
 
 def binomial_masks(n: int, d: int, CR: float, rng: RngStream) -> np.ndarray:
@@ -334,13 +328,14 @@ def sqg_gradient_estimate(
     return ((values[1:] - values[0]) / delta) @ z
 
 
-def _donors(config: DEConfig, X: np.ndarray, fitness: np.ndarray, blocked: np.ndarray, rng: RngStream, eps: float):
-    """The donors of every row of one generation; the best is the lowest ranked fitness, ties to the lowest index."""
+def _donors(config: DEConfig, X: np.ndarray, fitness: np.ndarray, rng: RngStream, eps: float):
+    """Every row's donor, each row its own target; the best is the lowest ranked fitness, ties to the lowest index."""
+    rows = np.arange(len(X))
     if config.strategy == "sqgbin":
-        return sqg_donors(X, fitness, blocked, int(np.argmin(fitness)), config.w, config.F, rng, eps, eps)
+        return sqg_donors(X, fitness, rows, int(np.argmin(fitness)), config.w, config.F, rng, eps, eps)
     if config.strategy == "rand1exp":
-        return rand1_donors(X, distinct_indices(blocked, 3, rng), config.F)
-    return best2_donors(X, int(np.argmin(fitness)), distinct_indices(blocked, 4, rng), config.F)
+        return rand1_donors(X, distinct_indices(rows, len(X), 3, rng), config.F)
+    return best2_donors(X, int(np.argmin(fitness)), distinct_indices(rows, len(X), 4, rng), config.F)
 
 
 @np.errstate(all="ignore")  # once per run: a box or an objective that overflows gives inf and NaN, which rank last
@@ -362,9 +357,8 @@ def run_de(config: DEConfig, fn, t_max: int, seed: int) -> RunTrace:
     masks = exponential_masks if config.strategy == "rand1exp" else binomial_masks
     try:
         fitness = ranked_fitness(evaluator.evaluate_batch(X))
-        blocked = np.eye(config.pop_size, dtype=bool)  # no target draws itself; not built for a run cut in its first batch
         while not evaluator.exhausted:
-            donors = space.clip(_donors(config, X, fitness, blocked, rng, eps))
+            donors = space.clip(_donors(config, X, fitness, rng, eps))
             trials = np.where(masks(config.pop_size, space.dim, config.CR, rng), donors, X)
             values = ranked_fitness(evaluator.evaluate_batch(trials))
             won = np.flatnonzero(_replaces(fitness, values))

@@ -299,13 +299,14 @@ def _load_table(path: Path, record, key_len: int) -> dict:
     return table
 
 
-def _load_runs(out: Path, budget: int):
+def _load_runs(out: Path, budget: int, master_seed: int):
     """Yield (record, trace) of each recorded run, in key order.
 
     A runs.csv row counts if it counts in :func:`_load_table`, its names can
-    be parts of a file name, and its trace parses and ends at (evals_used,
-    best_fitness), a point a trace cut inside its last line has lost. Other
-    rows are skipped, so their runs are run again; one over the budget raises RuntimeError.
+    be parts of a file name, its seed is its key's :func:`run_seed`, and its
+    trace parses and ends at (evals_used, best_fitness), a point a trace cut
+    inside its last line has lost. Other rows are skipped, so their runs are
+    run again; one over the budget raises RuntimeError.
     """
     for key, rec in sorted(_load_table(out / "runs.csv", RunRecord, 4).items()):
         try:
@@ -314,6 +315,8 @@ def _load_runs(out: Path, budget: int):
             continue
         if rec.evals_used > budget:
             raise RuntimeError(f"run {key} used {rec.evals_used} evaluations, over the budget {budget}")
+        if rec.seed != run_seed(master_seed, *key):
+            continue
         try:
             trace = _read_trace(out / rec.trace_path)
         except (OSError, ValueError):
@@ -481,7 +484,7 @@ def ensure_rse_targets(spec: BenchmarkSpec) -> dict[tuple[str, int], RseTarget]:
     """Compute (or load) the random-search targets for every function/dim cell.
 
     Targets are estimated with the reps the directory records (the larger
-    of the recorded and the given reps), and a stored target of fewer reps
+    of the recorded and the given reps), and a stored target of other reps
     is estimated again. The reps draw in turn from one seed, so a directory
     resumed with more reps gets the targets of an uninterrupted run.
     A directory recorded for another benchmark, or whose stored targets
@@ -533,7 +536,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                 f"budget mismatch for {rse_path}: rse.csv {min(stale)}, spec {spec.budget}; random-search "
                 "targets and runs of different budgets must not be mixed. Write to a new output directory."
             )
-        records = {rec.key: rec for rec, _ in _load_runs(out, spec.budget)} if with_runs else {}
+        records = {rec.key: rec for rec, _ in _load_runs(out, spec.budget, spec.master_seed)} if with_runs else {}
         record = {**merged.to_dict(), "stream_version": STREAM_VERSION}
         _write_text(out / "spec.json", json.dumps(record, indent=2) + "\n")
         if with_runs:
@@ -547,7 +550,7 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
         tasks = []
         for desc, dim in product(spec.functions, spec.dims):
             target, reps = targets.get((desc.label, dim)), merged.reps
-            target_reps = 0 if target is not None and target.reps >= reps else reps
+            target_reps = 0 if target is not None and target.reps == reps else reps
             runs = [
                 (algo, rep, run_seed(spec.master_seed, algo.name, desc.label, dim, rep))
                 for algo in spec.algorithms
@@ -617,7 +620,7 @@ def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
     # One cell's traces at a time: the runs come in key order.
     ert_by_cell: dict[tuple[str, str, int], ErtResult] = {}
     curves = []
-    for cell, runs in groupby(_load_runs(out, spec.budget), key=lambda run: run[0].key[:3]):
+    for cell, runs in groupby(_load_runs(out, spec.budget, spec.master_seed), key=lambda run: run[0].key[:3]):
         if cell not in cells:  # a run the spec does not name has no ert.csv row, and no bnfv.csv rows either
             continue
         _, label, dim = cell

@@ -256,6 +256,24 @@ MUTANTS = [
         "every call ends by rewriting runs.csv from the rows that count, also after an error",
     ),
     Mutant(
+        "src/sqgde/harness.py",
+        "        if rec.seed != run_seed(master_seed, *key):\n            continue\n",
+        "",
+        "a runs.csv row counts only under the seed its key derives",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "target.reps == reps",
+        "target.reps >= reps",
+        "a stored target counts only at exactly the recorded reps",
+    ),
+    Mutant(
+        "src/sqgde/algos.py",
+        "    flat[starts + targets] = np.inf  # no row draws its own target\n",
+        "",
+        "no row draws its own target",
+    ),
+    Mutant(
         "src/sqgde/testfuncs.py",
         "np.abs(rng.standard_normal(x.shape[:-1]))",
         "np.abs(rng.standard_normal(x.shape[:-1][::-1]).T)",

@@ -96,19 +96,10 @@ def _population(seed, n=20, d=6):
     return pop
 
 
-def _self_blocked(n):
-    return np.eye(n, dtype=bool)
-
-
-def _cyclic_blocked(n, k):
-    """Each row blocks its own column and the k - 1 columns after it, wrapping round."""
-    return (np.arange(n) - np.arange(n)[:, None]) % n < k
-
-
 def test_rand1_and_best2_donors_match_per_row_formula():
     pop = _population(1)
     X, n = pop.genomes, pop.size
-    idx = distinct_indices(_self_blocked(n), 4, make_rng(2))
+    idx = distinct_indices(np.arange(n), n, 4, make_rng(2))
     best = int(np.argmin(pop.fitness))
     rand1 = rand1_donors(X, idx[:, :3], 0.7)
     best2 = best2_donors(X, best, idx, 0.7)
@@ -132,20 +123,22 @@ def _sqg_reference(x_best, pairs, F, eps_den=0.0):
     return x_best - F * phi * s
 
 
-def _replayed_pairs(blocked, w, seed):
-    """The (b, c) index arrays sqg_donors draws from make_rng(seed): one 2 w draw, paired in draw order."""
-    idx = distinct_indices(blocked, 2 * w, make_rng(seed))
+def _replayed_pairs(n, w, seed):
+    """The (b, c) index arrays sqg_donors draws from make_rng(seed) for n rows, each its own target.
+
+    They are one 2 w draw, paired in draw order.
+    """
+    idx = distinct_indices(np.arange(n), n, 2 * w, make_rng(seed))
     return idx[:, 0::2], idx[:, 1::2]
 
 
 def test_sqg_donors_match_per_pair_formula():
     pop = _population(3, n=30, d=8)
     X, y = pop.genomes, pop.fitness
-    blocked = _self_blocked(pop.size)
     best = int(np.argmin(y))
     # replaying the draw on the same stream gives sqg_donors' pairs
-    b, c = _replayed_pairs(blocked, 5, 4)
-    donors = sqg_donors(X, y, blocked, best, 5, 0.8, make_rng(4))
+    b, c = _replayed_pairs(pop.size, 5, 4)
+    donors = sqg_donors(X, y, np.arange(pop.size), best, 5, 0.8, make_rng(4))
     for i in range(pop.size):
         pairs = [((X[p], y[p]), (X[q], y[q])) for p, q in zip(b[i], c[i])]
         npt.assert_allclose(donors[i], _sqg_reference(X[best], pairs, 0.8), rtol=RTOL, atol=RTOL)
@@ -174,20 +167,20 @@ def test_sqg_steps_leave_out_pairs_at_or_below_eps_pair():
 
 
 def test_sqg_donors_draw_members_once_and_keep_coincident_pairs():
-    pop = _population(11, n=24, d=5)
-    pop.genomes[1::2] = pop.genomes[::2]  # every member has a twin, so many pairs coincide
-    X, y = pop.genomes, pop.fitness
-    best, eps = int(np.argmin(y)), 1e-12
-    # a target's own column, and a mask that leaves each row only the 2 w + 1 = 11 columns it must have
-    for blocked in (_self_blocked(pop.size), _cyclic_blocked(pop.size, 13)):
-        donors = sqg_donors(X, y, blocked, best, 5, 0.8, make_rng(12), eps, eps)
-        b, c = _replayed_pairs(blocked, 5, 12)
+    # a population of 24, and one of 2 w + 1 = 11, where each row draws every member but its target
+    for n in (24, 11):
+        pop = _population(11, n=n, d=5)
+        pop.genomes[1::2] = pop.genomes[: n - 1 : 2]  # every member but a last odd one has a twin, so pairs coincide
+        X, y = pop.genomes, pop.fitness
+        best, eps = int(np.argmin(y)), 1e-12
+        donors = sqg_donors(X, y, np.arange(n), best, 5, 0.8, make_rng(12), eps, eps)
+        b, c = _replayed_pairs(n, 5, 12)
         diffs = X[b] - X[c]
         dist = np.linalg.norm(diffs, axis=2)
         assert (dist == 0.0).any()  # coincident pairs are drawn, and kept
-        # every member drawn is unblocked, and a row's 2 w members are distinct
+        # no row draws its target, and a row's 2 w members are distinct
         members = np.concatenate([b, c], axis=1)
-        assert not np.take_along_axis(blocked, members, axis=1).any()
+        assert not (members == np.arange(n)[:, None]).any()
         assert all(len(set(row)) == 10 for row in members.tolist())
         npt.assert_array_equal(donors, sqg_steps(X[best], diffs, dist, y[b] - y[c], 0.8, eps, eps))
 
@@ -195,7 +188,7 @@ def test_sqg_donors_draw_members_once_and_keep_coincident_pairs():
 def test_sqg_donors_converged_population_steps_plainly_to_best():
     X = np.tile([2.0, -1.0], (10, 1))
     y = ranked_fitness(np.arange(10.0))
-    donors = sqg_donors(X, y, _self_blocked(10), 0, 2, 0.8, make_rng(7), 1e-12, 1e-12)
+    donors = sqg_donors(X, y, np.arange(10), 0, 2, 0.8, make_rng(7), 1e-12, 1e-12)
     npt.assert_array_equal(donors, X)
 
 
@@ -204,7 +197,7 @@ def test_sqg_donors_converged_population_steps_plainly_to_best():
 
 def test_distinct_indices_rows_distinct_and_exclude_self():
     n, k = 12, 10
-    idx = distinct_indices(_self_blocked(n), k, make_rng(8))
+    idx = distinct_indices(np.arange(n), n, k, make_rng(8))
     assert idx.shape == (n, k)
     for i, row in enumerate(idx):
         assert len(set(row)) == k
@@ -214,9 +207,7 @@ def test_distinct_indices_rows_distinct_and_exclude_self():
 def test_distinct_indices_each_role_uniform_over_others():
     n, k, draws = 8, 4, 4000
     rows = np.tile(np.arange(n), draws)
-    blocked = np.zeros((rows.size, n), dtype=bool)
-    blocked[np.arange(rows.size), rows] = True
-    idx = distinct_indices(blocked, k, make_rng(9))
+    idx = distinct_indices(rows, n, k, make_rng(9))
     assert not np.any(idx == rows[:, None])
     for target in range(n):
         for role in range(k):
@@ -224,10 +215,10 @@ def test_distinct_indices_each_role_uniform_over_others():
             assert chisquare(counts).pvalue > 0.001, (target, role, counts)
 
 
-def _argsort_reference(blocked, k, rng):
-    """The full-sort formulation: a key per column, blocked ones inf, the k smallest in key order."""
-    keys = rng.random(blocked.shape)
-    keys[blocked] = np.inf
+def _argsort_reference(targets, pop_size, k, rng):
+    """The full-sort formulation: a key per column, each row's target inf, the k smallest in key order."""
+    keys = rng.random((len(targets), pop_size))
+    keys[np.arange(len(targets)), targets] = np.inf
     return np.argsort(keys, axis=1)[:, :k]
 
 
@@ -235,14 +226,13 @@ def _argsort_reference(blocked, k, rng):
 def test_distinct_indices_match_full_sort(seed):
     shape_rng = make_rng(100 + seed)
     n, pop = shape_rng.integers(1, 40), shape_rng.integers(2, 101)
-    blocked = shape_rng.random((n, pop)) < 0.5 * shape_rng.random()
-    free = pop - int(blocked.sum(axis=1).max())
-    for k in range(1, free + 1):
+    targets = shape_rng.integers(pop, size=n)  # rows may share a target
+    for k in range(1, pop):
         rng, twin = make_rng(seed), make_rng(seed)
-        npt.assert_array_equal(distinct_indices(blocked, k, rng), _argsort_reference(blocked, k, twin))
+        npt.assert_array_equal(distinct_indices(targets, pop, k, rng), _argsort_reference(targets, pop, k, twin))
         assert rng.bit_generator.state == twin.bit_generator.state
-    with pytest.raises(InsufficientPopulation, match=f"need {free + 1} distinct indices but only {free} are available"):
-        distinct_indices(blocked, free + 1, make_rng(seed))
+    with pytest.raises(InsufficientPopulation, match=f"need {pop} distinct indices but only {pop - 1} are available"):
+        distinct_indices(targets, pop, pop, make_rng(seed))
 
 
 class _TiedKeys:
@@ -253,9 +243,7 @@ class _TiedKeys:
 
 
 def test_distinct_indices_ties_go_to_the_lower_column():
-    blocked = np.zeros((3, 6), dtype=bool)
-    blocked[0, 0] = blocked[1, [1, 3]] = blocked[2, 5] = True
-    assert distinct_indices(blocked, 3, _TiedKeys()).tolist() == [[1, 2, 3], [0, 2, 4], [0, 1, 2]]
+    assert distinct_indices([0, 1, 5], 6, 3, _TiedKeys()).tolist() == [[1, 2, 3], [0, 2, 3], [0, 1, 2]]
 
 
 # --- crossover -------------------------------------------------------------------
