@@ -299,23 +299,21 @@ def _load_table(path: Path, record, key_len: int) -> dict:
     return table
 
 
-def _load_runs(out: Path, budget: int, master_seed: int):
-    """Yield (record, trace) of each recorded run, in key order.
+def _load_runs(out: Path, spec: BenchmarkSpec):
+    """Yield (record, trace) of each recorded run of ``spec``, in key order.
 
-    A runs.csv row counts if it counts in :func:`_load_table`, its names can
-    be parts of a file name, its seed is its key's :func:`run_seed`, and its
-    trace parses and ends at (evals_used, best_fitness), a point a trace cut
-    inside its last line has lost. Other rows are skipped, so their runs are
-    run again; one over the budget raises RuntimeError.
+    A runs.csv row counts if it counts in :func:`_load_table`, its key is in
+    ``spec``'s algorithms × functions × dims × range(reps), its seed is its
+    key's :func:`run_seed`, and its trace parses and ends on (evals_used,
+    best_fitness), a point lost if the trace is cut. Other rows are skipped
+    and their runs run again; any row over the budget raises RuntimeError.
     """
+    names = [a.name for a in spec.algorithms], [f.label for f in spec.functions], spec.dims, range(spec.reps)
+    cells = set(product(*names))  # every name can be a part of a file name, so no trace is read from outside traces/
     for key, rec in sorted(_load_table(out / "runs.csv", RunRecord, 4).items()):
-        try:
-            check_names("run key name", key[:2])  # each is a part of the trace's path
-        except ValueError:  # a name such as "../x"
-            continue
-        if rec.evals_used > budget:
-            raise RuntimeError(f"run {key} used {rec.evals_used} evaluations, over the budget {budget}")
-        if rec.seed != run_seed(master_seed, *key):
+        if rec.evals_used > spec.budget:  # also in a row of a cell the spec does not name
+            raise RuntimeError(f"run {key} used {rec.evals_used} evaluations, over the budget {spec.budget}")
+        if key not in cells or rec.seed != run_seed(spec.master_seed, *key):
             continue
         try:
             trace = _read_trace(out / rec.trace_path)
@@ -512,9 +510,11 @@ def run_benchmark(spec: BenchmarkSpec, workers: int = 1) -> list[RunRecord]:
 def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
     """The one path of ``ensure_rse_targets`` and ``run_benchmark``: (targets, records).
 
-    Every refusal comes before any build or write. Then each (function, dim)
-    cell with work builds once, here, estimates its target if it lacks one
-    of the recorded reps, and runs its missing runs (none unless ``with_runs``).
+    Every refusal comes before any build or write and sees every row that
+    parses; then a stored target or run counts only if the merged spec, the
+    one spec.json records, names its cell. Each (function, dim) cell with
+    work builds once, here, estimates its target if it lacks one of the
+    recorded reps, and runs its missing runs (none unless ``with_runs``).
     The parent writes every file. Each call ends, also after an error, by
     rewriting rse.csv, and runs.csv if ``with_runs``, from the rows that count.
     """
@@ -536,7 +536,8 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
                 f"budget mismatch for {rse_path}: rse.csv {min(stale)}, spec {spec.budget}; random-search "
                 "targets and runs of different budgets must not be mixed. Write to a new output directory."
             )
-        records = {rec.key: rec for rec, _ in _load_runs(out, spec.budget, spec.master_seed)} if with_runs else {}
+        targets = {c: targets[c] for c in product([f.label for f in merged.functions], merged.dims) if c in targets}
+        records = {rec.key: rec for rec, _ in _load_runs(out, merged)} if with_runs else {}
         record = {**merged.to_dict(), "stream_version": STREAM_VERSION}
         _write_text(out / "spec.json", json.dumps(record, indent=2) + "\n")
         if with_runs:
@@ -620,9 +621,7 @@ def _summarize(out: Path, spec: BenchmarkSpec) -> SummaryResult:
     # One cell's traces at a time: the runs come in key order.
     ert_by_cell: dict[tuple[str, str, int], ErtResult] = {}
     curves = []
-    for cell, runs in groupby(_load_runs(out, spec.budget, spec.master_seed), key=lambda run: run[0].key[:3]):
-        if cell not in cells:  # a run the spec does not name has no ert.csv row, and no bnfv.csv rows either
-            continue
+    for cell, runs in groupby(_load_runs(out, spec), key=lambda run: run[0].key[:3]):
         _, label, dim = cell
         target = targets.get((label, dim))
         if target is None:

@@ -203,15 +203,9 @@ MUTANTS = [
     ),
     Mutant(
         "src/sqgde/harness.py",
-        "if rec.evals_used > budget:",
-        "if rec.evals_used > budget + 1:",
+        "if rec.evals_used > spec.budget:",
+        "if rec.evals_used > spec.budget + 1:",
         "a runs.csv row over the budget is refused",
-    ),
-    Mutant(
-        "src/sqgde/harness.py",
-        '            check_names("run key name", key[:2])  # each is a part of the trace\'s path\n',
-        "            pass\n",
-        "a runs.csv row whose name cannot be a part of a file name does not count",
     ),
     Mutant(
         "src/sqgde/harness.py",
@@ -257,9 +251,36 @@ MUTANTS = [
     ),
     Mutant(
         "src/sqgde/harness.py",
-        "        if rec.seed != run_seed(master_seed, *key):\n            continue\n",
-        "",
+        "if key not in cells or rec.seed != run_seed(spec.master_seed, *key):",
+        "if key not in cells:",
         "a runs.csv row counts only under the seed its key derives",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "if key not in cells or rec.seed",
+        "if rec.seed",
+        "a runs.csv row counts only if the spec names its cell",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "        if rec.evals_used > spec.budget:",
+        "        if key not in cells:\n            continue\n        if rec.evals_used > spec.budget:",
+        "a runs.csv row over the budget is refused also if the spec does not name its cell",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "        targets = {c: targets[c] for c in product([f.label for f in merged.functions], merged.dims)"
+        " if c in targets}\n",
+        "",
+        "an rse.csv target counts only if the merged spec names its cell",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
+        "        if stale := {t.budget for t in targets.values()} - {spec.budget}:",
+        "        targets = {c: targets[c] for c in product([f.label for f in merged.functions], merged.dims)"
+        " if c in targets}\n"
+        "        if stale := {t.budget for t in targets.values()} - {spec.budget}:",
+        "an rse.csv target of another budget is refused also if the spec does not name its cell",
     ),
     Mutant(
         "src/sqgde/harness.py",

@@ -634,6 +634,49 @@ def test_resume_does_again_a_row_whose_name_cannot_be_a_file_name_part(tmp_path)
     assert _results(out) == _results(tmp_path / "fresh")
 
 
+def _join_a_cut_label(out):
+    """Cut rse.csv's first row inside its label and join the next line to it, as a lost write can."""
+    lines = (out / "rse.csv").read_text().splitlines(keepends=True)
+    assert [line[:7] for line in lines[1:]] == ["sphere,", "sphere,"]
+    (out / "rse.csv").write_text("".join([lines[0], "sph" + lines[2]]))
+    return []
+
+
+def _plant_a_run(algorithm, rep):
+    """Append a runs.csv row of rep 0's run under another key, with that key's seed, and copy its trace there."""
+
+    def damage(out):
+        row = (out / "runs.csv").read_text().splitlines()[1].split(",")
+        assert row[:4] == ["de", "sphere", "2", "0"]
+        planted = harness.RunRecord(algorithm, "sphere", 2, rep, run_seed(7, algorithm, "sphere", 2, rep), *row[5:])
+        shutil.copyfile(out / "traces" / "de__sphere__d2__r0000.csv", out / planted.trace_path)
+        with open(out / "runs.csv", "a") as fh:
+            fh.write(",".join(map(str, planted)) + "\n")
+        return [out / planted.trace_path]
+
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_join_a_cut_label, _plant_a_run("ghost", 0), _plant_a_run("de", 2)],
+    ids=["rse_label_joined_to_the_next_line", "runs_algorithm_no_spec_names", "runs_rep_past_the_reps"],
+)
+def test_resume_drops_a_row_of_a_cell_no_spec_names(tmp_path, damage):
+    # a row counts only if the merged spec, the one spec.json records, names its cell
+    out = tmp_path / "damaged"
+    spec = replace(sphere_spec(out, reps=2), dims=[2, 3])
+    fresh = run_benchmark(replace(spec, output_dir=str(tmp_path / "fresh")))
+    run_benchmark(spec)
+    planted = damage(out)
+    assert run_benchmark(spec) == fresh
+    for d in ("fresh", "damaged"):
+        summarize(tmp_path / d)
+    for path in planted:
+        path.unlink()
+    assert _results(out) == _results(tmp_path / "fresh")
+
+
 def _not_utf8(line):
     """Damage a line of a results file with a byte that is not UTF-8."""
 
@@ -675,7 +718,7 @@ def test_resume_ignores_a_conflicting_runs_row_after_a_valid_one(tmp_path):
     row = (out / "runs.csv").read_text().splitlines()[1]
     with open(out / "runs.csv", "a") as fh:  # the same key, another best_fitness
         fh.write(row.rsplit(",", 1)[0] + ",0.5\n")
-    assert [rec for rec, _ in harness._load_runs(out, 200, 7)] == fresh
+    assert [rec for rec, _ in harness._load_runs(out, sphere_spec(out, reps=2))] == fresh
     run_benchmark(sphere_spec(out, reps=2))
     for d in ("fresh", "damaged"):
         summarize(tmp_path / d)
@@ -767,19 +810,35 @@ def finished_dir(tmp_path_factory):
     return out
 
 
-# The field a damage may change in each resumable table, and the largest value it draws.
-_CHANGED_FIELD = {"runs.csv": (RUNS_COLUMNS.index("seed"), 2**64 - 1), "rse.csv": (RSE_COLUMNS.index("reps"), 1000)}
+# A changed field's drawn values. Text has no newline, so a changed field stays in its line.
+_TEXT = st.text(st.characters(exclude_characters="\n")).map(str.encode)
+_NUMBER = st.integers(-1, 2**64).map(b"%d".__mod__)
+_NAMED = [b"de_small", b"sqg_small", b"sphere2", b"rastrigin2", b"0", b"1", b"2", b"3"]  # _property_spec's, rep 3 past
+_LABELS = (b"sphere2", b"rastrigin2")  # neither ends the other, so no cut label joined before one makes the other
+# The fields a change may set in each resumable table. A runs.csv key or seed may take any value, also another
+# run's key. An rse.csv key moves only to a cell no spec names: a changed label ends no named label, so no cut
+# label joined before it makes one either. rse.csv's reps may take any number.
+_CHANGED_FIELDS = {
+    "runs.csv": dict.fromkeys(range(RUNS_COLUMNS.index("seed") + 1), st.sampled_from(_NAMED) | _TEXT | _NUMBER),
+    "rse.csv": {
+        RSE_COLUMNS.index("function"): _TEXT.filter(lambda v: not any(label.endswith(v) for label in _LABELS)),
+        RSE_COLUMNS.index("dim"): st.integers(-1, 1000).filter(lambda d: d != 2).map(b"%d".__mod__),  # its one dim
+        RSE_COLUMNS.index("reps"): st.integers(0, 1000).map(b"%d".__mod__),
+    },
+}
 
 
 def _draw_damage(data, name, raw):
     """``raw``, the bytes of ``name``, with one drawn damage.
 
-    A line is newline-ended; a tail a truncation cut stays the file's last
-    bytes, so no damage joins it to the next line.
+    A line is newline-ended, as the harness reads it; a tail a truncation
+    or a join left stays the file's last bytes. A join cuts a line of a
+    resumable table inside, so the next line joins what is left of it, as a
+    lost write can.
     """
-    lines = raw.splitlines(keepends=True)
-    tail = lines.pop() if lines and not lines[-1].endswith(b"\n") else b""
-    kinds = ["truncate", "delete", "duplicate", "swap"] + (["change"] if name in _CHANGED_FIELD else [])
+    *lines, tail = raw.split(b"\n")
+    lines = [line + b"\n" for line in lines]
+    kinds = ["truncate", "delete", "duplicate", "swap"] + (["change", "join"] if name in _CHANGED_FIELDS else [])
     kind = data.draw(st.sampled_from(kinds), label=f"{name} damage")
     if kind == "truncate" or not lines:
         return raw[: data.draw(st.integers(0, max(len(raw) - 1, 0)), label="cut at")]
@@ -795,12 +854,13 @@ def _draw_damage(data, name, raw):
     elif kind == "swap":
         j = data.draw(st.integers(0, last), label="with line")
         lines[i], lines[j] = lines[j], lines[i]
-    else:  # a seed or reps that still parses; a header left by other damage, or a field that is no number, stays
-        index, top = _CHANGED_FIELD[name]
+    elif kind == "join":  # the next line, or the file's tail, joins what is left of line i
+        lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i]) - 1), label="cut at")]
+    else:  # a header left in a row's place by other damage changes too; a line of too few fields stays
         fields = lines[i][:-1].split(b",")
-        if len(fields) > index and fields[index].isdigit():
-            old = int(fields[index])
-            fields[index] = b"%d" % (old + data.draw(st.integers(-old, top - old).filter(bool), label="change by"))
+        index = data.draw(st.sampled_from(sorted(_CHANGED_FIELDS[name])), label="field")
+        if index < len(fields):
+            fields[index] = data.draw(_CHANGED_FIELDS[name][index], label="to")
             lines[i] = b",".join(fields) + b"\n"
     return b"".join(lines) + tail
 
@@ -812,10 +872,9 @@ def test_resume_after_drawn_damage_gives_the_fresh_bytes(finished_dir, data):
 
     Left out, because no resume can tell them from a result without running
     the work again: a lost inner trace point (the trace keeps its order and
-    still ends on its row), and a changed value of an inner point or a
-    target. Also left out: a changed key, such as a cut tail joined to the
-    next line, because an rse.csv row of a cell no spec names is kept as
-    it is.
+    still ends on its row), a changed value of an inner point or a target,
+    and an rse.csv target moved onto another named cell, which looks like a
+    changed target value.
     """
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "damaged"
@@ -981,10 +1040,11 @@ def test_rse_targets_alone_record_their_benchmark(tmp_path):
 
 
 def test_rse_targets_of_another_budget_are_refused(tmp_path):
-    # an rse.csv without a spec.json beside it
-    (tmp_path / "rse.csv").write_text("function,dim,budget,reps,value\nsphere2,2,50,5,1.5\n")
-    with pytest.raises(ValueError, match="rse.csv 50, spec 60"):
-        ensure_rse_targets(small_spec(tmp_path))
+    # an rse.csv without a spec.json beside it; the refusal sees the rows of cells no spec names too
+    for cell in ("sphere2,2", "ghost,2", "sphere2,9"):
+        (tmp_path / "rse.csv").write_text(f"function,dim,budget,reps,value\n{cell},50,5,1.5\n")
+        with pytest.raises(ValueError, match="rse.csv 50, spec 60"):
+            ensure_rse_targets(small_spec(tmp_path))
 
 
 def test_resume_reads_a_recorded_spec_as_the_reader_does(tmp_path):
@@ -1395,18 +1455,22 @@ def test_summarize_refuses_overbudget_rows(tmp_path):
 
 
 def test_resume_refuses_an_overbudget_row_before_any_write(tmp_path):
-    out = tmp_path / "out"
-    run_benchmark(small_spec(out, reps=2))
-    runs_path = out / "runs.csv"
-    lines = runs_path.read_text().splitlines(keepends=True)
-    cols = lines[1].split(",")
-    cols[5] = "61"  # over the 60-evaluation budget
-    lines[1] = ",".join(cols)
-    runs_path.write_text("".join(lines))
-    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
-    with pytest.raises(RuntimeError, match="over the budget 60"):
-        run_benchmark(small_spec(out, reps=3))  # a resume whose spec.json would record more reps
-    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    # in a row of a named cell, of an algorithm no spec names, or of a rep past the reps
+    for name, key in (("named", {}), ("algorithm", {0: "ghost"}), ("rep", {3: "7"})):
+        out = tmp_path / name
+        run_benchmark(small_spec(out, reps=2))
+        runs_path = out / "runs.csv"
+        lines = runs_path.read_text().splitlines(keepends=True)
+        cols = lines[1].split(",")
+        cols[5] = "61"  # over the 60-evaluation budget
+        for index, value in key.items():
+            cols[index] = value
+        lines[1] = ",".join(cols)
+        runs_path.write_text("".join(lines))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        with pytest.raises(RuntimeError, match="over the budget 60"):
+            run_benchmark(small_spec(out, reps=3))  # a resume whose spec.json would record more reps
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_summarize_needs_records(tmp_path):
