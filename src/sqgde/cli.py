@@ -32,19 +32,13 @@ def _load(path, from_dict):
         raise click.BadParameter(f"cannot load {path}: {err}") from err
 
 
-def _descriptor(payload) -> FunctionDescriptor:
-    if isinstance(payload, dict) and "functions" in payload:
-        raise ValueError("it is a suite file; pass a single function label or descriptor file")
-    return FunctionDescriptor.from_dict(payload)
-
-
 def _function(label: str, dim: int):
     """The suite function or descriptor file ``label`` built at ``dim``; either failing is a usage error naming it."""
     table = suite_by_label()
     if label in table:
         desc = table[label]
     elif Path(label).exists():
-        desc = _load(label, _descriptor)
+        desc = _load(label, FunctionDescriptor.from_dict)
     else:
         raise click.BadParameter(f"unknown function {label!r}; known labels: {', '.join(sorted(table))}")
     try:

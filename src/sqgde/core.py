@@ -12,7 +12,8 @@ import os
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from functools import cache
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -23,11 +24,9 @@ __all__ = [
     "make_rng",
     "derive_seed",
     "record_dict",
-    "refuse_unknown_keys",
     "check_names",
     "json_value",
-    "json_fields",
-    "json_list",
+    "read_fields",
     "SearchSpace",
     "ranked_fitness",
     "Population",
@@ -89,12 +88,6 @@ def record_dict(record) -> dict:
     return {f.name: _plain(v) for f in fields(record) if (v := getattr(record, f.name)) is not None}
 
 
-def refuse_unknown_keys(d: dict, known, what: str) -> None:
-    """Refuse a record holding a key not in ``known``: a misspelt key would silently take its default."""
-    if unknown := [key for key in d if key not in known]:
-        raise ValueError(f"{what} has unknown keys {unknown}; known keys: {', '.join(known)}")
-
-
 # An algorithm name, function label or function category: each becomes an
 # unquoted CSV field, and a name or label a part of a trace file name, whose
 # parts "__" separates.
@@ -122,15 +115,33 @@ def json_value(key: str, value, kind: str):
         raise ValueError(f"{key} is out of the range of a float") from None
 
 
-def json_list(what: str, key: str, value, entry) -> list:
-    """``value``, a JSON list, each entry by ``entry``: a function, or a JSON type for :func:`json_value`."""
-    entries = json_value(f"{what}: {key}", value, "list")
-    return [entry(e) if callable(entry) else json_value(f"{what}: each of {key}", e, entry) for e in entries]
+# A record type's field types by name, read from its annotations once per type.
+field_types = cache(get_type_hints)
 
 
-def json_fields(d: dict, casts: dict, what: str) -> dict:
-    """``d``'s entries that ``casts`` names, each by its cast: a function, or a JSON type for :func:`json_value`."""
-    return {k: c(d[k]) if callable(c) else json_value(f"{what}: {k}", d[k], c) for k, c in casts.items() if k in d}
+def read_fields(record, d, what: str, known=()) -> dict:
+    """The entries of the JSON object ``d`` that name fields of ``record``, each read by its field's type.
+
+    A type with ``from_dict`` reads through it, a list or tuple of ``T`` is a
+    JSON list read entry by entry as ``T``, and any other type is the JSON value
+    of its name (see :func:`json_value`). Only a ``T | None`` takes ``null``,
+    as unset. A key neither a field nor in ``known`` is refused: a misspelt
+    key would silently take its default.
+    """
+    types = field_types(record)
+    if unknown := [key for key in json_value(what, d, "object") if key not in types and key not in known]:
+        raise ValueError(f"{what} has unknown keys {unknown}; known keys: {', '.join([*types, *known])}")
+    return {key: _read(what, key, d[key], t) for key, t in types.items() if key in d}
+
+
+def _read(what: str, key: str, value, t):
+    """``value`` read as the type ``t`` by the rule of :func:`read_fields`; a refusal names ``what: key``."""
+    if type(None) in get_args(t):  # T | None
+        return None if value is None else _read(what, key, value, get_args(t)[0])
+    if get_origin(t) in (list, tuple):
+        entries = json_value(f"{what}: {key}", value, "list")
+        return get_origin(t)(_read(what, f"each of {key}", e, get_args(t)[0]) for e in entries)
+    return t.from_dict(value) if hasattr(t, "from_dict") else json_value(f"{what}: {key}", value, t.__name__)
 
 
 @dataclass(frozen=True, eq=False)

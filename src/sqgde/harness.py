@@ -40,13 +40,13 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import groupby, islice, product, repeat
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 import numpy as np
 
 from .algos import DEConfig, SQGConfig, run_de, run_sqg
 from .core import STREAM_VERSION, RunTrace, derive_seed, record_dict
-from .core import check_names, json_fields, json_list, json_value, refuse_unknown_keys
+from .core import check_names, field_types, json_value, read_fields
 from .metrics import (
     ErtResult,
     RseTarget,
@@ -116,15 +116,14 @@ class AlgorithmSpec:
         name = json_value("algorithm", d, "object").get("name")
         check_names("algorithm name", [name])
         what, kind = f"algorithm {name!r}", d.get("kind")
-        if kind is not None and json_value(f"{what}: kind", kind, "str") not in _KINDS:
+        if "kind" in d and json_value(f"{what}: kind", kind, "str") not in _KINDS:
             raise ValueError(f"unknown algorithm kind {kind!r}")
         preset = algorithm_preset(name).config if kind is None else None
-        config_fields = fields(preset or _KINDS[kind][0])
-        refuse_unknown_keys(d, ["name", "kind", *(f.name for f in config_fields)], what)
-        params = json_fields(d, {f.name: f.type for f in config_fields}, what)
-        if not preset and (missing := [f.name for f in config_fields if f.default is MISSING and f.name not in d]):
+        config = type(preset) if preset else _KINDS[kind][0]
+        params = read_fields(config, d, what, known=("name", "kind"))
+        if not preset and (missing := [f.name for f in fields(config) if f.default is MISSING and f.name not in d]):
             raise ValueError(f"{what} needs {', '.join(missing)}")
-        return cls(name, replace(preset, **params) if preset else _KINDS[kind][0](**params))
+        return cls(name, replace(preset, **params) if preset else config(**params))
 
 
 # The four protocol optimizers: classic DE, best-of-two-differences DE,
@@ -189,17 +188,12 @@ class BenchmarkSpec:
     def from_dict(cls, d: dict) -> "BenchmarkSpec":
         """Missing entries take the defaults: all presets, the default suite, the protocol.
 
-        An entry that is there is used as it is, so an empty or ``null`` list
-        is refused. The ``stream_version`` a spec.json records is accepted;
-        any other unknown key is refused.
+        An entry that is there is read by its field's type (see
+        :func:`core.read_fields`) and used as it is, so an empty or ``null``
+        list is refused. The ``stream_version`` a spec.json records is
+        accepted; any other unknown key is refused.
         """
-        what = "benchmark spec"
-        refuse_unknown_keys(json_value(what, d, "object"), [f.name for f in fields(cls)] + ["stream_version"], what)
-        casts = dict(budget="int", reps="int", master_seed="int", output_dir="str")
-        casts["algorithms"] = lambda v: json_list(what, "algorithms", v, AlgorithmSpec.from_dict)
-        casts["functions"] = lambda v: json_list(what, "functions", v, FunctionDescriptor.from_dict)
-        casts["dims"] = lambda v: json_list(what, "dims", v, "int")
-        given = json_fields(d, casts, what)
+        given = read_fields(cls, d, "benchmark spec", known=("stream_version",))
         algos = given.pop("algorithms", list(ALGORITHM_PRESETS.values()))
         return cls(algos, given.pop("functions") if "functions" in given else default_suite(), **given)
 
@@ -289,7 +283,7 @@ def _load_table(path: Path, record, key_len: int) -> dict:
     field of ``record`` and each parses as that field's type; the first row
     of a key counts. Any other row is skipped, so its work is done again.
     """
-    casts, table = list(get_type_hints(record).values()), {}
+    casts, table = list(field_types(record).values()), {}
     for row in _read_rows(path, list(record._fields)) or []:
         try:
             rec = record(*[cast(v) for cast, v in zip(casts, row, strict=True)])
@@ -512,8 +506,9 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
 
     Every refusal comes before any build or write and sees every row that
     parses; then a stored target or run counts only if the merged spec, the
-    one spec.json records, names its cell. Each (function, dim) cell with
-    work builds once, here, estimates its target if it lacks one of the
+    one spec.json records, names its cell, and a call that runs removes each
+    file under traces/ that no counted row names. Each (function, dim) cell
+    with work builds once, here, estimates its target if it lacks one of the
     recorded reps, and runs its missing runs (none unless ``with_runs``).
     The parent writes every file. Each call ends, also after an error, by
     rewriting rse.csv, and runs.csv if ``with_runs``, from the rows that count.
@@ -544,6 +539,10 @@ def _benchmark(spec: BenchmarkSpec, workers: int, with_runs: bool):
             (out / "traces").mkdir(exist_ok=True)
             # Keep only the rows that count, so appended rows start on a fresh line.
             _write_csv(runs_path, RUNS_COLUMNS, sorted(records.values()))
+            named = {rec.trace_path for rec in records.values()}
+            for path in (out / "traces").iterdir():  # also a .tmp file a killed write left
+                if f"traces/{path.name}" not in named and path.is_file():
+                    path.unlink()
 
         # Each cell with work, built once here: its target reps (0 if it has
         # its target) and its missing runs, in (algorithm, rep) order, cut

@@ -12,12 +12,12 @@ a seed fully reproduces the function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, TypedDict
 
 import numpy as np
 
 from .core import RngStream, SearchSpace, derive_seed, make_rng, record_dict
-from .core import check_names, json_fields, json_list, json_value, refuse_unknown_keys
+from .core import check_names, field_types, json_value, read_fields
 
 __all__ = [
     "BaseFunction",
@@ -301,30 +301,29 @@ def custom_function(label: str, space: SearchSpace, fn: Callable[[np.ndarray], f
     return TestFunction(label=label, space=space, body=fn)
 
 
+# A component as spec.json holds it: its fields in order, lam named "lambda", which no field can be.
+_COMPONENT_JSON = TypedDict("_COMPONENT_JSON", {"kind": str, "sigma": float, "bias": float, "lambda": float | None})
+
+
 @dataclass
 class ComponentDescriptor:
     """One composition entry; lam defaults to box half-range / base half-range."""
 
     kind: str
     sigma: float = 1.0
-    lam: float | None = None
     bias: float = 0.0
+    lam: float | None = None
 
     def to_dict(self) -> dict:
-        # Not in field order: spec.json names lam "lambda" and puts it last.
-        d = {"kind": self.kind, "sigma": self.sigma, "bias": self.bias}
-        if self.lam is not None:
-            d["lambda"] = self.lam
-        return d
+        return {k: v for k, v in zip(field_types(_COMPONENT_JSON), vars(self).values()) if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ComponentDescriptor":
+        """A spec.json component (see :func:`core.read_fields`): ``kind`` is required, only ``lambda`` nullable."""
         what = "composition component"
-        casts = {"kind": "str", "sigma": "float", "lambda": "float", "bias": "float"}
-        refuse_unknown_keys(json_value(what, d, "object"), casts, what)
-        c = json_fields({k: v for k, v in d.items() if v is not None}, casts, what)
-        kind = json_value(f"{what}: kind", c.get("kind"), "str")
-        return cls(kind, c.get("sigma", 1.0), c.get("lambda"), c.get("bias", 0.0))
+        c = read_fields(_COMPONENT_JSON, d, what)
+        json_value(f"{what}: kind", c.get("kind"), "str")  # the one entry without a default
+        return cls(**{f.name: c[k] for f, k in zip(fields(cls), field_types(_COMPONENT_JSON)) if k in c})
 
 
 @dataclass
@@ -353,15 +352,10 @@ class FunctionDescriptor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FunctionDescriptor":
+        """A function record (see :func:`core.read_fields`): ``label`` is required, ``null`` unsets a ``T | None``."""
         label = json_value("function", d, "object").get("label")
         check_names("function label", [label])
-        what = f"function {label!r}"
-        # Each field after the label by its annotation's type: "str", "bool", ...
-        casts = {f.name: f.type.removesuffix(" | None") for f in fields(cls)[1:]}
-        casts["composition"] = lambda v: json_list(what, "composition", v, ComponentDescriptor.from_dict)
-        casts["bounds"] = lambda v: tuple(json_list(what, "bounds", v, "float"))
-        refuse_unknown_keys(d, ["label", *casts], what)
-        return cls(label, **json_fields({k: v for k, v in d.items() if v is not None}, casts, what))
+        return cls(**read_fields(cls, d, f"function {label!r}"))
 
 
 def _sample_shift(space: SearchSpace, rng: RngStream, shifted: bool, on_bounds: bool) -> np.ndarray:

@@ -284,6 +284,24 @@ MUTANTS = [
     ),
     Mutant(
         "src/sqgde/harness.py",
+        "                    path.unlink()\n",
+        "                    pass\n",
+        "a call that runs removes each trace no counted row names",
+    ),
+    Mutant(
+        "src/sqgde/core.py",
+        "    if type(None) in get_args(t):  # T | None\n",
+        "    if value is None:\n        return None\n    if type(None) in get_args(t):  # T | None\n",
+        "a spec.json null is unset only for a field whose type admits None",
+    ),
+    Mutant(
+        "src/sqgde/core.py",
+        'if key not in types and key not in known]',
+        'if False]',
+        "a spec.json record refuses a key that names no field",
+    ),
+    Mutant(
+        "src/sqgde/harness.py",
         "target.reps == reps",
         "target.reps >= reps",
         "a stored target counts only at exactly the recorded reps",

@@ -392,7 +392,7 @@ def test_run_and_rse_reject_non_positive_values_up_front(args):
         (["bench", "--quiet", "--config"], '{"algorithms": [{"name": "x"}]}', "unknown algorithm preset 'x'"),
         (["run", "--algo", "de", "--function"], '{"label": "f",', "Expecting"),
         (["rse", "--function"], '{"label": "f",', "Expecting"),
-        (["run", "--algo", "de", "--function"], '{"functions": []}', "it is a suite file"),
+        (["run", "--algo", "de", "--function"], '{"functions": []}', "function label None must be"),
         (["bench", "--quiet", "--config"], '{"budgett": 50}', "unknown keys ['budgett']"),
         (["rse", "--function"], '{"label": "f", "kind": "sphere", "rotatd": true}', "unknown keys ['rotatd']"),
         (["run", "--algo", "de", "--function"], '{"label": "a,b", "kind": "sphere", "seed": 3}', "label 'a,b' must"),

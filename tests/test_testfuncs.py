@@ -391,6 +391,10 @@ def test_descriptor_roundtrip():
     again = FunctionDescriptor.from_dict(desc.to_dict())
     assert again == desc
     assert desc.to_dict()["composition"][0]["lambda"] == 2.0
+    # a null is unset where a field can be unset
+    record = {"label": "f", "composition": [{"kind": "sphere", "lambda": None}] * 2, "bounds": None, "seed": None}
+    unset = FunctionDescriptor("f", composition=[ComponentDescriptor("sphere")] * 2)
+    assert FunctionDescriptor.from_dict(record) == unset
 
 
 @pytest.mark.parametrize(
@@ -426,10 +430,15 @@ def test_descriptor_refuses_unknown_keys(record, unknown):
         ({"label": "f", "composition": {"kind": "sphere"}}, "function 'f': composition must be a JSON list, got {"),
         ({"label": "f", "composition": [5, 6]}, "composition component must be a JSON object, got 5"),
         ({"label": "f", "composition": [{"sigma": 2}]}, "composition component: kind must be a JSON str, got None"),
+        # a null is refused where a field cannot be unset, not read as its default
+        ({"label": "f", "kind": "sphere", "noisy": None, "seed": 3}, "function 'f': noisy must be a JSON bool"),
+        ({"label": "f", "kind": "sphere", "seed": 3, "bias": None}, "function 'f': bias must be a JSON float"),
+        ({"label": "f", "composition": [{"kind": "sphere", "sigma": None}]}, "component: sigma must be a JSON float"),
     ],
     ids=["bool_string", "bool_word", "bool_number", "int_fraction", "int_bool", "float_bool", "bounds_string",
          "str_number", "category_number", "component_float_string", "component_float_bool", "bounds_number",
-         "composition_object", "component_number", "component_without_kind"],
+         "composition_object", "component_number", "component_without_kind", "null_bool", "null_bias",
+         "component_null_sigma"],
 )
 def test_descriptor_refuses_values_of_another_json_type(record, message):
     # a cast would build another function: bool("false") is True, int(3.9) is 3
